@@ -24,9 +24,10 @@ const USERS: usize = 10_000;
 const BUDGET: usize = 1;
 
 fn daynight_config() -> DayNightConfig {
-    let mut config = DayNightConfig::default();
-    config.num_users = USERS;
-    config
+    DayNightConfig {
+        num_users: USERS,
+        ..DayNightConfig::default()
+    }
 }
 
 /// Simulate the chaffed commuter fleet from the epoch-active chains.

@@ -824,7 +824,7 @@ mod tests {
 
         // Reference for the varying detector: score each slot with the
         // epoch-active single table by hand.
-        let mut accs = vec![0.0f64; 19];
+        let mut accs = [0.0f64; 19];
         let mut diverged = false;
         for t in 0..grid.horizon() {
             let expect_dup = stationary.push_slot(grid.row(t)).unwrap();

@@ -73,8 +73,11 @@ impl<'a> CmlController<'a> {
     }
 }
 
-impl OnlineChaffController for CmlController<'_> {
-    fn next(&mut self, user_now: CellId, avoid: &[CellId], _rng: &mut dyn RngCore) -> CellId {
+impl CmlController<'_> {
+    /// Decides the chaff's cell for this slot given the user's cell (the
+    /// [`OnlineChaffController::next`] body; CML draws no randomness).
+    #[inline]
+    pub fn decide(&mut self, user_now: CellId, avoid: &[CellId]) -> CellId {
         let chain = self.chains.advance();
         let choice = match self.current {
             None => {
@@ -102,13 +105,43 @@ impl OnlineChaffController for CmlController<'_> {
     }
 }
 
+impl OnlineChaffController for CmlController<'_> {
+    fn next(&mut self, user_now: CellId, avoid: &[CellId], _rng: &mut dyn RngCore) -> CellId {
+        self.decide(user_now, avoid)
+    }
+}
+
 /// Most likely successor of `prev` excluding the user's cell and the avoid
 /// list; falls back to the unconstrained argmax (accepting co-location),
 /// then to staying put, when exclusions leave nothing.
 ///
 /// This is the paper's `f(x_{1,t}, x_{2,t-1})` (eq. 17); the theory module
 /// reuses it to build the CML product chain.
+///
+/// With no avoid list this reads the row's cached top two successors:
+/// excluding one cell leaves the argmax unless that cell *is* the argmax,
+/// in which case it leaves the runner-up — the same tie-broken winner the
+/// scan finds.
+#[inline]
 pub(crate) fn pick_constrained_argmax(
+    chain: &MarkovChain,
+    prev: CellId,
+    user_now: CellId,
+    avoid: &[CellId],
+) -> CellId {
+    if !avoid.is_empty() {
+        return pick_constrained_argmax_scan(chain, prev, user_now, avoid);
+    }
+    match chain.matrix().ranked_successors(prev) {
+        (Some(first), _) if first.cell != user_now => first.cell,
+        (Some(first), second) => second.map_or(first.cell, |s| s.cell),
+        (None, _) => prev,
+    }
+}
+
+/// [`pick_constrained_argmax`] by scanning the row: the path for a
+/// non-empty avoid list, and the oracle the cached path is tested against.
+fn pick_constrained_argmax_scan(
     chain: &MarkovChain,
     prev: CellId,
     user_now: CellId,
@@ -224,6 +257,46 @@ mod tests {
         // t=2: from 0 the chaff can only reach 1, but the user sits there.
         let c2 = controller.next(CellId::new(1), &[], &mut rng);
         assert_eq!(c2, CellId::new(1));
+    }
+
+    #[test]
+    fn cached_argmax_matches_the_scan_over_random_states() {
+        let mut rng = StdRng::seed_from_u64(35);
+        // Dense rows, tie-dense rows and rows with a single successor.
+        let mut chains: Vec<MarkovChain> = ModelKind::ALL
+            .iter()
+            .map(|kind| MarkovChain::new(kind.build(9, &mut rng).unwrap()).unwrap())
+            .collect();
+        let ties = TransitionMatrix::from_weights(
+            (0..6)
+                .map(|i| (0..6).map(|j| [1.0, 2.0, 0.0][(i * j + i) % 3]).collect())
+                .collect(),
+        )
+        .unwrap();
+        let single = TransitionMatrix::from_rows(vec![
+            vec![0.0, 1.0, 0.0],
+            vec![0.5, 0.0, 0.5],
+            vec![0.0, 0.0, 1.0],
+        ])
+        .unwrap();
+        for m in [ties, single] {
+            let n = m.num_states();
+            let pi = chaff_markov::StateDistribution::uniform(n).unwrap();
+            chains.push(MarkovChain::with_initial(m, pi).unwrap());
+        }
+        for chain in &chains {
+            let n = chain.num_states();
+            for prev in 0..n {
+                for user in 0..n {
+                    let (prev, user) = (CellId::new(prev), CellId::new(user));
+                    assert_eq!(
+                        pick_constrained_argmax(chain, prev, user, &[]),
+                        pick_constrained_argmax_scan(chain, prev, user, &[]),
+                        "prev {prev}, user {user}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

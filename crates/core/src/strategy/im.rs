@@ -3,7 +3,7 @@
 use super::{validate_user, ChaffStrategy, OnlineChaffController};
 use crate::Result;
 use chaff_markov::{CellId, MarkovChain, Trajectory};
-use rand::RngCore;
+use rand::{Rng, RngCore};
 
 /// The impersonating (IM) strategy (Sec. IV-A).
 ///
@@ -65,8 +65,12 @@ impl<'a> ImController<'a> {
     }
 }
 
-impl OnlineChaffController for ImController<'_> {
-    fn next(&mut self, _user_now: CellId, _avoid: &[CellId], rng: &mut dyn RngCore) -> CellId {
+impl ImController<'_> {
+    /// The chaff's cell for this slot: one draw from `rng` (the
+    /// [`OnlineChaffController::next`] body, generic over the RNG so a
+    /// concrete generator is called without dynamic dispatch).
+    #[inline]
+    pub fn walk<R: Rng + ?Sized>(&mut self, rng: &mut R) -> CellId {
         let chain = self.chains.advance();
         let next = match self.current {
             None => chain.initial().sample(rng),
@@ -74,6 +78,12 @@ impl OnlineChaffController for ImController<'_> {
         };
         self.current = Some(next);
         next
+    }
+}
+
+impl OnlineChaffController for ImController<'_> {
+    fn next(&mut self, _user_now: CellId, _avoid: &[CellId], rng: &mut dyn RngCore) -> CellId {
+        self.walk(rng)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use super::{replay_controller, validate_user, ChaffStrategy, OnlineChaffController};
 use crate::{loglik_cmp, Result};
-use chaff_markov::{CellId, MarkovChain, Trajectory};
+use chaff_markov::{CellId, MarkovChain, Trajectory, TransitionMatrix};
 use rand::RngCore;
 use std::cmp::Ordering;
 
@@ -103,20 +103,28 @@ impl<'a> MoController<'a> {
     /// `avoid` adds extra forbidden cells (the RMO strategy's avoid lists);
     /// it is best-effort: if every admissible cell is forbidden the
     /// controller ignores the list rather than stall the chaff.
+    #[inline]
     pub fn decide(&mut self, user_now: CellId, avoid: &[CellId]) -> CellId {
         let chain = self.chains.advance();
-        let choice = match self.prev_chaff {
-            None => self.decide_first(chain, user_now, avoid),
-            Some(prev) => self.decide_step(chain, prev, user_now, avoid),
-        };
-        // Update γ with the realized moves.
+        let matrix = chain.matrix();
+        // The user's realized move, scored once: it feeds both the
+        // dodge test and the γ update.
         let user_inc = match self.prev_user {
             None => chain.initial().log_prob(user_now),
-            Some(pu) => chain.matrix().log_prob(pu, user_now),
+            Some(pu) => matrix.log_prob(pu, user_now),
         };
-        let chaff_inc = match self.prev_chaff {
-            None => chain.initial().log_prob(choice),
-            Some(pc) => chain.matrix().log_prob(pc, choice),
+        let (choice, chaff_inc) = match self.prev_chaff {
+            None => {
+                let choice = self.decide_first(chain, user_now, avoid);
+                (choice, chain.initial().log_prob(choice))
+            }
+            Some(prev) if avoid.is_empty() => {
+                step_ranked(matrix, prev, user_now, self.gamma, user_inc)
+            }
+            Some(prev) => {
+                let choice = step_scan(matrix, prev, user_now, avoid, self.gamma, user_inc);
+                (choice, matrix.log_prob(prev, choice))
+            }
         };
         self.gamma = add_gap(self.gamma, user_inc, chaff_inc);
         self.prev_chaff = Some(choice);
@@ -141,37 +149,65 @@ impl<'a> MoController<'a> {
             _ => first,
         }
     }
+}
 
-    /// Slots t ≥ 2 (lines 12–23 of Algorithm 2).
-    fn decide_step(
-        &self,
-        chain: &MarkovChain,
-        prev: CellId,
-        user_now: CellId,
-        avoid: &[CellId],
-    ) -> CellId {
-        let matrix = chain.matrix();
-        let first = argmax_row(chain, prev, &[], avoid);
-        let Some(first) = first else {
-            return prev; // no successors at all: stay put
-        };
-        if first != user_now {
-            return first;
-        }
-        // x⁽¹⁾ collides with the user; try the second ML move if it keeps
-        // the cumulative likelihood race at least tied (γ_t ≤ 0).
-        let user_step = match self.prev_user {
-            Some(pu) => matrix.log_prob(pu, user_now),
-            None => chain.initial().log_prob(user_now),
-        };
-        if let Some(second) = argmax_row(chain, prev, &[user_now], avoid) {
-            let gamma_if_second = add_gap(self.gamma, user_step, matrix.log_prob(prev, second));
-            if loglik_cmp(gamma_if_second, 0.0) != Ordering::Greater {
-                return second;
-            }
-        }
-        first
+/// Slots t ≥ 2 (lines 12–23 of Algorithm 2) with no avoid list, read off
+/// the row's cached top two successors: `x⁽¹⁾` is the row argmax and,
+/// when it collides with the user, `x⁽²⁾` — the argmax excluding the
+/// user's cell — is the runner-up. Returns the move and its cached
+/// log-probability; `user_inc` is the user's realized step.
+#[inline]
+fn step_ranked(
+    matrix: &TransitionMatrix,
+    prev: CellId,
+    user_now: CellId,
+    gamma: f64,
+    user_inc: f64,
+) -> (CellId, f64) {
+    let (first, second) = matrix.ranked_successors(prev);
+    let Some(first) = first else {
+        // No successors at all: stay put.
+        return (prev, matrix.log_prob(prev, prev));
+    };
+    if first.cell != user_now {
+        return (first.cell, first.log_prob);
     }
+    // x⁽¹⁾ collides with the user; take x⁽²⁾ if it keeps the cumulative
+    // likelihood race at least tied (γ_t ≤ 0).
+    match second {
+        Some(second)
+            if loglik_cmp(add_gap(gamma, user_inc, second.log_prob), 0.0) != Ordering::Greater =>
+        {
+            (second.cell, second.log_prob)
+        }
+        _ => (first.cell, first.log_prob),
+    }
+}
+
+/// Slots t ≥ 2 by scanning the row, honoring `avoid` best-effort: the
+/// RMO path, and the oracle [`step_ranked`] is tested against.
+fn step_scan(
+    matrix: &TransitionMatrix,
+    prev: CellId,
+    user_now: CellId,
+    avoid: &[CellId],
+    gamma: f64,
+    user_inc: f64,
+) -> CellId {
+    let first = argmax_row(matrix, prev, &[], avoid);
+    let Some(first) = first else {
+        return prev; // no successors at all: stay put
+    };
+    if first != user_now {
+        return first;
+    }
+    if let Some(second) = argmax_row(matrix, prev, &[user_now], avoid) {
+        let gamma_if_second = add_gap(gamma, user_inc, matrix.log_prob(prev, second));
+        if loglik_cmp(gamma_if_second, 0.0) != Ordering::Greater {
+            return second;
+        }
+    }
+    first
 }
 
 impl OnlineChaffController for MoController<'_> {
@@ -223,14 +259,14 @@ fn argmax_dist(
 /// Argmax over successors of `prev`, skipping `exclude` and (best-effort)
 /// `avoid`.
 fn argmax_row(
-    chain: &MarkovChain,
+    matrix: &TransitionMatrix,
     prev: CellId,
     exclude: &[CellId],
     avoid: &[CellId],
 ) -> Option<CellId> {
     let pick = |use_avoid: bool| -> Option<CellId> {
         let mut best: Option<(CellId, f64)> = None;
-        for (cell, p) in chain.matrix().successors(prev) {
+        for (cell, p) in matrix.successors(prev) {
             if exclude.contains(&cell) || (use_avoid && avoid.contains(&cell)) {
                 continue;
             }
@@ -248,9 +284,8 @@ fn argmax_row(
 mod tests {
     use super::*;
     use chaff_markov::models::ModelKind;
-    use chaff_markov::TransitionMatrix;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn follows_algorithm_2_case_one() {
@@ -355,6 +390,46 @@ mod tests {
         let map = MoStrategy.deterministic_map(&chain, &user).unwrap();
         let gen = MoStrategy.generate(&chain, &user, 1, &mut rng).unwrap();
         assert_eq!(map, gen[0]);
+    }
+
+    #[test]
+    fn ranked_step_matches_the_scan_over_random_states() {
+        let mut rng = StdRng::seed_from_u64(56);
+        // Dense rows, exact-tie rows and rows with a single successor.
+        let mut matrices: Vec<TransitionMatrix> = ModelKind::ALL
+            .iter()
+            .map(|kind| kind.build(8, &mut rng).unwrap())
+            .collect();
+        matrices.push(
+            TransitionMatrix::from_rows(vec![
+                vec![0.45, 0.45, 0.10],
+                vec![0.0, 1.0, 0.0],
+                vec![0.5, 0.0, 0.5],
+            ])
+            .unwrap(),
+        );
+        matrices.push(TransitionMatrix::identity(3).unwrap());
+        let gammas = [0.0, -0.0, 1e-300, -1e-300, f64::INFINITY, f64::NEG_INFINITY];
+        for m in &matrices {
+            let n = m.num_states();
+            for _ in 0..400 {
+                let prev = CellId::new(rng.random_range(0..n));
+                let user = CellId::new(rng.random_range(0..n));
+                let from = CellId::new(rng.random_range(0..n));
+                let user_inc = m.log_prob(from, user);
+                let gamma = if rng.random_bool(0.3) {
+                    gammas[rng.random_range(0..gammas.len())]
+                } else {
+                    rng.random_range(-3.0..3.0)
+                };
+                let (cell, log_prob) = step_ranked(m, prev, user, gamma, user_inc);
+                let scanned = step_scan(m, prev, user, &[], gamma, user_inc);
+                assert_eq!(cell, scanned, "prev {prev}, user {user}, γ {gamma}");
+                let p = m.prob(prev, cell);
+                let ln = if p > 0.0 { p.ln() } else { f64::NEG_INFINITY };
+                assert_eq!(log_prob.to_bits(), ln.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use robust::{RmlStrategy, RmoStrategy, RooStrategy};
 pub use rollout::{RolloutStrategy, DEFAULT_ROLLOUT_SAMPLES};
 
 use crate::Result;
-use chaff_markov::{CellId, EpochSchedule, MarkovChain, Trajectory};
+use chaff_markov::{CellId, MarkovChain, MobilityRegistry, Trajectory};
 use rand::RngCore;
 use std::fmt;
 use std::str::FromStr;
@@ -89,8 +89,8 @@ pub trait ChaffStrategy {
 }
 
 /// The chain source an online controller steps against: one chain per
-/// epoch under an [`EpochSchedule`], selected by the controller's own
-/// call count. The fleet drivers call a controller exactly once per
+/// epoch of a [`MobilityRegistry`] class, selected by the controller's
+/// own call count. The fleet drivers call a controller exactly once per
 /// slot, in order, so the counter *is* the slot index.
 ///
 /// This keeps a time-varying chaff's cross-slot state (walk position,
@@ -99,67 +99,57 @@ pub trait ChaffStrategy {
 /// slot-active chain conditioned on wherever they were one slot ago. A
 /// stationary source ([`EpochChains::stationary`]) always yields its
 /// single chain, so the one-epoch path is the unchanged stationary code.
+///
+/// Both sources only borrow their chains: building one allocates
+/// nothing, so a fleet can hold one per chaff lane by value.
 #[derive(Debug, Clone)]
 pub struct EpochChains<'a> {
-    chains: Vec<&'a MarkovChain>,
-    schedule: EpochSchedule,
+    source: ChainSource<'a>,
     slot: usize,
+}
+
+#[derive(Debug, Clone)]
+enum ChainSource<'a> {
+    Stationary(&'a MarkovChain),
+    Registry {
+        registry: &'a MobilityRegistry,
+        class: usize,
+    },
 }
 
 impl<'a> EpochChains<'a> {
     /// A source that yields `chain` on every slot.
     pub fn stationary(chain: &'a MarkovChain) -> Self {
         EpochChains {
-            chains: vec![chain],
-            schedule: EpochSchedule::stationary(),
+            source: ChainSource::Stationary(chain),
             slot: 0,
         }
     }
 
-    /// A source yielding `chains[schedule.epoch_of(slot)]` at each slot.
+    /// A source yielding `registry.chain_at(class, epoch_of(slot))` at
+    /// each slot, under the registry's own schedule (shape-validated when
+    /// the registry was built).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns
-    /// [`MarkovError::Empty`](chaff_markov::MarkovError::Empty) when no
-    /// chains are supplied,
-    /// [`MarkovError::LengthMismatch`](chaff_markov::MarkovError::LengthMismatch)
-    /// when `chains` does not cover `schedule.num_epochs()`, and
-    /// [`MarkovError::DimensionMismatch`](chaff_markov::MarkovError::DimensionMismatch)
-    /// when the epochs disagree on the cell space.
-    pub fn new(chains: Vec<&'a MarkovChain>, schedule: EpochSchedule) -> Result<Self> {
-        let first = chains
-            .first()
-            .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
-        if chains.len() != schedule.num_epochs() {
-            return Err(crate::CoreError::Markov(
-                chaff_markov::MarkovError::LengthMismatch {
-                    expected: schedule.num_epochs(),
-                    found: chains.len(),
-                },
-            ));
-        }
-        let states = first.num_states();
-        for chain in &chains {
-            if chain.num_states() != states {
-                return Err(crate::CoreError::Markov(
-                    chaff_markov::MarkovError::DimensionMismatch {
-                        expected: states,
-                        found: chain.num_states(),
-                    },
-                ));
-            }
-        }
-        Ok(EpochChains {
-            chains,
-            schedule,
+    /// [`advance`](Self::advance) panics if `class` is not a class of
+    /// `registry`.
+    pub fn registry(registry: &'a MobilityRegistry, class: usize) -> Self {
+        EpochChains {
+            source: ChainSource::Registry { registry, class },
             slot: 0,
-        })
+        }
     }
 
     /// The chain governing the upcoming slot; advances the slot clock.
-    pub(crate) fn advance(&mut self) -> &'a MarkovChain {
-        let chain = self.chains[self.schedule.epoch_of(self.slot)];
+    #[inline]
+    pub fn advance(&mut self) -> &'a MarkovChain {
+        let chain = match self.source {
+            ChainSource::Stationary(chain) => chain,
+            ChainSource::Registry { registry, class } => {
+                registry.chain_at(class, registry.schedule().epoch_of(self.slot))
+            }
+        };
         self.slot += 1;
         chain
     }

@@ -121,20 +121,12 @@ impl MarkovChain {
         out
     }
 
-    /// Samples the next cell from `current`.
+    /// Samples the next cell from `current`: one uniform draw, inverted
+    /// through the row's cached prefix sums
+    /// ([`TransitionMatrix::successor_quantile`]).
+    #[inline]
     pub fn step<R: Rng + ?Sized>(&self, current: CellId, rng: &mut R) -> CellId {
-        let u: f64 = rng.random();
-        let mut acc = 0.0;
-        let mut last = current;
-        for (cell, p) in self.matrix.successors(current) {
-            acc += p;
-            last = cell;
-            if u < acc {
-                return cell;
-            }
-        }
-        // Floating-point slack: the last positive-probability successor.
-        last
+        self.matrix.successor_quantile(current, rng.random())
     }
 
     /// Log-likelihood of a trajectory under this model:

@@ -181,6 +181,33 @@ impl CellGrid {
         &self.cells[t * self.num_trajectories..(t + 1) * self.num_trajectories]
     }
 
+    /// Mutable access to the `N` cells of slot `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= horizon()`.
+    #[inline]
+    pub fn row_mut(&mut self, t: usize) -> &mut [CellId] {
+        &mut self.cells[t * self.num_trajectories..(t + 1) * self.num_trajectories]
+    }
+
+    /// Splits the grid into disjoint bands of (up to) `rows` whole slot
+    /// rows each, in slot order, for concurrent writers (one band per
+    /// worker). Slot-major storage makes every band one contiguous
+    /// slice: band `b` holds slots `b * rows..`, row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0` while the grid is non-empty.
+    pub fn row_bands_mut(&mut self, rows: usize) -> std::slice::ChunksMut<'_, CellId> {
+        let len = if self.cells.is_empty() {
+            1
+        } else {
+            rows * self.num_trajectories
+        };
+        self.cells.chunks_mut(len)
+    }
+
     /// Appends one slot's cells (one per trajectory) — the streaming
     /// fill used by capacity-constrained replay.
     ///

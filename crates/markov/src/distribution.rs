@@ -31,6 +31,11 @@ const SUM_TOLERANCE: f64 = 1e-6;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StateDistribution {
     probs: Vec<f64>,
+    /// Sequential prefix sums of `probs`, for inverse-CDF sampling.
+    cdf: Vec<f64>,
+    /// The last cell with positive mass: the sampling fallback when
+    /// floating-point slack leaves a draw at or above the final sum.
+    last_positive: usize,
 }
 
 impl StateDistribution {
@@ -58,7 +63,25 @@ impl StateDistribution {
         if (sum - 1.0).abs() > SUM_TOLERANCE {
             return Err(MarkovError::NotNormalized { sum });
         }
-        Ok(StateDistribution { probs })
+        Ok(Self::with_tables(probs))
+    }
+
+    /// Wraps a validated probability vector with its sampling tables.
+    fn with_tables(probs: Vec<f64>) -> Self {
+        let mut acc = 0.0;
+        let cdf = probs
+            .iter()
+            .map(|&p| {
+                acc += p;
+                acc
+            })
+            .collect();
+        let last_positive = probs.iter().rposition(|&p| p > 0.0).unwrap_or(0);
+        StateDistribution {
+            probs,
+            cdf,
+            last_positive,
+        }
     }
 
     /// Builds a distribution by normalizing non-negative weights.
@@ -97,9 +120,7 @@ impl StateDistribution {
         if n == 0 {
             return Err(MarkovError::Empty);
         }
-        Ok(StateDistribution {
-            probs: vec![1.0 / n as f64; n],
-        })
+        Ok(Self::with_tables(vec![1.0 / n as f64; n]))
     }
 
     /// A point mass on `cell` over `n` cells.
@@ -119,7 +140,7 @@ impl StateDistribution {
         }
         let mut probs = vec![0.0; n];
         probs[cell.index()] = 1.0;
-        Ok(StateDistribution { probs })
+        Ok(Self::with_tables(probs))
     }
 
     /// Number of cells in the space.
@@ -210,23 +231,29 @@ impl StateDistribution {
             .sum::<f64>()
     }
 
-    /// Samples one cell.
+    /// Samples one cell: one uniform draw, inverted through the cached
+    /// prefix sums ([`quantile`](Self::quantile)).
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CellId {
-        let u: f64 = rng.random();
-        let mut acc = 0.0;
-        for (j, &p) in self.probs.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return CellId::new(j);
-            }
-        }
-        // Floating-point slack: return the last cell with positive mass.
-        let last = self
-            .probs
-            .iter()
-            .rposition(|&p| p > 0.0)
-            .expect("distribution has positive mass");
-        CellId::new(last)
+        self.quantile(rng.random())
+    }
+
+    /// Inverse-CDF lookup: the first cell whose sequential prefix sum
+    /// exceeds `u`, or the last cell with positive mass when
+    /// floating-point slack leaves `u` at or above the final sum.
+    ///
+    /// The prefix sums are the running totals a linear scan accumulates
+    /// and they are monotone, so the binary search stops exactly where
+    /// the scan would; a zero-mass cell repeats its predecessor's sum and
+    /// can never be the first to exceed `u ≥ 0`.
+    #[inline]
+    pub fn quantile(&self, u: f64) -> CellId {
+        let j = self.cdf.partition_point(|&acc| acc <= u);
+        CellId::new(if j < self.cdf.len() {
+            j
+        } else {
+            self.last_positive
+        })
     }
 
     /// Total variation distance to another distribution.

@@ -86,7 +86,7 @@ impl EpochSchedule {
     /// Returns [`MarkovError::Empty`] when both lengths are zero.
     pub fn day_night(day_slots: usize, night_slots: usize) -> Result<Self> {
         let mut pattern = vec![0usize; day_slots];
-        pattern.extend(std::iter::repeat(1usize).take(night_slots));
+        pattern.extend(std::iter::repeat_n(1usize, night_slots));
         // Relabel the degenerate all-night case so epoch indices stay
         // contiguous from 0.
         if day_slots == 0 {

@@ -13,8 +13,11 @@
 //!
 //! * [`CellId`] — index of one MEC coverage cell.
 //! * [`TransitionMatrix`] — validated row-stochastic matrix with per-row
-//!   sparse support lists (the trace-driven empirical matrices of the paper
-//!   are extremely sparse; all downstream algorithms iterate supports).
+//!   sparse support tables (the trace-driven empirical matrices of the
+//!   paper are extremely sparse; all downstream algorithms iterate
+//!   supports). The tables also carry each row's prefix sums, log
+//!   probabilities and top two successors, so draws and greedy chaff
+//!   moves are table reads.
 //! * [`StateDistribution`] — validated probability vector (initial or
 //!   stationary distribution).
 //! * [`MarkovChain`] — a transition matrix bundled with its initial
@@ -78,7 +81,7 @@ pub use distribution::StateDistribution;
 pub use epoch::EpochSchedule;
 pub use error::MarkovError;
 pub use loglik::{LogLikelihoodTable, DENSE_STATE_LIMIT, LANE_WIDTH};
-pub use matrix::TransitionMatrix;
+pub use matrix::{RankedSuccessor, TransitionMatrix};
 pub use registry::MobilityRegistry;
 pub use trajectory::Trajectory;
 

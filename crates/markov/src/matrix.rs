@@ -40,8 +40,100 @@ pub struct TransitionMatrix {
     n: usize,
     /// Row-major dense probabilities, length `n * n`.
     data: Vec<f64>,
-    /// Sorted column indices with positive probability, one list per row.
-    support: Vec<Vec<u32>>,
+    /// The per-row support tables, built once at construction.
+    rows: RowTables,
+}
+
+/// Marks an absent runner-up in [`RowTables::ranked`].
+const NO_ENTRY: u32 = u32::MAX;
+
+/// Per-row tables over each row's support, stored flat (CSR): row `i`
+/// owns entries `starts[i]..starts[i + 1]` of `support`, `cdf` and
+/// `log_probs`. Everything is `nnz`-sized, so sparse matrices stay cheap.
+///
+/// The tables are pure functions of the dense data, computed with the
+/// exact arithmetic the per-call scans used to perform, so every value
+/// read from them is bit-for-bit the value a scan would produce.
+#[derive(Debug, Clone, PartialEq)]
+struct RowTables {
+    starts: Vec<usize>,
+    /// Sorted column indices with positive probability.
+    support: Vec<u32>,
+    /// Sequential prefix sums of each row's support probabilities,
+    /// accumulated in support order.
+    cdf: Vec<f64>,
+    /// `ln p` of each support entry.
+    log_probs: Vec<f64>,
+    /// Per row, the row-local positions of the argmax and of the
+    /// runner-up (the argmax with the first excluded), ties towards the
+    /// lowest index; [`NO_ENTRY`] when the row has a single successor.
+    ranked: Vec<[u32; 2]>,
+}
+
+impl RowTables {
+    /// Builds the tables from a validated row-major `n × n` buffer.
+    fn build(data: &[f64], n: usize) -> Self {
+        let nnz = data.iter().filter(|&&p| p > 0.0).count();
+        let mut tables = RowTables {
+            starts: Vec::with_capacity(n + 1),
+            support: Vec::with_capacity(nnz),
+            cdf: Vec::with_capacity(nnz),
+            log_probs: Vec::with_capacity(nnz),
+            ranked: Vec::with_capacity(n),
+        };
+        tables.starts.push(0);
+        for row in data.chunks_exact(n) {
+            let lo = tables.support.len();
+            let mut acc = 0.0;
+            for (j, &p) in row.iter().enumerate() {
+                if p > 0.0 {
+                    acc += p;
+                    tables.support.push(j as u32);
+                    tables.cdf.push(acc);
+                    tables.log_probs.push(p.ln());
+                }
+            }
+            let probs = || tables.support[lo..].iter().map(|&j| row[j as usize]);
+            let first = argmax_position(probs(), NO_ENTRY);
+            let second = argmax_position(probs(), first);
+            tables.ranked.push([first, second]);
+            tables.starts.push(tables.support.len());
+        }
+        tables
+    }
+
+    #[inline]
+    fn range(&self, row: usize) -> std::ops::Range<usize> {
+        self.starts[row]..self.starts[row + 1]
+    }
+}
+
+/// Position of the largest value, skipping position `skip`; ties break
+/// towards the lowest position, exactly like the per-call argmax scans.
+/// [`NO_ENTRY`] when nothing is left.
+fn argmax_position(values: impl Iterator<Item = f64>, skip: u32) -> u32 {
+    let mut best: Option<(u32, f64)> = None;
+    for (k, p) in values.enumerate() {
+        let k = k as u32;
+        if k == skip {
+            continue;
+        }
+        match best {
+            Some((_, bp)) if bp >= p => {}
+            _ => best = Some((k, p)),
+        }
+    }
+    best.map_or(NO_ENTRY, |(k, _)| k)
+}
+
+/// A successor cell with its cached transition log-probability; see
+/// [`TransitionMatrix::ranked_successors`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RankedSuccessor {
+    /// The destination cell.
+    pub cell: CellId,
+    /// `ln P(cell | from)`, bit-for-bit [`TransitionMatrix::log_prob`].
+    pub log_prob: f64,
 }
 
 impl TransitionMatrix {
@@ -96,11 +188,9 @@ impl TransitionMatrix {
                 data_len: data.len(),
             });
         }
-        let mut support = Vec::with_capacity(n);
         for i in 0..n {
             let row = &data[i * n..(i + 1) * n];
             let mut sum = 0.0;
-            let mut cols = Vec::new();
             for (j, &p) in row.iter().enumerate() {
                 if !p.is_finite() || p < 0.0 {
                     return Err(MarkovError::InvalidProbability {
@@ -109,17 +199,14 @@ impl TransitionMatrix {
                         value: p,
                     });
                 }
-                if p > 0.0 {
-                    cols.push(j as u32);
-                }
                 sum += p;
             }
             if (sum - 1.0).abs() > ROW_SUM_TOLERANCE {
                 return Err(MarkovError::RowNotStochastic { row: i, sum });
             }
-            support.push(cols);
         }
-        Ok(TransitionMatrix { n, data, support })
+        let rows = RowTables::build(&data, n);
+        Ok(TransitionMatrix { n, data, rows })
     }
 
     /// Builds a matrix by normalizing non-negative row weights.
@@ -213,13 +300,20 @@ impl TransitionMatrix {
     }
 
     /// Natural-log transition probability; `-inf` when the probability is 0.
+    ///
+    /// Read from the log table cached at construction (a binary search of
+    /// the row's support), never recomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range.
     #[inline]
     pub fn log_prob(&self, from: CellId, to: CellId) -> f64 {
-        let p = self.prob(from, to);
-        if p > 0.0 {
-            p.ln()
-        } else {
-            f64::NEG_INFINITY
+        let range = self.rows.range(from.index());
+        let lo = range.start;
+        match self.rows.support[range].binary_search(&(to.index() as u32)) {
+            Ok(k) => self.rows.log_probs[lo + k],
+            Err(_) => f64::NEG_INFINITY,
         }
     }
 
@@ -232,21 +326,64 @@ impl TransitionMatrix {
     /// Sorted destination indices with positive probability from `from`.
     #[inline]
     pub fn support(&self, from: CellId) -> &[u32] {
-        &self.support[from.index()]
+        &self.rows.support[self.rows.range(from.index())]
     }
 
     /// Iterates `(destination, probability)` pairs with positive probability,
     /// in increasing destination order.
     pub fn successors(&self, from: CellId) -> impl Iterator<Item = (CellId, f64)> + '_ {
         let row = self.row(from);
-        self.support[from.index()]
+        self.support(from)
             .iter()
             .map(move |&j| (CellId::new(j as usize), row[j as usize]))
     }
 
     /// Total number of positive entries across all rows.
     pub fn nnz(&self) -> usize {
-        self.support.iter().map(Vec::len).sum()
+        self.rows.support.len()
+    }
+
+    /// Inverse-CDF draw from row `from`: the first successor whose
+    /// sequential prefix sum exceeds `u`, or the last successor when
+    /// floating-point slack leaves `u` at or above the final prefix sum.
+    ///
+    /// The prefix sums are the running totals a linear scan of the row
+    /// accumulates, and they are monotone, so a binary search finds
+    /// exactly the successor the scan would stop at.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range.
+    #[inline]
+    pub fn successor_quantile(&self, from: CellId, u: f64) -> CellId {
+        let range = self.rows.range(from.index());
+        let support = &self.rows.support[range.clone()];
+        let k = self.rows.cdf[range].partition_point(|&acc| acc <= u);
+        match support.get(k).or(support.last()) {
+            Some(&j) => CellId::new(j as usize),
+            // Unreachable for a validated matrix (every row has mass).
+            None => from,
+        }
+    }
+
+    /// The most likely successor of `from` and the runner-up (the most
+    /// likely once the first is excluded), with their log-probabilities.
+    /// Ties break towards the lowest cell index. Precomputed per row, so
+    /// this is two table reads.
+    #[inline]
+    pub fn ranked_successors(
+        &self,
+        from: CellId,
+    ) -> (Option<RankedSuccessor>, Option<RankedSuccessor>) {
+        let lo = self.rows.starts[from.index()];
+        let entry = |k: u32| {
+            (k != NO_ENTRY).then(|| RankedSuccessor {
+                cell: CellId::new(self.rows.support[lo + k as usize] as usize),
+                log_prob: self.rows.log_probs[lo + k as usize],
+            })
+        };
+        let [first, second] = self.rows.ranked[from.index()];
+        (entry(first), entry(second))
     }
 
     /// Most likely destination from `from`, excluding `exclude` if given.
@@ -257,17 +394,14 @@ impl TransitionMatrix {
     ///
     /// Returns `None` when every admissible destination has zero probability.
     pub fn argmax_successor(&self, from: CellId, exclude: Option<CellId>) -> Option<(CellId, f64)> {
-        let mut best: Option<(CellId, f64)> = None;
-        for (cell, p) in self.successors(from) {
-            if Some(cell) == exclude {
-                continue;
-            }
-            match best {
-                Some((_, bp)) if bp >= p => {}
-                _ => best = Some((cell, p)),
-            }
-        }
-        best
+        // Excluding anything but the argmax leaves the argmax; excluding
+        // the argmax leaves the runner-up.
+        let (first, second) = self.ranked_successors(from);
+        let pick = match first {
+            Some(f) if Some(f.cell) == exclude => second,
+            other => other,
+        };
+        pick.map(|s| (s.cell, self.prob(from, s.cell)))
     }
 
     /// Largest transition probability in the whole matrix (the paper's
@@ -341,7 +475,7 @@ impl TransitionMatrix {
         queue.push_back(0usize);
         let mut g: usize = 0;
         while let Some(u) = queue.pop_front() {
-            for &jv in &self.support[u] {
+            for &jv in self.support(CellId::new(u)) {
                 let v = jv as usize;
                 if level[v] == usize::MAX {
                     level[v] = level[u] + 1;
@@ -381,7 +515,7 @@ impl TransitionMatrix {
                 continue;
             }
             let row = &self.data[i * self.n..(i + 1) * self.n];
-            for &j in &self.support[i] {
+            for &j in self.support(CellId::new(i)) {
                 out[j as usize] += mass * row[j as usize];
             }
         }
@@ -393,7 +527,7 @@ impl TransitionMatrix {
         seen[0] = true;
         let mut count = 1;
         while let Some(u) = stack.pop() {
-            for &j in &self.support[u] {
+            for &j in self.support(CellId::new(u)) {
                 let v = j as usize;
                 if !seen[v] {
                     seen[v] = true;
@@ -408,8 +542,8 @@ impl TransitionMatrix {
     fn reaches_all_backward(&self) -> bool {
         // Build reverse adjacency once.
         let mut rev: Vec<Vec<u32>> = vec![Vec::new(); self.n];
-        for (u, cols) in self.support.iter().enumerate() {
-            for &j in cols {
+        for u in 0..self.n {
+            for &j in self.support(CellId::new(u)) {
                 rev[j as usize].push(u as u32);
             }
         }

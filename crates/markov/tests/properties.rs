@@ -149,3 +149,192 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Differential battery: the cached row tables against the sequential
+// scans they replaced. The scans below are the legacy per-call code,
+// kept here as oracles.
+// ---------------------------------------------------------------------
+
+/// The linear CDF scan `MarkovChain::step` ran before the row tables.
+fn scan_successor(m: &TransitionMatrix, from: CellId, u: f64) -> CellId {
+    let mut acc = 0.0;
+    let mut last = from;
+    for (cell, p) in m.successors(from) {
+        acc += p;
+        last = cell;
+        if u < acc {
+            return cell;
+        }
+    }
+    last
+}
+
+/// The linear CDF scan `StateDistribution::sample` ran before its
+/// prefix table.
+fn scan_quantile(d: &StateDistribution, u: f64) -> CellId {
+    let mut acc = 0.0;
+    for (j, &p) in d.as_slice().iter().enumerate() {
+        acc += p;
+        if u < acc {
+            return CellId::new(j);
+        }
+    }
+    let last = d.as_slice().iter().rposition(|&p| p > 0.0).unwrap();
+    CellId::new(last)
+}
+
+/// The per-call argmax scan over a row's support.
+fn scan_argmax(m: &TransitionMatrix, from: CellId, exclude: Option<CellId>) -> Option<CellId> {
+    let mut best: Option<(CellId, f64)> = None;
+    for (cell, p) in m.successors(from) {
+        if Some(cell) == exclude {
+            continue;
+        }
+        match best {
+            Some((_, bp)) if bp >= p => {}
+            _ => best = Some((cell, p)),
+        }
+    }
+    best.map(|(c, _)| c)
+}
+
+/// Row weights mixing the shapes the tables must get right: zeros
+/// (sparse rows), one repeated weight (dense ties), subnormals, and
+/// ordinary random weights.
+fn arb_weight(kind: usize, w: f64) -> f64 {
+    match kind {
+        0 => 0.0,
+        1 => 0.25,
+        2 => 5e-310,
+        _ => w,
+    }
+}
+
+/// A random matrix of size 1..=9 whose rows mix the shapes of
+/// [`arb_weight`]; a row with no mass left gets one random successor.
+fn arb_mixed_matrix() -> impl Strategy<Value = TransitionMatrix> {
+    (1usize..=9).prop_flat_map(|n| {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..5, 0.01f64..1.0), n),
+                0usize..9,
+            ),
+            n,
+        )
+        .prop_map(move |rows| {
+            let rows = rows
+                .into_iter()
+                .map(|(entries, fallback)| {
+                    let mut row: Vec<f64> =
+                        entries.into_iter().map(|(k, w)| arb_weight(k, w)).collect();
+                    if row.iter().sum::<f64>() < 1e-3 {
+                        row[fallback % n] = 1.0;
+                    }
+                    row
+                })
+                .collect();
+            TransitionMatrix::from_weights(rows).expect("every row has mass")
+        })
+    })
+}
+
+/// Probes for `u`: random draws plus the edges of the last prefix sum,
+/// where the fallback to the last support entry takes over.
+fn u_probes(total: f64, random: &[f64]) -> Vec<f64> {
+    let mut us = random.to_vec();
+    us.extend([
+        0.0,
+        total,
+        f64::from_bits(total.to_bits() - 1),
+        f64::from_bits(total.to_bits() + 1),
+        1.0 - f64::EPSILON / 2.0,
+        1.0,
+        2.0,
+    ]);
+    us
+}
+
+proptest! {
+    #[test]
+    fn row_table_draws_match_the_sequential_scan(
+        m in arb_mixed_matrix(),
+        random in proptest::collection::vec(0.0f64..1.0, 8),
+    ) {
+        for i in 0..m.num_states() {
+            let from = CellId::new(i);
+            let total = m.successors(from).fold(0.0, |acc, (_, p)| acc + p);
+            for u in u_probes(total, &random) {
+                prop_assert_eq!(m.successor_quantile(from, u), scan_successor(&m, from, u));
+            }
+        }
+    }
+
+    #[test]
+    fn chain_steps_replay_the_scan_stream(m in arb_mixed_matrix(), seed in 0u64..1000) {
+        let n = m.num_states();
+        let chain = MarkovChain::with_initial(m, StateDistribution::uniform(n).unwrap()).unwrap();
+        let mut table_rng = StdRng::seed_from_u64(seed);
+        let mut scan_rng = StdRng::seed_from_u64(seed);
+        let mut cell = CellId::new(0);
+        for _ in 0..64 {
+            let next = chain.step(cell, &mut table_rng);
+            let u: f64 = rand::Rng::random(&mut scan_rng);
+            prop_assert_eq!(next, scan_successor(chain.matrix(), cell, u));
+            cell = next;
+        }
+    }
+
+    #[test]
+    fn distribution_draws_match_the_sequential_scan(
+        entries in proptest::collection::vec((0usize..5, 0.01f64..1.0), 1..12),
+        random in proptest::collection::vec(0.0f64..1.0, 8),
+    ) {
+        let mut weights: Vec<f64> = entries.into_iter().map(|(k, w)| arb_weight(k, w)).collect();
+        if weights.iter().sum::<f64>() < 1e-3 {
+            weights[0] = 1.0;
+        }
+        let d = StateDistribution::from_weights(weights).unwrap();
+        let total = d.as_slice().iter().fold(0.0, |acc, &p| acc + p);
+        for u in u_probes(total, &random) {
+            prop_assert_eq!(d.quantile(u), scan_quantile(&d, u));
+        }
+    }
+
+    #[test]
+    fn ranked_successors_match_the_argmax_scans(m in arb_mixed_matrix()) {
+        for i in 0..m.num_states() {
+            let from = CellId::new(i);
+            let (first, second) = m.ranked_successors(from);
+            let first_cell = scan_argmax(&m, from, None);
+            prop_assert_eq!(first.map(|s| s.cell), first_cell);
+            prop_assert_eq!(
+                second.map(|s| s.cell),
+                first_cell.and_then(|f| scan_argmax(&m, from, Some(f)))
+            );
+            for ranked in [first, second].into_iter().flatten() {
+                let p = m.prob(from, ranked.cell);
+                prop_assert_eq!(ranked.log_prob.to_bits(), p.ln().to_bits());
+            }
+            for x in 0..m.num_states() {
+                let exclude = Some(CellId::new(x));
+                prop_assert_eq!(
+                    m.argmax_successor(from, exclude).map(|(c, _)| c),
+                    scan_argmax(&m, from, exclude)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cached_logs_match_ln_of_the_dense_entries(m in arb_mixed_matrix()) {
+        for i in 0..m.num_states() {
+            for j in 0..m.num_states() {
+                let (from, to) = (CellId::new(i), CellId::new(j));
+                let p = m.prob(from, to);
+                let expected = if p > 0.0 { p.ln() } else { f64::NEG_INFINITY };
+                prop_assert_eq!(m.log_prob(from, to).to_bits(), expected.to_bits());
+            }
+        }
+    }
+}

@@ -73,18 +73,13 @@ use chaff_core::strategy::{
 };
 use chaff_markov::{CellGrid, CellId, MarkovChain, MobilityRegistry, TrajectoryArena};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Number of independent users `N`.
     pub num_users: usize,
-    /// Chaff services launched per user by the *uniform legacy path*
-    /// ([`FleetSimulation::run_online`]); [`FleetSimulation::run_chaffed`]
-    /// takes budgets from its [`FleetChaffPolicy`] instead and requires
-    /// this to stay 0.
-    pub chaffs_per_user: usize,
     /// Number of slots to simulate.
     pub horizon: usize,
     /// Optional uniform per-MEC service capacity, shared by the whole
@@ -102,23 +97,17 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Creates a fleet of `num_users` users over `horizon` slots with no
-    /// chaffs, no capacity limit, anonymization on and seed 0.
+    /// capacity limit, anonymization on and seed 0. Chaff budgets come
+    /// from the [`FleetChaffPolicy`] a run is given.
     pub fn new(num_users: usize, horizon: usize) -> Self {
         FleetConfig {
             num_users,
-            chaffs_per_user: 0,
             horizon,
             node_capacity: None,
             anonymize: true,
             seed: 0,
             shards: None,
         }
-    }
-
-    /// Sets the number of chaffs per user (uniform legacy path only).
-    pub fn with_chaffs(mut self, chaffs_per_user: usize) -> Self {
-        self.chaffs_per_user = chaffs_per_user;
-        self
     }
 
     /// Sets the shared per-node capacity.
@@ -144,19 +133,6 @@ impl FleetConfig {
     pub fn without_anonymization(mut self) -> Self {
         self.anonymize = false;
         self
-    }
-
-    /// Services per user (the real one plus its uniform chaffs) on the
-    /// legacy uniform path.
-    pub fn services_per_user(&self) -> usize {
-        1 + self.chaffs_per_user
-    }
-
-    /// Total services across the fleet under the uniform budget (policy
-    /// runs compute the true total from their allocation, with checked
-    /// arithmetic; this display-oriented helper saturates instead).
-    pub fn num_services(&self) -> usize {
-        self.num_users.saturating_mul(self.services_per_user())
     }
 
     pub(crate) fn validate(&self) -> Result<()> {
@@ -206,11 +182,7 @@ pub enum FleetChaffStrategy {
 impl FleetChaffStrategy {
     /// Builds the per-slot controller for one chaff over `chain`.
     pub fn controller<'a>(self, chain: &'a MarkovChain) -> Box<dyn OnlineChaffController + 'a> {
-        match self {
-            FleetChaffStrategy::Im => Box::new(ImController::new(chain)),
-            FleetChaffStrategy::Cml => Box::new(CmlController::new(chain)),
-            FleetChaffStrategy::Mo => Box::new(MoController::new(chain)),
-        }
+        Box::new(self.lane(EpochChains::stationary(chain)))
     }
 
     /// Builds the per-slot controller for one chaff of a class-`class`
@@ -231,18 +203,54 @@ impl FleetChaffStrategy {
         registry: &'a MobilityRegistry,
         class: usize,
     ) -> Box<dyn OnlineChaffController + 'a> {
-        let chains = EpochChains::new(
-            (0..registry.num_epochs())
-                .map(|epoch| registry.chain_at(class, epoch))
-                .collect(),
-            registry.schedule().clone(),
-        )
-        .expect("registry epochs are shape-validated at construction");
+        Box::new(self.lane(EpochChains::registry(registry, class)))
+    }
+
+    /// This strategy's controller over `chains`, by value.
+    pub(crate) fn lane(self, chains: EpochChains<'_>) -> ChaffLane<'_> {
         match self {
-            FleetChaffStrategy::Im => Box::new(ImController::scheduled(chains)),
-            FleetChaffStrategy::Cml => Box::new(CmlController::scheduled(chains)),
-            FleetChaffStrategy::Mo => Box::new(MoController::scheduled(chains)),
+            FleetChaffStrategy::Im => ChaffLane::Im(ImController::scheduled(chains)),
+            FleetChaffStrategy::Cml => ChaffLane::Cml(CmlController::scheduled(chains)),
+            FleetChaffStrategy::Mo => ChaffLane::Mo(MoController::scheduled(chains)),
         }
+    }
+}
+
+/// One chaff's controller, held by value: the three online strategies a
+/// fleet policy can assign, behind a `match` instead of a virtual call.
+/// The fleet drivers keep these in flat vectors next to each chaff's RNG,
+/// and [`advance`](Self::advance) hands IM's walk the lane's concrete
+/// RNG, so the per-slot chaff step has no dynamic dispatch and no
+/// allocation. Each arm runs exactly the code of its boxed controller,
+/// so lanes and [`FleetChaffStrategy::controller`] agree draw for draw.
+#[derive(Debug, Clone)]
+pub(crate) enum ChaffLane<'a> {
+    Im(ImController<'a>),
+    Cml(CmlController<'a>),
+    Mo(MoController<'a>),
+}
+
+impl ChaffLane<'_> {
+    /// The chaff's cell for this slot, given the user's cell: the
+    /// [`OnlineChaffController::next`] body, generic over the RNG.
+    #[inline]
+    pub(crate) fn advance<R: Rng + ?Sized>(
+        &mut self,
+        user_now: CellId,
+        avoid: &[CellId],
+        rng: &mut R,
+    ) -> CellId {
+        match self {
+            ChaffLane::Im(c) => c.walk(rng),
+            ChaffLane::Cml(c) => c.decide(user_now, avoid),
+            ChaffLane::Mo(c) => c.decide(user_now, avoid),
+        }
+    }
+}
+
+impl OnlineChaffController for ChaffLane<'_> {
+    fn next(&mut self, user_now: CellId, avoid: &[CellId], rng: &mut dyn RngCore) -> CellId {
+        self.advance(user_now, avoid, rng)
     }
 }
 
@@ -683,6 +691,39 @@ impl<'a> FleetModel<'a> {
         }
     }
 
+    /// The per-slot chain source of `user` and of its chaffs: a
+    /// multi-epoch registry yields the epoch-active chain of the user's
+    /// class at each slot; every other model yields the user's one chain,
+    /// so the stationary draw sequence is untouched.
+    pub(crate) fn epoch_chains(&self, user: usize) -> EpochChains<'a> {
+        match *self {
+            FleetModel::Heterogeneous(r) if !r.is_stationary() => {
+                EpochChains::registry(r, r.class_of(user))
+            }
+            _ => EpochChains::stationary(self.chain_of(user)),
+        }
+    }
+
+    /// The `budget` chaff lanes of `user`, in lane order: the policy's
+    /// strategy for the user's class over the user's per-slot chain
+    /// source, each with its own seed stream. The batch and streaming
+    /// engines both build their lanes here, so they replay the same
+    /// streams.
+    pub(crate) fn chaff_lanes(
+        &self,
+        policy: &FleetChaffPolicy,
+        fleet_seed: u64,
+        user: usize,
+        budget: usize,
+    ) -> impl Iterator<Item = (ChaffLane<'a>, StdRng)> {
+        let strategy = policy.strategy_of(self.class_of(user));
+        let chains = self.epoch_chains(user);
+        (0..budget).map(move |c| {
+            let seed = chaff_seed(fleet_seed, user as u64, c as u64);
+            (strategy.lane(chains.clone()), StdRng::seed_from_u64(seed))
+        })
+    }
+
     /// The chain governing user `user`'s arrival at slot `slot` — the
     /// epoch-active chain of the user's class. For homogeneous fleets and
     /// one-epoch registries this is [`chain_of`](Self::chain_of) at every
@@ -758,29 +799,9 @@ impl<'a> FleetSimulation<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and capacity errors; rejects a config
-    /// with `chaffs_per_user > 0` (those need
-    /// [`run_online`](FleetSimulation::run_online) or
-    /// [`run_chaffed`](FleetSimulation::run_chaffed)).
+    /// Propagates configuration and capacity errors.
     pub fn run_natural(self) -> Result<FleetOutcome> {
-        if self.config.chaffs_per_user != 0 {
-            return Err(SimError::InvalidConfig {
-                parameter: "chaffs_per_user",
-                reason: "run_natural simulates chaff-free fleets; use run_online".into(),
-            });
-        }
-        // Zero budgets mean the factory is never consulted; if a layout
-        // bug ever asked for a controller anyway, that surfaces as a
-        // typed error instead of a panic.
-        self.run_with(
-            |_| 0,
-            |user, _| {
-                Err(SimError::InvalidConfig {
-                    parameter: "chaffs_per_user",
-                    reason: format!("natural fleet requested a chaff controller for user {user}"),
-                })
-            },
-        )
+        self.run_chaffed(&FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 0))
     }
 
     /// Runs the fleet under a chaff policy: each user gets the strategy
@@ -789,95 +810,37 @@ impl<'a> FleetSimulation<'a> {
     /// stream. A policy whose budgets are all zero reproduces
     /// [`run_natural`](FleetSimulation::run_natural) bit-for-bit.
     ///
+    /// Time-varying fleets step one continuous controller per chaff
+    /// against the epoch-active chains; the stationary path keeps the
+    /// bare controller.
+    ///
     /// # Errors
     ///
     /// Propagates configuration and capacity errors; rejects class-based
-    /// policies whose tables do not match the fleet's class count, and a
-    /// config with nonzero `chaffs_per_user` (ambiguous with the policy).
+    /// policies whose tables do not match the fleet's class count.
     pub fn run_chaffed(self, policy: &FleetChaffPolicy) -> Result<FleetOutcome> {
-        if self.config.chaffs_per_user != 0 {
-            return Err(SimError::InvalidConfig {
-                parameter: "chaffs_per_user",
-                reason: "run_chaffed takes budgets from the policy; leave chaffs_per_user at 0"
-                    .into(),
-            });
-        }
         policy.validate(self.model.num_classes(), self.config.num_users)?;
+        self.config.validate()?;
         let n = self.config.num_users;
         let model = self.model;
-        self.run_with(
-            |user| policy.budget_of(user, model.class_of(user), n),
-            |user, _chaff| {
-                let class = model.class_of(user);
-                let strategy = policy.strategy_of(class);
-                // Time-varying fleets step one continuous controller
-                // against the epoch-active chains; the stationary path
-                // (every fleet until now) keeps the bare controller —
-                // bit-for-bit the old stream.
-                Ok(match model {
-                    FleetModel::Heterogeneous(r) if !r.is_stationary() => {
-                        strategy.scheduled_controller(r, class)
-                    }
-                    _ => strategy.controller(model.chain_of(user)),
-                })
-            },
-        )
-    }
-
-    /// Runs the fleet with the uniform legacy interface:
-    /// `make_controller(user, chaff)` builds the online chaff controller
-    /// for chaff `chaff` of user `user`, and every user launches
-    /// `config.chaffs_per_user` chaffs. The factory is called from worker
-    /// threads (hence `Sync`) and must be deterministic in its arguments —
-    /// all randomness should come from the per-slot RNG the controller
-    /// receives (each chaff has its own deterministic stream).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and capacity errors.
-    pub fn run_online<F>(self, make_controller: F) -> Result<FleetOutcome>
-    where
-        F: Fn(usize, usize) -> Box<dyn OnlineChaffController + 'a> + Sync,
-    {
-        let uniform = self.config.chaffs_per_user;
-        self.run_with(|_| uniform, |user, chaff| Ok(make_controller(user, chaff)))
-    }
-
-    /// The shared driver: `budget_of(user)` chaffs per user, controllers
-    /// from `make_controller`.
-    fn run_with<B, F>(self, budget_of: B, make_controller: F) -> Result<FleetOutcome>
-    where
-        B: Fn(usize) -> usize + Sync,
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
-        self.config.validate()?;
-        let service_starts = self.service_layout(&budget_of)?;
-        let (user_cells, planned) = self.generate(&service_starts, &make_controller)?;
+        // Phase 1 (layout): budgets are pure functions of the user index,
+        // so the whole layout exists before any worker starts.
+        let service_starts = service_layout(n, self.config.horizon, |user| {
+            policy.budget_of(user, model.class_of(user), n)
+        })?;
+        let (user_cells, planned) = self.generate(&service_starts, policy)?;
         self.assemble(user_cells, planned, &service_starts)
-    }
-
-    /// Phase 1 (layout): the per-user service offset table — see
-    /// [`service_layout`]. Budgets are pure functions of the user index,
-    /// so the whole layout exists before any worker starts.
-    fn service_layout<B>(&self, budget_of: &B) -> Result<Vec<usize>>
-    where
-        B: Fn(usize) -> usize + Sync,
-    {
-        service_layout(self.config.num_users, self.config.horizon, budget_of)
     }
 
     /// Phase 2: per-user trajectory generation, sharded over users.
     /// Each worker fills one columnar arena of the planned observation
     /// log plus its row range of the ground-truth arena — zero
     /// per-trajectory allocations.
-    fn generate<F>(
+    fn generate(
         &self,
         service_starts: &[usize],
-        make_controller: &F,
-    ) -> Result<(TrajectoryArena, ShardedObservationLog)>
-    where
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
+        policy: &FleetChaffPolicy,
+    ) -> Result<(TrajectoryArena, ShardedObservationLog)> {
         let n = self.config.num_users;
         let horizon = self.config.horizon;
         let shards = self.config.effective_shards();
@@ -895,123 +858,97 @@ impl<'a> FleetSimulation<'a> {
         shard_starts.push(service_starts[n]);
         let mut planned = ShardedObservationLog::with_shard_starts(shard_starts, horizon)?;
         let mut user_cells = TrajectoryArena::new(n, horizon);
-        let results: Vec<Result<()>> = {
-            let arenas = planned.arenas_mut();
-            let chunks = user_cells.chunks_of_rows_mut(chunk);
-            let workers = user_ranges.iter().zip(chunks).zip(arenas);
-            if user_ranges.len() <= 1 {
-                workers
-                    .map(|((&range, mut rows), (service_lo, arena))| {
+        let arenas = planned.arenas_mut();
+        let chunks = user_cells.chunks_of_rows_mut(chunk);
+        let workers = user_ranges.iter().zip(chunks).zip(arenas);
+        if user_ranges.len() <= 1 {
+            for ((&range, mut rows), (service_lo, arena)) in workers {
+                self.fill_shard(range, &mut rows, arena, service_lo, service_starts, policy);
+            }
+        } else {
+            // Generation shards run on the process-wide worker pool (no
+            // per-run thread spawns); the pool re-raises worker panics
+            // lowest shard first.
+            chaff_core::pool::global().scope(|scope| {
+                for ((&range, mut rows), (service_lo, arena)) in workers {
+                    scope.spawn(move || {
                         self.fill_shard(
                             range,
                             &mut rows,
                             arena,
                             service_lo,
                             service_starts,
-                            make_controller,
-                        )
-                    })
-                    .collect()
-            } else {
-                // Generation shards run on the process-wide worker pool
-                // (no per-run thread spawns); the pool re-raises worker
-                // panics lowest shard first.
-                let mut slots: Vec<Option<Result<()>>> = user_ranges.iter().map(|_| None).collect();
-                chaff_core::pool::global().scope(|scope| {
-                    for (((&range, mut rows), (service_lo, arena)), slot) in
-                        workers.zip(slots.iter_mut())
-                    {
-                        let this = &*self;
-                        scope.spawn(move || {
-                            *slot = Some(this.fill_shard(
-                                range,
-                                &mut rows,
-                                arena,
-                                service_lo,
-                                service_starts,
-                                make_controller,
-                            ));
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("pool scope ran every generation shard"))
-                    .collect()
-            }
-        };
-        // Collect in shard order so the lowest erroring user wins
-        // deterministically.
-        for result in results {
-            result?;
+                            policy,
+                        );
+                    });
+                }
+            });
         }
         Ok((user_cells, planned))
     }
 
-    /// One worker's generation pass over users `ulo..uhi`.
-    fn fill_shard<F>(
+    /// One worker's generation pass over users `ulo..uhi`, reusing one
+    /// chaff-lane buffer for all of them.
+    fn fill_shard(
         &self,
         (ulo, uhi): (usize, usize),
         rows: &mut chaff_markov::ArenaRowsMut<'_>,
         arena: &mut CellGrid,
         service_lo: usize,
         service_starts: &[usize],
-        make_controller: &F,
-    ) -> Result<()>
-    where
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
+        policy: &FleetChaffPolicy,
+    ) {
+        let mut lanes: Vec<(ChaffLane<'a>, StdRng)> = Vec::new();
         for (j, user) in (ulo..uhi).enumerate() {
             let budget = service_starts[user + 1] - service_starts[user] - 1;
+            lanes.clear();
+            lanes.extend(
+                self.model
+                    .chaff_lanes(policy, self.config.seed, user, budget),
+            );
             let col = service_starts[user] - service_lo;
-            self.simulate_user_into(user, budget, make_controller, rows.row_mut(j), arena, col)?;
+            self.simulate_user_into(user, &mut lanes, rows.row_mut(j), arena, col);
         }
-        Ok(())
     }
 
     /// Simulates one user: strictly causal per-slot moves with
     /// always-follow placement, mirroring `Simulation::run_online`,
-    /// written straight into the columnar arenas. The user and each
-    /// chaff draw from separate deterministic streams, so the chaff
-    /// budget never perturbs the user's own trajectory.
-    fn simulate_user_into<F>(
+    /// written straight into the columnar arenas (the user at column
+    /// `col`, its chaff lanes right after). The user and each chaff draw
+    /// from separate deterministic streams, so the chaff budget never
+    /// perturbs the user's own trajectory.
+    fn simulate_user_into(
         &self,
         user: usize,
-        budget: usize,
-        make_controller: &F,
+        lanes: &mut [(ChaffLane<'a>, StdRng)],
         user_row: &mut [CellId],
         services: &mut CellGrid,
         col: usize,
-    ) -> Result<()>
-    where
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
+    ) {
         let mut rng = StdRng::seed_from_u64(user_seed(self.config.seed, user as u64));
-        let mut chaff_lanes: Vec<(Box<dyn OnlineChaffController + 'a>, StdRng)> = (0..budget)
-            .map(|c| {
-                let seed = chaff_seed(self.config.seed, user as u64, c as u64);
-                Ok((make_controller(user, c)?, StdRng::seed_from_u64(seed)))
-            })
-            .collect::<Result<_>>()?;
+        // The arrival at each slot is drawn from that slot's epoch-active
+        // chain. Every chain consumes exactly one draw per step, so a
+        // one-epoch model replays the stationary stream bit-for-bit.
+        let mut chains = self.model.epoch_chains(user);
         let mut user_now: Option<CellId> = None;
         for (slot, user_slot) in user_row.iter_mut().enumerate() {
-            // The arrival at `slot` is drawn from that slot's epoch-active
-            // chain. Every chain consumes exactly one draw per step, so a
-            // one-epoch model replays the stationary stream bit-for-bit.
-            let chain = self.model.chain_at_slot(user, slot);
+            let chain = chains.advance();
             let cell = match user_now {
                 None => chain.initial().sample(&mut rng),
                 Some(prev) => chain.step(prev, &mut rng),
             };
             user_now = Some(cell);
             *user_slot = cell;
-            // Always-follow: the real service co-locates with the user.
-            services.set(slot, col, cell);
-            for (lane, (controller, chaff_rng)) in chaff_lanes.iter_mut().enumerate() {
-                services.set(slot, col + 1 + lane, controller.next(cell, &[], chaff_rng));
+            // Always-follow: the real service co-locates with the user,
+            // then each chaff lane takes its next cell.
+            let (real, chaffs) = services.row_mut(slot)[col..=col + lanes.len()]
+                .split_first_mut()
+                .expect("the user's column range holds its real service");
+            *real = cell;
+            for (out, (lane, chaff_rng)) in chaffs.iter_mut().zip(lanes.iter_mut()) {
+                *out = lane.advance(cell, &[], chaff_rng);
             }
         }
-        Ok(())
     }
 
     /// Phases 3–4: optional shared-capacity replay, then one global
@@ -1170,7 +1107,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaff_core::strategy::{CmlController, ImController};
 
     fn chain(seed: u64) -> MarkovChain {
         crate::test_support::nonskewed_chain(seed, 10)
@@ -1223,11 +1159,11 @@ mod tests {
     fn chaff_controllers_run_per_user() {
         let c = chain(3);
         let config = FleetConfig::new(6, 10)
-            .with_chaffs(2)
             .with_seed(11)
             .without_anonymization();
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Cml, 2);
         let outcome = FleetSimulation::new(&c, config)
-            .run_online(|_, _| Box::new(CmlController::new(&c)))
+            .run_chaffed(&policy)
             .unwrap();
         assert_eq!(outcome.observed.num_trajectories(), 6 * 3);
         assert_eq!(outcome.stats.chaff_services, 12);
@@ -1252,12 +1188,12 @@ mod tests {
     fn capacity_one_keeps_services_disjoint() {
         let c = chain(4);
         let config = FleetConfig::new(3, 8)
-            .with_chaffs(1)
             .with_capacity(1)
             .with_seed(7)
             .without_anonymization();
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 1);
         let outcome = FleetSimulation::new(&c, config)
-            .run_online(|_, _| Box::new(ImController::new(&c)))
+            .run_chaffed(&policy)
             .unwrap();
         for t in 0..8 {
             let mut cells: Vec<usize> = outcome.observed.row(t).iter().map(|c| c.index()).collect();
@@ -1293,18 +1229,10 @@ mod tests {
         assert!(FleetSimulation::new(&c, FleetConfig::new(5, 0))
             .run_natural()
             .is_err());
-        assert!(
-            FleetSimulation::new(&c, FleetConfig::new(5, 5).with_chaffs(1))
-                .run_natural()
-                .is_err()
-        );
-        // run_chaffed rejects the ambiguous uniform legacy knob.
         let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 1);
-        assert!(
-            FleetSimulation::new(&c, FleetConfig::new(5, 5).with_chaffs(1))
-                .run_chaffed(&policy)
-                .is_err()
-        );
+        assert!(FleetSimulation::new(&c, FleetConfig::new(0, 5))
+            .run_chaffed(&policy)
+            .is_err());
     }
 
     #[test]

@@ -361,26 +361,36 @@ impl ShardedObservationLog {
     /// the shuffled grid and the permutation (`perm[original]` is the
     /// post-shuffle index of service `original`), so callers can locate
     /// every ground-truth service.
+    ///
+    /// The permutation is drawn sequentially from `rng`; the scatter then
+    /// splits the output's slot rows into bands on the shared worker
+    /// pool. A band writes only its own rows, and within a row the
+    /// permutation sends every input cell to a distinct output cell, so
+    /// each output cell is written exactly once and the grid does not
+    /// depend on which band runs when.
     pub fn into_anonymized<R: Rng + ?Sized>(self, rng: &mut R) -> (CellGrid, Vec<usize>) {
-        let ShardedObservationLog {
-            arenas,
-            starts,
-            num_services,
-            ..
-        } = self;
-        let perm = fisher_yates(num_services, rng);
-        let horizon = arenas.first().map_or(0, CellGrid::horizon);
-        let mut out = CellGrid::with_horizon(num_services, horizon);
-        // Consume arena by arena so each shard's cells are freed right
-        // after their scatter: peak memory stays at one output grid plus
-        // a single shard, not two full copies of the population.
-        for (arena, lo) in arenas.into_iter().zip(starts) {
-            for t in 0..horizon {
-                for (j, &cell) in arena.row(t).iter().enumerate() {
-                    out.set(t, perm[lo + j], cell);
-                }
+        let perm = fisher_yates(self.num_services, rng);
+        let horizon = self.horizon();
+        let mut out = CellGrid::with_horizon(self.num_services, horizon);
+        let pool = chaff_core::pool::global();
+        let rows_per_band = horizon.div_ceil(pool.threads()).max(1);
+        let width = self.num_services;
+        let (arenas, starts, perm_ref) = (&self.arenas, &self.starts, &perm);
+        pool.scope(|scope| {
+            for (band, cells) in out.row_bands_mut(rows_per_band).enumerate() {
+                scope.spawn(move || {
+                    let rows = cells.chunks_exact_mut(width);
+                    for (t, row) in (band * rows_per_band..).zip(rows) {
+                        for (arena, &lo) in arenas.iter().zip(starts) {
+                            let targets = &perm_ref[lo..lo + arena.num_trajectories()];
+                            for (&target, &cell) in targets.iter().zip(arena.row(t)) {
+                                row[target] = cell;
+                            }
+                        }
+                    }
+                });
             }
-        }
+        });
         (out, perm)
     }
 

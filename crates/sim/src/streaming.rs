@@ -12,7 +12,8 @@
 //!    chain ([`step`](StreamingFleetEngine::step)) or from an external
 //!    per-slot feed ([`step_ingested`](StreamingFleetEngine::step_ingested),
 //!    e.g. a quantized trace stream); each chaff lane advances its
-//!    [`OnlineChaffController`] with its own RNG stream.
+//!    controller (the IM, CML or MO arm of one enum, held by value) with
+//!    its own RNG stream.
 //! 2. **Place.** Optional shared-capacity replay through one
 //!    [`MecNetwork`], exactly like the batch engine's sequential replay.
 //! 3. **Anonymize.** The slot row is scattered through the fleet's
@@ -45,14 +46,13 @@
 //! clean partial result — never a poisoned engine.
 
 use crate::fleet::{
-    chaff_seed, service_layout, shuffle_seed, user_seed, BudgetAllocation, FleetChaffPolicy,
+    service_layout, shuffle_seed, user_seed, BudgetAllocation, ChaffLane, FleetChaffPolicy,
     FleetConfig, FleetModel, FleetStats,
 };
 use crate::network::MecNetwork;
 use crate::observer::fisher_yates;
 use crate::{Result, SimError};
 use chaff_core::detector::{Detection, StreamingPrefixDetector};
-use chaff_core::strategy::OnlineChaffController;
 use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,14 +82,11 @@ pub struct SlotStep {
 }
 
 /// One user's persistent simulation state.
-struct UserLane<'a> {
+struct UserLane {
     /// The user's own mobility stream (unused on the ingest path).
     rng: StdRng,
     /// Current cell (`None` before the first slot).
     now: Option<CellId>,
-    /// Chaff controllers with their independent RNG streams, in lane
-    /// order.
-    chaffs: Vec<(Box<dyn OnlineChaffController + 'a>, StdRng)>,
 }
 
 /// Bounded ring of the most recent observed slot rows (post-shuffle).
@@ -171,7 +168,11 @@ pub struct StreamingFleetEngine<'a> {
     user_observed_indices: Vec<usize>,
     /// `is_user[observed index]`: does this column carry a real user?
     is_user: Vec<bool>,
-    users: Vec<UserLane<'a>>,
+    users: Vec<UserLane>,
+    /// Every chaff's controller with its independent RNG stream, flat in
+    /// chaff-service order: user `u`'s lanes are
+    /// `service_starts[u] - u..service_starts[u + 1] - u - 1`.
+    chaffs: Vec<(ChaffLane<'a>, StdRng)>,
     detector: StreamingPrefixDetector,
     ring: SlotRing,
     /// Previous slot's planned (pre-shuffle) row, for fast-path
@@ -197,8 +198,8 @@ impl<'a> StreamingFleetEngine<'a> {
     ///
     /// Same validation as
     /// [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed):
-    /// rejects invalid configs, nonzero `chaffs_per_user`, mismatched
-    /// per-class policies and overflowing budgets.
+    /// rejects invalid configs, mismatched per-class policies and
+    /// overflowing budgets.
     pub fn new(
         chain: &'a MarkovChain,
         config: FleetConfig,
@@ -227,52 +228,25 @@ impl<'a> StreamingFleetEngine<'a> {
         policy: &FleetChaffPolicy,
     ) -> Result<Self> {
         config.validate()?;
-        if config.chaffs_per_user != 0 {
-            return Err(SimError::InvalidConfig {
-                parameter: "chaffs_per_user",
-                reason: "the streaming engine takes budgets from the policy; leave \
-                         chaffs_per_user at 0"
-                    .into(),
-            });
-        }
         policy.validate(model.num_classes(), config.num_users)?;
         let n = config.num_users;
         let service_starts = service_layout(n, config.horizon, |user| {
             policy.budget_of(user, model.class_of(user), n)
         })?;
         let num_services = *service_starts.last().expect("layout has n + 1 entries");
-        // Per-user persistent state: the same seed streams as the batch
-        // engine's `simulate_user_into`, with controllers constructed in
-        // lane order.
-        let users: Vec<UserLane<'a>> = (0..n)
-            .map(|user| {
-                let budget = service_starts[user + 1] - service_starts[user] - 1;
-                let class = model.class_of(user);
-                let chaffs = (0..budget)
-                    .map(|c| {
-                        let seed = chaff_seed(config.seed, user as u64, c as u64);
-                        // The same epoch-aware factory as the batch
-                        // engine's `run_chaffed`: a multi-epoch registry
-                        // steps one continuous controller against the
-                        // epoch-active chains, the stationary path keeps
-                        // the bare controller.
-                        let strategy = policy.strategy_of(class);
-                        let controller: Box<dyn OnlineChaffController + 'a> = match model {
-                            FleetModel::Heterogeneous(r) if !r.is_stationary() => {
-                                strategy.scheduled_controller(r, class)
-                            }
-                            _ => strategy.controller(model.chain_of(user)),
-                        };
-                        (controller, StdRng::seed_from_u64(seed))
-                    })
-                    .collect();
-                UserLane {
-                    rng: StdRng::seed_from_u64(user_seed(config.seed, user as u64)),
-                    now: None,
-                    chaffs,
-                }
+        // Per-user persistent state: the same seed streams and chaff
+        // lanes as the batch engine's `simulate_user_into`.
+        let users: Vec<UserLane> = (0..n)
+            .map(|user| UserLane {
+                rng: StdRng::seed_from_u64(user_seed(config.seed, user as u64)),
+                now: None,
             })
             .collect();
+        let mut chaffs = Vec::with_capacity(num_services - n);
+        for user in 0..n {
+            let budget = service_starts[user + 1] - service_starts[user] - 1;
+            chaffs.extend(model.chaff_lanes(policy, config.seed, user, budget));
+        }
         // The batch engine shuffles once, at assembly; the same
         // permutation (same seed stream) scatters every slot row here.
         let perm = if config.anonymize {
@@ -341,6 +315,7 @@ impl<'a> StreamingFleetEngine<'a> {
             user_observed_indices,
             is_user,
             users,
+            chaffs,
             detector,
             ring: SlotRing::new(DEFAULT_RING_DEPTH),
             planned_prev: Vec::with_capacity(num_services),
@@ -557,12 +532,15 @@ impl<'a> StreamingFleetEngine<'a> {
         // engine).
         for user in 0..n {
             let cell = self.user_row[user];
-            let lane = &mut self.users[user];
-            lane.now = Some(cell);
-            let col = self.service_starts[user];
-            self.planned_row[col] = cell;
-            for (offset, (controller, chaff_rng)) in lane.chaffs.iter_mut().enumerate() {
-                self.planned_row[col + 1 + offset] = controller.next(cell, &[], chaff_rng);
+            self.users[user].now = Some(cell);
+            let (lo, hi) = (self.service_starts[user], self.service_starts[user + 1]);
+            let (real, planned) = self.planned_row[lo..hi]
+                .split_first_mut()
+                .expect("every user owns its real service");
+            *real = cell;
+            let lanes = &mut self.chaffs[lo - user..hi - user - 1];
+            for (out, (lane, chaff_rng)) in planned.iter_mut().zip(lanes) {
+                *out = lane.advance(cell, &[], chaff_rng);
             }
         }
         // Placement phase.
@@ -690,9 +668,6 @@ mod tests {
         let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 0);
         assert!(StreamingFleetEngine::new(&c, FleetConfig::new(0, 5), &policy).is_err());
         assert!(StreamingFleetEngine::new(&c, FleetConfig::new(5, 0), &policy).is_err());
-        assert!(
-            StreamingFleetEngine::new(&c, FleetConfig::new(5, 5).with_chaffs(1), &policy).is_err()
-        );
         let bad = FleetChaffPolicy::per_class(vec![
             (FleetChaffStrategy::Im, 1),
             (FleetChaffStrategy::Cml, 1),

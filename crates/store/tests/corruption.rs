@@ -16,13 +16,21 @@ use chaff_markov::CellId;
 use chaff_store::crc32::crc32;
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreError, StoreMeta, StoreStats};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store")
 }
 
+/// A temp path unique per call: tests run on parallel threads of one
+/// process, so the pid alone would let one test delete another's file.
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("chaff_store_fixture_{}_{tag}", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let call = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "chaff_store_fixture_{}_{call}_{tag}",
+        std::process::id()
+    ))
 }
 
 /// Builds the canonical fixture store (4 services, 2 users, 3 slots,
