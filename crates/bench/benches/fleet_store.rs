@@ -1,5 +1,5 @@
 //! Persistent fleet-store benchmarks: checkpoint write, whole-grid
-//! load and paged stream-detection (ISSUE 8 tentpole surface).
+//! load, paged stream-detection and the page checksum.
 //!
 //! Three groups cover the store's hot paths at the `N = 5 × 10⁴` rung:
 //!
@@ -12,6 +12,9 @@
 //!   entry over the paged [`SlotStream`](chaff_store::SlotStream),
 //!   never materializing the grid.
 //!
+//! A fourth, `fleet_store/crc32`, times the CRC32 of one 1 MiB page on
+//! its own, so the gate tracks checksum throughput apart from I/O.
+//!
 //! The criterion shim records `peak_rss_bytes` per group, so the CI
 //! bench gate (`ci/compare_bench.py`) guards both the time and the
 //! resident-set budget of every path — a regression that silently
@@ -22,6 +25,8 @@ use chaff_bench::{fixture_chain, record_bench_metadata};
 use chaff_core::detector::{BatchPrefixDetector, DetectInput};
 use chaff_markov::models::ModelKind;
 use chaff_sim::fleet::{FleetConfig, FleetOutcome, FleetSimulation};
+use chaff_store::crc32::crc32;
+use chaff_store::format::TARGET_PAGE_PAYLOAD;
 use chaff_store::FleetStoreReader;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -97,6 +102,21 @@ fn bench_stream_detect(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
+/// Page checksum in isolation: CRC32 of one full-size (1 MiB) page
+/// payload, the cost every page write and every page read pays.
+fn bench_crc32(c: &mut Criterion) {
+    let page: Vec<u8> = (0..TARGET_PAGE_PAYLOAD)
+        .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+        .collect();
+    let mut group = c.benchmark_group("fleet_store/crc32");
+    group.bench_with_input(
+        BenchmarkId::from_parameter(TARGET_PAGE_PAYLOAD),
+        &page,
+        |b, page| b.iter(|| crc32(black_box(page))),
+    );
+    group.finish();
+}
+
 /// Stamps pool size and lane width into the baseline before any record.
 fn bench_metadata(_c: &mut Criterion) {
     record_bench_metadata();
@@ -117,5 +137,6 @@ criterion_group! {
         bench_write,
         bench_load,
         bench_stream_detect,
+        bench_crc32,
 }
 criterion_main!(fleet_store);

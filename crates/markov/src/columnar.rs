@@ -36,6 +36,7 @@
 //! break and must bump the store's on-disk version.
 
 use crate::{CellId, MarkovError, Trajectory};
+use std::ops::Range;
 
 /// Slot-major columnar trajectory store: `cells[t * N + i]` is the cell
 /// of trajectory `i` at slot `t`.
@@ -296,6 +297,12 @@ pub struct TrajectoryArena {
 }
 
 impl TrajectoryArena {
+    /// Slots per tile of the slot-row transposes
+    /// ([`copy_slots_into`](TrajectoryArena::copy_slots_into),
+    /// [`copy_slots_from`](TrajectoryArena::copy_slots_from)): 16 cells
+    /// are one 64-byte cache line of a trajectory row.
+    pub const TRANSPOSE_TILE: usize = 16;
+
     /// A zero-filled arena of `num_trajectories` rows × `horizon` slots.
     ///
     /// # Panics
@@ -371,6 +378,72 @@ impl TrajectoryArena {
             .chunks_mut(rows * horizon.max(1))
             .map(|cells| ArenaRowsMut { cells, horizon })
             .collect()
+    }
+
+    /// Transposes slots `slots` of every trajectory into slot-major
+    /// rows: `out[k * N + i]` becomes trajectory `i`'s cell at slot
+    /// `slots.start + k`. The inverse of
+    /// [`copy_slots_from`](TrajectoryArena::copy_slots_from).
+    ///
+    /// Works in tiles of 16 slots, one cache line of each trajectory
+    /// row, so reads stream through the arena while writes advance
+    /// along at most 16 output rows — instead of one strided read per
+    /// cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` runs past the horizon or `out.len()` is not
+    /// `slots.len() × N`.
+    pub fn copy_slots_into(&self, slots: Range<usize>, out: &mut [CellId]) {
+        self.check_slot_rows(&slots, out.len());
+        let (n, horizon) = (self.num_trajectories, self.horizon);
+        for t0 in slots.clone().step_by(Self::TRANSPOSE_TILE) {
+            let t1 = (t0 + Self::TRANSPOSE_TILE).min(slots.end);
+            let tile = &mut out[(t0 - slots.start) * n..(t1 - slots.start) * n];
+            for (i, src) in self.cells.chunks_exact(horizon).enumerate() {
+                for (k, &cell) in src[t0..t1].iter().enumerate() {
+                    tile[k * n + i] = cell;
+                }
+            }
+        }
+    }
+
+    /// Writes slot-major rows into slots `slots` of every trajectory:
+    /// `rows[k * N + i]` becomes trajectory `i`'s cell at slot
+    /// `slots.start + k`. The inverse of
+    /// [`copy_slots_into`](TrajectoryArena::copy_slots_into), tiled the
+    /// same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` runs past the horizon or `rows.len()` is not
+    /// `slots.len() × N`.
+    pub fn copy_slots_from(&mut self, slots: Range<usize>, rows: &[CellId]) {
+        self.check_slot_rows(&slots, rows.len());
+        let (n, horizon) = (self.num_trajectories, self.horizon);
+        for t0 in slots.clone().step_by(Self::TRANSPOSE_TILE) {
+            let t1 = (t0 + Self::TRANSPOSE_TILE).min(slots.end);
+            let tile = &rows[(t0 - slots.start) * n..(t1 - slots.start) * n];
+            for (i, dst) in self.cells.chunks_exact_mut(horizon).enumerate() {
+                for (k, cell) in dst[t0..t1].iter_mut().enumerate() {
+                    *cell = tile[k * n + i];
+                }
+            }
+        }
+    }
+
+    /// Shape check shared by the two slot-row transposes.
+    fn check_slot_rows(&self, slots: &Range<usize>, cells: usize) {
+        assert!(
+            slots.start <= slots.end && slots.end <= self.horizon,
+            "slot range {slots:?} out of bounds for horizon {}",
+            self.horizon
+        );
+        assert_eq!(
+            cells,
+            slots.len() * self.num_trajectories,
+            "slot rows must hold one cell per trajectory per slot"
+        );
     }
 
     /// Bytes spent on cell storage (`N × T × 4`).
@@ -543,6 +616,43 @@ mod tests {
                 CellId::new(5)
             ]
         );
+    }
+
+    #[test]
+    fn slot_row_transposes_are_inverse_at_tile_edges() {
+        for horizon in [0usize, 1, 15, 16, 17, 33] {
+            let n = 5;
+            let mut arena = TrajectoryArena::new(n, horizon);
+            for i in 0..n {
+                for (t, cell) in arena.row_mut(i).iter_mut().enumerate() {
+                    *cell = CellId::new(i * 100 + t);
+                }
+            }
+            for slots in [0..horizon, horizon / 3..horizon, 0..horizon / 2] {
+                let mut rows = vec![CellId::new(0); slots.len() * n];
+                arena.copy_slots_into(slots.clone(), &mut rows);
+                for (k, row) in rows.chunks_exact(n).enumerate() {
+                    for (i, &cell) in row.iter().enumerate() {
+                        assert_eq!(cell, arena.row(i)[slots.start + k], "T={horizon}");
+                    }
+                }
+                let mut back = TrajectoryArena::new(n, horizon);
+                back.copy_slots_from(slots.clone(), &rows);
+                for i in 0..n {
+                    assert_eq!(back.row(i)[slots.clone()], arena.row(i)[slots.clone()]);
+                }
+            }
+        }
+        // Zero trajectories: any in-horizon range moves no cells.
+        let mut empty = TrajectoryArena::new(0, 20);
+        empty.copy_slots_into(3..19, &mut []);
+        empty.copy_slots_from(0..20, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one cell per trajectory")]
+    fn slot_row_transpose_rejects_a_short_buffer() {
+        TrajectoryArena::new(3, 4).copy_slots_into(0..2, &mut [CellId::new(0); 5]);
     }
 
     #[test]

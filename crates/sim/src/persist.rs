@@ -4,8 +4,9 @@
 //! Two write paths mirror the two fleet engines:
 //!
 //! * [`FleetOutcome::checkpoint`] — persist a finished batch run; the
-//!   in-memory arenas are walked slot by slot, so the only extra
-//!   allocation is one user row of scratch.
+//!   in-memory arenas are walked slot by slot, and the trajectory-major
+//!   user arena is transposed into slot rows 16 slots at a time, so the
+//!   only extra allocation is a 16-row tile of user cells.
 //! * [`StreamingFleetEngine::run_to_store`] — drive a fresh streaming
 //!   engine to its horizon, appending every slot as it is produced. The
 //!   `N × T` grid never exists in memory on this path: the writer holds
@@ -24,7 +25,7 @@
 use crate::fleet::{FleetOutcome, FleetStats};
 use crate::streaming::{SlotStep, StreamingFleetEngine};
 use crate::{Result, SimError};
-use chaff_markov::CellId;
+use chaff_markov::{CellId, TrajectoryArena};
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreMeta, StoreStats};
 use std::path::Path;
 
@@ -73,14 +74,23 @@ impl FleetOutcome {
             user_observed_indices: self.user_observed_indices.clone(),
         };
         let mut writer = FleetStoreWriter::create(path, meta).map_err(SimError::Store)?;
-        let mut user_row = vec![CellId::new(0); num_users];
-        for t in 0..horizon {
-            for (u, cell) in user_row.iter_mut().enumerate() {
-                *cell = self.user_cells.row(u)[t];
+        // One transpose tile of user rows at a time keeps the scratch at
+        // `O(16 · users)` however long the horizon.
+        const TILE: usize = TrajectoryArena::TRANSPOSE_TILE;
+        let mut tile = vec![CellId::new(0); TILE.min(horizon) * num_users];
+        for t0 in (0..horizon).step_by(TILE) {
+            let t1 = (t0 + TILE).min(horizon);
+            let user_rows = &mut tile[..(t1 - t0) * num_users];
+            self.user_cells.copy_slots_into(t0..t1, user_rows);
+            for t in t0..t1 {
+                let k = t - t0;
+                writer
+                    .append_slot(
+                        self.observed.row(t),
+                        &user_rows[k * num_users..(k + 1) * num_users],
+                    )
+                    .map_err(SimError::Store)?;
             }
-            writer
-                .append_slot(self.observed.row(t), &user_row)
-                .map_err(SimError::Store)?;
         }
         writer.finish(self.stats.into()).map_err(SimError::Store)
     }
@@ -187,6 +197,40 @@ mod tests {
         let restored = FleetOutcome::restore(&path).unwrap();
         outcome_eq(&outcome, &restored);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_restore_is_bit_for_bit_at_tile_edge_horizons() {
+        let (users, services) = (37, 74);
+        for horizon in [0usize, 1, 15, 16, 17, 33] {
+            let mut observed = chaff_markov::CellGrid::with_horizon(services, horizon);
+            for t in 0..horizon {
+                for (i, cell) in observed.row_mut(t).iter_mut().enumerate() {
+                    *cell = CellId::new((t * 7919 + i * 104_729) % 1_000_003);
+                }
+            }
+            let mut user_cells = chaff_markov::TrajectoryArena::new(users, horizon);
+            for u in 0..users {
+                for (t, cell) in user_cells.row_mut(u).iter_mut().enumerate() {
+                    *cell = CellId::new(u * 1_000 + t);
+                }
+            }
+            let outcome = FleetOutcome {
+                observed,
+                user_observed_indices: (0..users).map(|u| 2 * u + 1).collect(),
+                user_cells,
+                stats: FleetStats {
+                    migrations: horizon,
+                    spills: 0,
+                    user_slots: users * horizon,
+                    chaff_services: users,
+                },
+            };
+            let path = temp_path(&format!("tile_edge_{horizon}"));
+            outcome.checkpoint(&path).unwrap();
+            outcome_eq(&outcome, &FleetOutcome::restore(&path).unwrap());
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -205,15 +205,10 @@ impl FleetStoreReader {
             let entry = self.pages[page_no];
             read_page(&mut self.file, &entry, page_no, &mut buf)?;
             decode_cells(&buf, &mut cells);
-            if num_users == 0 {
-                continue;
-            }
-            for (r, row) in cells.chunks_exact(num_users).enumerate() {
-                let t = entry.first_row as usize + r;
-                for (i, &cell) in row.iter().enumerate() {
-                    user_cells.row_mut(i)[t] = cell;
-                }
-            }
+            // `ordered_coverage` pinned each page inside the horizon with
+            // exactly `num_rows × num_users` cells.
+            let first = entry.first_row as usize;
+            user_cells.copy_slots_from(first..first + entry.num_rows as usize, &cells);
         }
         Ok(StoredFleet {
             observed,
@@ -367,8 +362,10 @@ fn decode_cells(bytes: &[u8], out: &mut Vec<CellId>) {
 }
 
 /// Validates that `section`'s pages tile `0..horizon` without gaps or
-/// overlap and that each page's length matches its row count; returns
-/// the page indices in row order.
+/// overlap, that each page holds at least one row (the writer never
+/// emits an empty data page, and the slot stream advances a row per
+/// call) and that each page's length matches its row count; returns the
+/// page indices in row order.
 fn ordered_coverage(
     pages: &[PageEntry],
     section: Section,
@@ -390,7 +387,12 @@ fn ordered_coverage(
                 ),
             });
         }
-        if e.len != e.num_rows * row_bytes as u64 {
+        if e.num_rows == 0 {
+            return Err(StoreError::FooterCorrupt {
+                reason: format!("page {i} holds no rows ({section:?})"),
+            });
+        }
+        if e.num_rows.checked_mul(row_bytes as u64) != Some(e.len) {
             return Err(StoreError::FooterCorrupt {
                 reason: format!(
                     "page {i} length {} disagrees with {} rows of {row_bytes} bytes",
@@ -398,7 +400,11 @@ fn ordered_coverage(
                 ),
             });
         }
-        next_row += e.num_rows;
+        next_row = next_row
+            .checked_add(e.num_rows)
+            .ok_or_else(|| StoreError::FooterCorrupt {
+                reason: format!("page {i} row count overflows"),
+            })?;
     }
     if next_row != horizon {
         return Err(StoreError::Incomplete {

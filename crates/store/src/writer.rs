@@ -39,9 +39,10 @@ impl PageBuffer {
     }
 
     fn push_row(&mut self, row: &[CellId]) {
-        for &cell in row {
-            self.bytes
-                .extend_from_slice(&(cell.index() as u32).to_le_bytes());
+        let start = self.bytes.len();
+        self.bytes.resize(start + row.len() * 4, 0);
+        for (out, &cell) in self.bytes[start..].chunks_exact_mut(4).zip(row) {
+            out.copy_from_slice(&(cell.index() as u32).to_le_bytes());
         }
         self.num_rows += 1;
     }

@@ -12,25 +12,17 @@
 //! Regenerate after an intentional format bump with:
 //! `cargo test -p chaff-store --test corruption -- --ignored`
 
+mod common;
+
 use chaff_markov::CellId;
 use chaff_store::crc32::crc32;
+use chaff_store::format::{encode_footer, PageEntry, Section};
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreError, StoreMeta, StoreStats};
+use common::{footer_index, temp_path};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store")
-}
-
-/// A temp path unique per call: tests run on parallel threads of one
-/// process, so the pid alone would let one test delete another's file.
-fn temp_path(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let call = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "chaff_store_fixture_{}_{call}_{tag}",
-        std::process::id()
-    ))
 }
 
 /// Builds the canonical fixture store (4 services, 2 users, 3 slots,
@@ -235,5 +227,47 @@ fn flipped_header_byte_is_a_header_checksum_error() {
         FleetStoreReader::open(&path),
         Err(StoreError::HeaderChecksum { .. })
     ));
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Rewrites `bytes`' footer index through `edit` and re-encodes it with
+/// a recomputed index CRC, so the reader's verdict is about the entries
+/// themselves — not a checksum excuse.
+fn with_edited_index(bytes: &[u8], edit: impl FnOnce(&mut Vec<PageEntry>)) -> Vec<u8> {
+    let (index_start, mut entries) = footer_index(bytes);
+    edit(&mut entries);
+    let mut out = bytes[..index_start].to_vec();
+    out.extend_from_slice(&encode_footer(&entries));
+    out
+}
+
+#[test]
+fn zero_row_data_page_in_the_index_is_footer_corrupt() {
+    // Regression: a CRC-valid index listing an empty observed page used
+    // to pass `open` and `load`, then panic inside `SlotStream::next_row`
+    // slicing the empty page.
+    let crafted = with_edited_index(&canonical_bytes(), |entries| {
+        let first = entries
+            .iter()
+            .find(|e| e.section == Section::Observed)
+            .copied()
+            .expect("an observed page");
+        entries.insert(
+            0,
+            PageEntry {
+                num_rows: 0,
+                len: 0,
+                ..first
+            },
+        );
+    });
+    let path = temp_path("zero_row_page");
+    std::fs::write(&path, &crafted).unwrap();
+    match FleetStoreReader::open(&path) {
+        Err(StoreError::FooterCorrupt { reason }) => {
+            assert!(reason.contains("no rows"), "{reason}")
+        }
+        other => panic!("expected FooterCorrupt, got {other:?}"),
+    }
     std::fs::remove_file(&path).unwrap();
 }
