@@ -70,6 +70,36 @@ fn bench_step_million(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-slot step through capacity placement: N = 10⁵ users at IM
+/// `B = 1` on 10 cells, each node holding 10% more than an even spread
+/// of the 200,000 services, so a share of every slot's placements spill
+/// and the p99 gate watches the slot kernel.
+fn bench_step_capacity(c: &mut Criterion) {
+    let cells = 10;
+    let chain = fixture_chain(ModelKind::NonSkewed, cells, 65);
+    let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 1);
+    let users = 100_000usize;
+    let capacity = (2 * users).div_ceil(cells) * 11 / 10;
+    let mut engine = StreamingFleetEngine::new(
+        &chain,
+        FleetConfig::new(users, BENCH_HORIZON)
+            .with_seed(66)
+            .with_capacity(capacity),
+        &policy,
+    )
+    .expect("valid streaming config");
+    prewarm(&mut engine);
+    assert!(
+        engine.stats().spills > 0,
+        "capacity {capacity} never spilled"
+    );
+    let mut group = c.benchmark_group("fleet_stream/step_capacity");
+    group.bench_with_input(BenchmarkId::from_parameter(users), &users, |b, _| {
+        b.iter(|| black_box(engine.step().unwrap()))
+    });
+    group.finish();
+}
+
 /// Steps the shared engine past its slot-ring depth outside measurement:
 /// the ring recycles buffers only once full, so the first `ring_depth`
 /// steps allocate where every later step does not. After this, the
@@ -102,6 +132,7 @@ criterion_group! {
     targets =
         bench_metadata,
         bench_step_chaffed,
+        bench_step_capacity,
         bench_step_million,
 }
 criterion_main!(fleet_stream);

@@ -51,9 +51,12 @@
 //!    perturbs existing users' streams, and growing a user's chaff
 //!    budget never perturbs the user's own trajectory.
 //! 3. **Capacity replay (sequential, only when a capacity is set).** The
-//!    planned placements are replayed through one shared [`MecNetwork`]
-//!    in global service order, spilling to the nearest free node exactly
-//!    like the single-user simulator.
+//!    planned rows are replayed through one shared [`MecNetwork`]'s slot
+//!    kernel ([`MecNetwork::launch_slot`], then
+//!    [`MecNetwork::replay_slot`] per slot) in global service order,
+//!    spilling to the nearest free node exactly like the single-user
+//!    simulator. A fleet with more services than the network has slots
+//!    is rejected before generation, so the replay cannot fail.
 //! 4. **Anonymize.** One Fisher–Yates permutation across all services,
 //!    driven by the fleet seed, scattered into one slot-major
 //!    [`CellGrid`].
@@ -799,7 +802,9 @@ impl<'a> FleetSimulation<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and capacity errors.
+    /// Propagates configuration errors, including
+    /// [`SimError::InvalidConfig`] on `node_capacity` when the fleet has
+    /// more services than the network has slots.
     pub fn run_natural(self) -> Result<FleetOutcome> {
         self.run_chaffed(&FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 0))
     }
@@ -816,8 +821,11 @@ impl<'a> FleetSimulation<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and capacity errors; rejects class-based
-    /// policies whose tables do not match the fleet's class count.
+    /// Propagates configuration errors; rejects class-based policies
+    /// whose tables do not match the fleet's class count, and a
+    /// capacity-limited fleet with more services than the network has
+    /// slots ([`SimError::InvalidConfig`] on `node_capacity`), before
+    /// any simulation work.
     pub fn run_chaffed(self, policy: &FleetChaffPolicy) -> Result<FleetOutcome> {
         policy.validate(self.model.num_classes(), self.config.num_users)?;
         self.config.validate()?;
@@ -828,6 +836,7 @@ impl<'a> FleetSimulation<'a> {
         let service_starts = service_layout(n, self.config.horizon, |user| {
             policy.budget_of(user, model.class_of(user), n)
         })?;
+        check_fleet_fits(&self.config, model.num_states(), service_starts[n])?;
         let (user_cells, planned) = self.generate(&service_starts, policy)?;
         self.assemble(user_cells, planned, &service_starts)
     }
@@ -1019,32 +1028,18 @@ impl<'a> FleetSimulation<'a> {
         let mut network = MecNetwork::new(self.model.num_states(), Some(capacity))?;
         let mut log = ShardedObservationLog::new(num_services, self.config.effective_shards())
             .with_user_layout(service_starts.to_vec());
-        let mut actual: Vec<CellId> = Vec::with_capacity(num_services);
+        let mut actual = vec![CellId::new(0); num_services];
         let mut desired_row: Vec<CellId> = Vec::with_capacity(num_services);
-        let mut locations = Vec::with_capacity(num_services);
         for slot in 0..horizon {
             planned.copy_slot_into(slot, &mut desired_row);
-            locations.clear();
-            for (service, &desired) in desired_row.iter().enumerate() {
-                let placed = if slot == 0 {
-                    let cell = network.place_nearest(desired)?;
-                    actual.push(cell);
-                    cell
-                } else {
-                    let prev = actual[service];
-                    let cell = network.migrate(prev, desired)?;
-                    if cell != prev {
-                        stats.migrations += 1;
-                    }
-                    actual[service] = cell;
-                    cell
-                };
-                if placed != desired {
-                    stats.spills += 1;
-                }
-                locations.push(placed);
-            }
-            log.record_slot(&locations)?;
+            let counts = if slot == 0 {
+                network.launch_slot(&desired_row, &mut actual)?
+            } else {
+                network.replay_slot(&desired_row, &mut actual)?
+            };
+            stats.migrations += counts.migrations;
+            stats.spills += counts.spills;
+            log.record_slot(&actual)?;
         }
         Ok(log)
     }
@@ -1102,6 +1097,30 @@ where
     }
     total.checked_mul(horizon).ok_or_else(overflow)?;
     Ok(service_starts)
+}
+
+/// Rejects a capacity-limited fleet with more services than the network
+/// has slots (`num_cells × capacity`), before any engine state exists.
+/// A fleet that fits can never run out of capacity: the launch finds a
+/// node for every service, and a replay always has the node a service
+/// just released. Shared by the batch engine and [`crate::streaming`].
+pub(crate) fn check_fleet_fits(
+    config: &FleetConfig,
+    num_cells: usize,
+    num_services: usize,
+) -> Result<()> {
+    let Some(capacity) = config.node_capacity else {
+        return Ok(());
+    };
+    match num_cells.checked_mul(capacity) {
+        Some(slots) if slots < num_services => Err(SimError::InvalidConfig {
+            parameter: "node_capacity",
+            reason: format!(
+                "{num_services} services exceed {num_cells} nodes × {capacity} instances"
+            ),
+        }),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -1202,6 +1221,33 @@ mod tests {
             assert_eq!(cells.len(), 6, "slot {t}");
         }
         assert!(outcome.stats.spills > 0, "co-location attempts must spill");
+    }
+
+    #[test]
+    fn over_subscribed_capacity_is_rejected_up_front() {
+        let c = crate::test_support::nonskewed_chain(4, 4);
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 2);
+        // 2 users × (1 + 2) services on 4 cells × capacity 1.
+        let over = FleetConfig::new(2, 5).with_capacity(1);
+        for run in [
+            FleetSimulation::new(&c, over.clone()).run_chaffed(&policy),
+            FleetSimulation::new(&c, over.clone().with_capacity(0)).run_natural(),
+        ] {
+            match run {
+                Err(SimError::InvalidConfig { parameter, .. }) => {
+                    assert_eq!(parameter, "node_capacity");
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // A huge capacity cannot overflow the check, and a tight fit runs.
+        let roomy = FleetConfig::new(2, 5).with_capacity(usize::MAX);
+        assert!(FleetSimulation::new(&c, roomy).run_chaffed(&policy).is_ok());
+        let tight = FleetConfig::new(2, 5).with_capacity(2);
+        let outcome = FleetSimulation::new(&c, tight)
+            .run_chaffed(&policy)
+            .unwrap();
+        assert_eq!(outcome.observed.num_trajectories(), 6);
     }
 
     #[test]

@@ -15,7 +15,16 @@
 //!    controller (the IM, CML or MO arm of one enum, held by value) with
 //!    its own RNG stream.
 //! 2. **Place.** Optional shared-capacity replay through one
-//!    [`MecNetwork`], exactly like the batch engine's sequential replay.
+//!    [`MecNetwork`]'s slot kernel, the same calls the batch engine
+//!    makes per slot: [`MecNetwork::launch_slot`] on slot 0, then
+//!    [`MecNetwork::replay_slot`]. Per service the kernel releases the
+//!    previous node and retakes the wanted one when it has room; a
+//!    service that stays put releases a node holding at most `capacity`
+//!    instances, so it always gets it straight back, and `from == to`
+//!    needs no branch of its own. Only placements that spill take a
+//!    branch, into the nearest-free-node search. A fleet with more
+//!    services than the network has slots is rejected at construction,
+//!    so placement never fails mid-stream.
 //! 3. **Anonymize.** The slot row is scattered through the fleet's
 //!    Fisher–Yates permutation (drawn once, up front, from the same
 //!    seed stream as the batch engine).
@@ -46,8 +55,8 @@
 //! clean partial result — never a poisoned engine.
 
 use crate::fleet::{
-    service_layout, shuffle_seed, user_seed, BudgetAllocation, ChaffLane, FleetChaffPolicy,
-    FleetConfig, FleetModel, FleetStats,
+    check_fleet_fits, service_layout, shuffle_seed, user_seed, BudgetAllocation, ChaffLane,
+    FleetChaffPolicy, FleetConfig, FleetModel, FleetStats,
 };
 use crate::network::MecNetwork;
 use crate::observer::fisher_yates;
@@ -175,8 +184,8 @@ pub struct StreamingFleetEngine<'a> {
     chaffs: Vec<(ChaffLane<'a>, StdRng)>,
     detector: StreamingPrefixDetector,
     ring: SlotRing,
-    /// Previous slot's planned (pre-shuffle) row, for fast-path
-    /// migration counting.
+    /// Previous slot's planned (pre-shuffle) row, for migration counting
+    /// without capacity; swapped with `planned_row` after every slot.
     planned_prev: Vec<CellId>,
     planned_row: Vec<CellId>,
     observed_row: Vec<CellId>,
@@ -198,8 +207,10 @@ impl<'a> StreamingFleetEngine<'a> {
     ///
     /// Same validation as
     /// [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed):
-    /// rejects invalid configs, mismatched per-class policies and
-    /// overflowing budgets.
+    /// rejects invalid configs, mismatched per-class policies,
+    /// overflowing budgets and a capacity-limited fleet with more
+    /// services than the network has slots
+    /// ([`SimError::InvalidConfig`] on `node_capacity`).
     pub fn new(
         chain: &'a MarkovChain,
         config: FleetConfig,
@@ -234,6 +245,7 @@ impl<'a> StreamingFleetEngine<'a> {
             policy.budget_of(user, model.class_of(user), n)
         })?;
         let num_services = *service_starts.last().expect("layout has n + 1 entries");
+        check_fleet_fits(&config, model.num_states(), num_services)?;
         // Per-user persistent state: the same seed streams and chaff
         // lanes as the batch engine's `simulate_user_into`.
         let users: Vec<UserLane> = (0..n)
@@ -295,7 +307,7 @@ impl<'a> StreamingFleetEngine<'a> {
         let network = match config.node_capacity {
             Some(capacity) => Some((
                 MecNetwork::new(model.num_states(), Some(capacity))?,
-                Vec::with_capacity(num_services),
+                vec![CellId::new(0); num_services],
             )),
             None => None,
         };
@@ -318,7 +330,7 @@ impl<'a> StreamingFleetEngine<'a> {
             chaffs,
             detector,
             ring: SlotRing::new(DEFAULT_RING_DEPTH),
-            planned_prev: Vec::with_capacity(num_services),
+            planned_prev: vec![CellId::new(0); num_services],
             planned_row: vec![CellId::new(0); num_services],
             observed_row: vec![CellId::new(0); num_services],
             user_row: vec![CellId::new(0); n],
@@ -455,8 +467,10 @@ impl<'a> StreamingFleetEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates capacity errors ([`SimError::NoCapacity`]) from the
-    /// shared-network replay.
+    /// Placement cannot fail, because capacity is checked at
+    /// construction, and model-drawn cells are always in range. A
+    /// detection error propagates typed only if an internal invariant
+    /// breaks.
     pub fn step(&mut self) -> Result<Option<SlotStep>> {
         if self.slot >= self.config.horizon {
             return Ok(None);
@@ -491,7 +505,8 @@ impl<'a> StreamingFleetEngine<'a> {
     ///
     /// Returns [`SimError::StreamFault`] when the row does not supply
     /// one cell per user or a cell falls outside the model's state
-    /// space; propagates capacity errors from the shared-network replay.
+    /// space. Capacity is checked at construction, so placement never
+    /// fails.
     pub fn step_ingested(&mut self, user_cells: &[CellId]) -> Result<Option<SlotStep>> {
         if self.slot >= self.config.horizon {
             return Ok(None);
@@ -543,32 +558,18 @@ impl<'a> StreamingFleetEngine<'a> {
                 *out = lane.advance(cell, &[], chaff_rng);
             }
         }
-        // Placement phase.
-        if let Some((network, actual)) = &mut self.network {
-            // Sequential capacity replay in global service order — the
-            // batch engine's `replay_with_capacity`, one slot at a time.
-            for (service, desired) in self.planned_row.iter().copied().enumerate() {
-                let placed = if slot == 0 {
-                    let cell = network.place_nearest(desired)?;
-                    actual.push(cell);
-                    cell
-                } else {
-                    let prev = actual[service];
-                    let cell = network.migrate(prev, desired)?;
-                    if cell != prev {
-                        self.stats.migrations += 1;
-                    }
-                    actual[service] = cell;
-                    cell
-                };
-                if placed != desired {
-                    self.stats.spills += 1;
-                }
-                self.observed_row[self.perm[service]] = placed;
-            }
+        // Placement phase: the shared slot kernel with capacity, the
+        // planned row itself without.
+        let placed: &[CellId] = if let Some((network, actual)) = &mut self.network {
+            let counts = if slot == 0 {
+                network.launch_slot(&self.planned_row, actual)?
+            } else {
+                network.replay_slot(&self.planned_row, actual)?
+            };
+            self.stats.migrations += counts.migrations;
+            self.stats.spills += counts.spills;
+            actual
         } else {
-            // Fast path: planned placement is actual placement; count
-            // migrations row against row.
             if slot > 0 {
                 self.stats.migrations += self
                     .planned_row
@@ -577,12 +578,12 @@ impl<'a> StreamingFleetEngine<'a> {
                     .filter(|(now, prev)| now != prev)
                     .count();
             }
-            for (service, &cell) in self.planned_row.iter().enumerate() {
-                self.observed_row[self.perm[service]] = cell;
-            }
+            &self.planned_row
+        };
+        for (&cell, &position) in placed.iter().zip(&self.perm) {
+            self.observed_row[position] = cell;
         }
-        self.planned_prev.clear();
-        self.planned_prev.extend_from_slice(&self.planned_row);
+        std::mem::swap(&mut self.planned_prev, &mut self.planned_row);
         self.ring.push(&self.observed_row);
         // Detection phase: the shared per-slot kernel. Cells come from a
         // validated model or a pre-validated ingest row, so this cannot
@@ -804,6 +805,39 @@ mod tests {
             cells.dedup();
             assert_eq!(cells.len(), 6, "capacity 1 keeps services disjoint");
         }
+        assert!(engine.stats().spills > 0);
+    }
+
+    #[test]
+    fn over_subscribed_capacity_is_rejected_before_any_slot() {
+        // 2 users × (1 + 2) services cannot fit 4 cells × capacity 1.
+        let c = crate::test_support::nonskewed_chain(8, 4);
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 2);
+        let over = FleetConfig::new(2, 5).with_capacity(1);
+        match StreamingFleetEngine::new(&c, over, &policy) {
+            Err(SimError::InvalidConfig { parameter, .. }) => {
+                assert_eq!(parameter, "node_capacity")
+            }
+            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("over-subscribed fleet accepted"),
+        }
+        let registry = crate::test_support::mixed_registry(8, 4, 2);
+        let over = FleetConfig::new(2, 5).with_capacity(1);
+        assert!(matches!(
+            StreamingFleetEngine::with_registry(&registry, over, &policy),
+            Err(SimError::InvalidConfig {
+                parameter: "node_capacity",
+                ..
+            })
+        ));
+        // A tight fit streams to the horizon, ingested or drawn.
+        let tight = FleetConfig::new(2, 5).with_capacity(2);
+        let mut engine = StreamingFleetEngine::new(&c, tight, &policy).unwrap();
+        for t in 0..5 {
+            let row = [CellId::new(t % 4), CellId::new(t % 4)];
+            assert!(engine.step_ingested(&row).unwrap().is_some());
+        }
+        assert_eq!(engine.stats().user_slots, 2 * 5);
         assert!(engine.stats().spills > 0);
     }
 }

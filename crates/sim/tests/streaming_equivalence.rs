@@ -188,26 +188,18 @@ proptest! {
         num_users in 2usize..8,
         horizon in 1usize..8,
         budget in 0usize..3,
-        capacity in 1usize..3,
+        slack in 0usize..3,
     ) {
         let registry = mixed_registry(model_seed, 8, 2);
         let policy = FleetChaffPolicy::uniform(strategy_from(2), budget);
-        // Capacity sized so the whole fleet always fits the network.
+        // From a tight fit of the whole fleet to two instances of slack
+        // per node, so nodes fill up and placements spill.
         let services = num_users * (1 + budget);
+        let capacity = services.div_ceil(registry.num_states()) + slack;
         let config = FleetConfig::new(num_users, horizon)
             .with_seed(fleet_seed)
-            .with_capacity(capacity * services);
-        let (batch, detections) = batch_pipeline(&registry, config.clone(), &policy, 2);
-        let engine = StreamingFleetEngine::with_registry(&registry, config, &policy)
-            .expect("engine")
-            .with_ring_depth(horizon);
-        assert_stream_equals_batch(
-            engine,
-            &batch,
-            &detections,
-            registry.num_states(),
-            "capacity replay",
-        );
+            .with_capacity(capacity);
+        assert_capacity_run_streams_bit_for_bit(&registry, config, &policy, horizon);
     }
 
     /// Error-path contract: a bad row mid-stream fails typed — naming
@@ -304,6 +296,40 @@ proptest! {
             );
         }
     }
+}
+
+/// Runs a capacity-limited fleet through both engines, requires the
+/// stream to equal the batch pipeline bit for bit, and returns the
+/// batch counters.
+fn assert_capacity_run_streams_bit_for_bit(
+    registry: &MobilityRegistry,
+    config: FleetConfig,
+    policy: &FleetChaffPolicy,
+    horizon: usize,
+) -> chaff_sim::fleet::FleetStats {
+    let (batch, detections) = batch_pipeline(registry, config.clone(), policy, 2);
+    let engine = StreamingFleetEngine::with_registry(registry, config, policy)
+        .expect("engine")
+        .with_ring_depth(horizon);
+    assert_stream_equals_batch(
+        engine,
+        &batch,
+        &detections,
+        registry.num_states(),
+        "capacity replay",
+    );
+    batch.stats
+}
+
+/// The spill path is exercised for sure: a tight fit of 18 services on
+/// 8 cells × capacity 3 spills, and still streams bit for bit.
+#[test]
+fn tight_capacity_spills_and_streams_bit_for_bit() {
+    let registry = mixed_registry(17, 8, 2);
+    let policy = FleetChaffPolicy::uniform(strategy_from(2), 2);
+    let config = FleetConfig::new(6, 8).with_seed(29).with_capacity(3);
+    let stats = assert_capacity_run_streams_bit_for_bit(&registry, config, &policy, 8);
+    assert!(stats.spills > 0, "tight capacity never spilled: {stats:?}");
 }
 
 /// FNV-1a over a detection stream: tie-set lengths and indices, slot by
