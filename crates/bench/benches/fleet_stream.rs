@@ -119,9 +119,12 @@ fn bench_metadata(_c: &mut Criterion) {
     record_bench_metadata();
 }
 
+/// 100 samples per bench: with the shim's nearest-rank percentiles, 10
+/// samples would make `p99_ns` (the gated figure) the single worst
+/// sample, so one scheduler hiccup would fire the gate.
 fn configured() -> Criterion {
     Criterion::default()
-        .sample_size(10)
+        .sample_size(100)
         .measurement_time(Duration::from_secs(5))
         .warm_up_time(Duration::from_millis(500))
 }

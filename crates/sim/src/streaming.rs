@@ -8,15 +8,25 @@
 //! row per slot — and a real deployment never has the future.
 //! [`StreamingFleetEngine`] advances one slot at a time:
 //!
-//! 1. **Draw / ingest.** Each user's next cell comes from its mobility
-//!    chain ([`step`](StreamingFleetEngine::step)) or from an external
-//!    per-slot feed ([`step_ingested`](StreamingFleetEngine::step_ingested),
-//!    e.g. a quantized trace stream); each chaff lane advances its
-//!    controller (the IM, CML or MO arm of one enum, held by value) with
-//!    its own RNG stream.
+//! 1. **Draw / ingest and chaff, one banded pass.** Users are cut into
+//!    at most as many contiguous bands as the detector has shards
+//!    ([`FleetConfig::with_shards`]), and every band runs as one job on
+//!    [`chaff_core::pool::global`]. A band owns disjoint slices of the
+//!    user row, the user RNGs, the planned row and the chaff lanes. Per
+//!    user, in turn: the next cell comes from its mobility chain
+//!    ([`step`](StreamingFleetEngine::step)), or was already written by
+//!    an external per-slot feed
+//!    ([`step_ingested`](StreamingFleetEngine::step_ingested), e.g. a
+//!    quantized trace stream); the real service follows it; then each
+//!    chaff lane advances its controller (the IM, CML or MO arm of one
+//!    enum, held by value) with its own RNG stream. Every draw reads
+//!    only its own stream and its own user's cell, so neither the band
+//!    count nor the order bands run in changes a single draw. Without
+//!    capacity, migrations are counted as the planned row is
+//!    overwritten in place: an integer sum of per-band counts.
 //! 2. **Place.** Optional shared-capacity replay through one
-//!    [`MecNetwork`]'s slot kernel, the same calls the batch engine
-//!    makes per slot: [`MecNetwork::launch_slot`] on slot 0, then
+//!    [`MecNetwork`]'s slot kernel, serial, the same calls the batch
+//!    engine makes per slot: [`MecNetwork::launch_slot`] on slot 0, then
 //!    [`MecNetwork::replay_slot`]. Per service the kernel releases the
 //!    previous node and retakes the wanted one when it has room; a
 //!    service that stays put releases a node holding at most `capacity`
@@ -25,26 +35,36 @@
 //!    branch, into the nearest-free-node search. A fleet with more
 //!    services than the network has slots is rejected at construction,
 //!    so placement never fails mid-stream.
-//! 3. **Anonymize.** The slot row is scattered through the fleet's
-//!    Fisher–Yates permutation (drawn once, up front, from the same
-//!    seed stream as the batch engine).
+//! 3. **Anonymize, by gather.** The fleet's Fisher–Yates permutation
+//!    (drawn once, up front, from the same seed stream as the batch
+//!    engine) is kept as its inverse `inv`, and the observed row is
+//!    filled over destination bands on the pool:
+//!    `observed[p] = placed[inv[p]]`. The permutation is a bijection, so
+//!    this writes exactly the scatter `observed[perm[s]] = placed[s]`,
+//!    each output cell once, by one band. In the same pool scope each
+//!    user band counts the cells its users' real services were placed
+//!    in (`user_hist`).
 //! 4. **Detect.** The row feeds a
 //!    [`StreamingPrefixDetector`], which shares the batch detector's
-//!    per-slot kernel — and the slot's tracking/detection accuracy is
-//!    computed incrementally from the row and the returned tie set.
+//!    per-slot kernel.
+//! 5. **Accuracy, by cell counts.** The tie set's cells are counted
+//!    into `tie_hist`, and tracking hits are
+//!    `Σ_c tie_hist[c] · user_hist[c]`: the per-user sum
+//!    `Σ_u tie_hist[cell(u)]` regrouped by cell, an exact integer
+//!    identity, so the accuracy is bit-for-bit the per-user loop's.
 //!
 //! Because every random draw comes from the same per-user / per-chaff /
 //! shuffle seed streams as the batch engine, and the detector shares the
 //! batch per-slot kernel, a streamed run is **bit-for-bit** the batch
-//! `run_chaffed` + unified `detect_prefixes` pipeline —
-//! proptested across shard counts, budgets and mobility classes in
-//! `tests/streaming_equivalence.rs`.
+//! `run_chaffed` + unified `detect_prefixes` pipeline, for every band
+//! count — proptested across shard counts, budgets and mobility classes
+//! in `tests/streaming_equivalence.rs`.
 //!
 //! # Memory bound
 //!
 //! The engine never materializes the `N × T` grid. It holds the
-//! detector's running scores (`O(N · classes)`), one previous planned
-//! row, a handful of row scratch buffers, per-user RNG/controller state
+//! detector's running scores (`O(N · classes)`), a handful of row
+//! scratch buffers, per-user RNG/controller state
 //! (`O(N)`), and a bounded ring of the most recent observed rows
 //! (`O(width · ring_depth)`, [`ring_depth`](StreamingFleetEngine::ring_depth)
 //! rows deep) for consumers that want a trailing window — `O(width ·
@@ -66,6 +86,7 @@ use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default depth of the trailing observed-row ring.
 pub const DEFAULT_RING_DEPTH: usize = 8;
@@ -90,14 +111,6 @@ pub struct SlotStep {
     pub detection_accuracy: f64,
 }
 
-/// One user's persistent simulation state.
-struct UserLane {
-    /// The user's own mobility stream (unused on the ingest path).
-    rng: StdRng,
-    /// Current cell (`None` before the first slot).
-    now: Option<CellId>,
-}
-
 /// Bounded ring of the most recent observed slot rows (post-shuffle).
 /// Buffers are recycled, so steady-state allocation is exactly
 /// `depth × num_services` cells.
@@ -109,10 +122,11 @@ struct SlotRing {
 }
 
 impl SlotRing {
-    fn new(depth: usize) -> Self {
+    /// An empty ring whose first pushed row is slot `first_slot`.
+    fn new(depth: usize, first_slot: usize) -> Self {
         SlotRing {
             depth: depth.max(1),
-            first_slot: 0,
+            first_slot,
             rows: VecDeque::new(),
         }
     }
@@ -132,6 +146,48 @@ impl SlotRing {
     fn bytes(&self) -> usize {
         self.rows.iter().map(|r| r.capacity() * 4).sum()
     }
+}
+
+/// One band of the fused draw+chaff pass: users
+/// `first..first + cells.len()` with their disjoint slices of the user
+/// row, the user RNGs, the planned row (their `service_starts` range)
+/// and the chaff lanes.
+struct UserBand<'s, 'a> {
+    first: usize,
+    cells: &'s mut [CellId],
+    rngs: &'s mut [StdRng],
+    planned: &'s mut [CellId],
+    chaffs: &'s mut [(ChaffLane<'a>, StdRng)],
+}
+
+/// One band of the anonymizing gather: a destination range of the
+/// observed row with its `inv` entries, plus one user band's real
+/// services and the cell counts it fills.
+struct GatherBand<'s> {
+    out: &'s mut [CellId],
+    inv: &'s [u32],
+    user_services: &'s [usize],
+    user_hist: &'s mut [usize],
+}
+
+/// Cuts the front `len` elements off `rest` and returns them, leaving
+/// the remainder in `rest`.
+fn take_front<'s, T>(rest: &mut &'s mut [T], len: usize) -> &'s mut [T] {
+    let (front, back) = std::mem::take(rest).split_at_mut(len);
+    *rest = back;
+    front
+}
+
+/// Runs `work` on every band, one job per band on the process-wide
+/// pool. Bands own disjoint data, so the result never depends on which
+/// band runs first.
+fn run_bands<B: Send>(bands: impl Iterator<Item = B>, work: impl Fn(B) + Sync) {
+    let work = &work;
+    chaff_core::pool::global().scope(|scope| {
+        for band in bands {
+            scope.spawn(move || work(band));
+        }
+    });
 }
 
 /// The streaming fleet engine. Construct with
@@ -171,30 +227,38 @@ pub struct StreamingFleetEngine<'a> {
     config: FleetConfig,
     service_starts: Vec<usize>,
     num_services: usize,
-    /// `perm[original]` = post-shuffle position (identity when
-    /// anonymization is off).
-    perm: Vec<usize>,
+    /// `inv[position]` = the service observed at that post-shuffle
+    /// position: the inverse of the anonymization permutation (identity
+    /// when anonymization is off).
+    inv: Vec<u32>,
     user_observed_indices: Vec<usize>,
     /// `is_user[observed index]`: does this column carry a real user?
     is_user: Vec<bool>,
-    users: Vec<UserLane>,
+    /// Each user's own mobility stream (unused on the ingest path). The
+    /// user's current cell is `user_row[u]`.
+    user_rngs: Vec<StdRng>,
     /// Every chaff's controller with its independent RNG stream, flat in
     /// chaff-service order: user `u`'s lanes are
     /// `service_starts[u] - u..service_starts[u + 1] - u - 1`.
     chaffs: Vec<(ChaffLane<'a>, StdRng)>,
+    /// Users per band of the fused draw+chaff pass and of the gather.
+    band_users: usize,
     detector: StreamingPrefixDetector,
     ring: SlotRing,
-    /// Previous slot's planned (pre-shuffle) row, for migration counting
-    /// without capacity; swapped with `planned_row` after every slot.
-    planned_prev: Vec<CellId>,
+    /// This slot's planned (pre-shuffle) row. The draw+chaff pass
+    /// overwrites last slot's row in place, counting changed cells as
+    /// migrations when there is no capacity replay.
     planned_row: Vec<CellId>,
     observed_row: Vec<CellId>,
     user_row: Vec<CellId>,
     /// Capacity replay state: the shared network plus each service's
     /// current actual cell.
     network: Option<(MecNetwork, Vec<CellId>)>,
-    /// Cell histogram scratch for the per-slot tracking accuracy.
-    histogram: Vec<usize>,
+    /// Per band, how many users' real services were placed in each
+    /// cell this slot (`bands × cells`).
+    user_hist: Vec<usize>,
+    /// How many tie-set services sit in each cell (zero between slots).
+    tie_hist: Vec<usize>,
     stats: FleetStats,
     slot: usize,
 }
@@ -210,7 +274,10 @@ impl<'a> StreamingFleetEngine<'a> {
     /// rejects invalid configs, mismatched per-class policies,
     /// overflowing budgets and a capacity-limited fleet with more
     /// services than the network has slots
-    /// ([`SimError::InvalidConfig`] on `node_capacity`).
+    /// ([`SimError::InvalidConfig`] on `node_capacity`). A fleet with
+    /// more than `u32::MAX` services is rejected too
+    /// ([`SimError::InvalidConfig`] on `num_services`): the engine
+    /// indexes services through `u32` tables.
     pub fn new(
         chain: &'a MarkovChain,
         config: FleetConfig,
@@ -245,14 +312,15 @@ impl<'a> StreamingFleetEngine<'a> {
             policy.budget_of(user, model.class_of(user), n)
         })?;
         let num_services = *service_starts.last().expect("layout has n + 1 entries");
+        let width = u32::try_from(num_services).map_err(|_| SimError::InvalidConfig {
+            parameter: "num_services",
+            reason: format!("{num_services} services exceed the u32 service index"),
+        })?;
         check_fleet_fits(&config, model.num_states(), num_services)?;
         // Per-user persistent state: the same seed streams and chaff
         // lanes as the batch engine's `simulate_user_into`.
-        let users: Vec<UserLane> = (0..n)
-            .map(|user| UserLane {
-                rng: StdRng::seed_from_u64(user_seed(config.seed, user as u64)),
-                now: None,
-            })
+        let user_rngs: Vec<StdRng> = (0..n)
+            .map(|user| StdRng::seed_from_u64(user_seed(config.seed, user as u64)))
             .collect();
         let mut chaffs = Vec::with_capacity(num_services - n);
         for user in 0..n {
@@ -260,18 +328,25 @@ impl<'a> StreamingFleetEngine<'a> {
             chaffs.extend(model.chaff_lanes(policy, config.seed, user, budget));
         }
         // The batch engine shuffles once, at assembly; the same
-        // permutation (same seed stream) scatters every slot row here.
-        let perm = if config.anonymize {
+        // permutation (same seed stream), inverted, gathers every slot
+        // row here.
+        let (inv, user_observed_indices) = if config.anonymize {
             let mut rng = StdRng::seed_from_u64(shuffle_seed(config.seed));
-            fisher_yates(num_services, &mut rng)
+            let perm = fisher_yates(num_services, &mut rng);
+            let mut inv = vec![0u32; num_services];
+            for (service, &position) in (0..width).zip(&perm) {
+                inv[position] = service;
+            }
+            let indices = (0..n).map(|u| perm[service_starts[u]]).collect();
+            (inv, indices)
         } else {
-            (0..num_services).collect()
+            ((0..width).collect(), service_starts[..n].to_vec())
         };
-        let user_observed_indices: Vec<usize> = (0..n).map(|u| perm[service_starts[u]]).collect();
         let mut is_user = vec![false; num_services];
         for &idx in &user_observed_indices {
             is_user[idx] = true;
         }
+        let shards = config.effective_shards();
         // A multi-epoch registry arms the eavesdropper with the full
         // epoch-major table set (it knows the population's time-varying
         // model mix); stationary models keep the plain construction.
@@ -281,7 +356,7 @@ impl<'a> StreamingFleetEngine<'a> {
                     registry.to_epoch_tables(),
                     registry.schedule().clone(),
                     num_services,
-                    config.effective_shards(),
+                    shards,
                 )?
             }
             _ => {
@@ -291,11 +366,7 @@ impl<'a> StreamingFleetEngine<'a> {
                         .map(|c| registry.table(c).clone())
                         .collect(),
                 };
-                StreamingPrefixDetector::with_shards(
-                    tables,
-                    num_services,
-                    config.effective_shards(),
-                )?
+                StreamingPrefixDetector::with_shards(tables, num_services, shards)?
             }
         };
         // An adaptive policy needs the detector-side accuracy feedback to
@@ -311,7 +382,8 @@ impl<'a> StreamingFleetEngine<'a> {
             )),
             None => None,
         };
-        let histogram = vec![0usize; model.num_states()];
+        // The simulation bands are the detector's shards: one knob.
+        let band_users = n.div_ceil(shards);
         let stats = FleetStats {
             migrations: 0,
             spills: 0,
@@ -323,28 +395,31 @@ impl<'a> StreamingFleetEngine<'a> {
             config,
             service_starts,
             num_services,
-            perm,
+            inv,
             user_observed_indices,
             is_user,
-            users,
+            user_rngs,
             chaffs,
+            band_users,
             detector,
-            ring: SlotRing::new(DEFAULT_RING_DEPTH),
-            planned_prev: vec![CellId::new(0); num_services],
+            ring: SlotRing::new(DEFAULT_RING_DEPTH, 0),
             planned_row: vec![CellId::new(0); num_services],
             observed_row: vec![CellId::new(0); num_services],
             user_row: vec![CellId::new(0); n],
             network,
-            histogram,
+            user_hist: vec![0; n.div_ceil(band_users) * model.num_states()],
+            tie_hist: vec![0; model.num_states()],
             stats,
             slot: 0,
         })
     }
 
     /// Sets the depth of the trailing observed-row ring (clamped to at
-    /// least one row).
+    /// least one row). On an engine that has already stepped, the rows
+    /// buffered so far are dropped and the new ring starts at the next
+    /// slot.
     pub fn with_ring_depth(mut self, depth: usize) -> Self {
-        self.ring = SlotRing::new(depth);
+        self.ring = SlotRing::new(depth, self.slot);
         self
     }
 
@@ -446,15 +521,14 @@ impl<'a> StreamingFleetEngine<'a> {
     /// figure is the engine's `O(width · ring_depth + N)` columnar
     /// footprint, the quantity the memory-bound tests pin down.
     pub fn state_bytes(&self) -> usize {
-        let rows = self.planned_prev.capacity() * 4
-            + self.planned_row.capacity() * 4
+        let rows = self.planned_row.capacity() * 4
             + self.observed_row.capacity() * 4
             + self.user_row.capacity() * 4;
-        let tables = self.perm.capacity() * 8
+        let tables = self.inv.capacity() * 4
             + self.service_starts.capacity() * 8
             + self.user_observed_indices.capacity() * 8
             + self.is_user.capacity()
-            + self.histogram.capacity() * 8;
+            + (self.user_hist.capacity() + self.tie_hist.capacity()) * 8;
         let actual = self
             .network
             .as_ref()
@@ -475,20 +549,7 @@ impl<'a> StreamingFleetEngine<'a> {
         if self.slot >= self.config.horizon {
             return Ok(None);
         }
-        // Draw phase: each user advances by its own stream — the exact
-        // draw order of the batch engine's `simulate_user_into`, which
-        // interleaves user and chaff draws per slot but never across
-        // users (independent streams make user order irrelevant).
-        for user in 0..self.config.num_users {
-            let chain = self.model.chain_at_slot(user, self.slot);
-            let lane = &mut self.users[user];
-            let cell = match lane.now {
-                None => chain.initial().sample(&mut lane.rng),
-                Some(prev) => chain.step(prev, &mut lane.rng),
-            };
-            self.user_row[user] = cell;
-        }
-        self.advance_slot()
+        self.advance_slot(true)
     }
 
     /// Advances one slot with externally supplied user cells (trace
@@ -533,31 +594,17 @@ impl<'a> StreamingFleetEngine<'a> {
             }
         }
         self.user_row.copy_from_slice(user_cells);
-        self.advance_slot()
+        self.advance_slot(false)
     }
 
-    /// The shared slot tail: chaff injection, optional capacity replay,
-    /// anonymized scatter, ring append, online detection and incremental
-    /// accuracy. `self.user_row` holds this slot's user cells on entry.
-    fn advance_slot(&mut self) -> Result<Option<SlotStep>> {
+    /// One slot: the banded draw+chaff pass (drawing user cells when
+    /// `draw`, else reading the ingested `user_row`), optional capacity
+    /// replay, the banded anonymizing gather, ring append, online
+    /// detection and accuracy by cell counts.
+    fn advance_slot(&mut self, draw: bool) -> Result<Option<SlotStep>> {
         let n = self.config.num_users;
         let slot = self.slot;
-        // Chaff phase: always-follow for the real service, one
-        // controller step per chaff lane (lane order, like the batch
-        // engine).
-        for user in 0..n {
-            let cell = self.user_row[user];
-            self.users[user].now = Some(cell);
-            let (lo, hi) = (self.service_starts[user], self.service_starts[user + 1]);
-            let (real, planned) = self.planned_row[lo..hi]
-                .split_first_mut()
-                .expect("every user owns its real service");
-            *real = cell;
-            let lanes = &mut self.chaffs[lo - user..hi - user - 1];
-            for (out, (lane, chaff_rng)) in planned.iter_mut().zip(lanes) {
-                *out = lane.advance(cell, &[], chaff_rng);
-            }
-        }
+        let planned_moves = self.draw_and_chaff(draw);
         // Placement phase: the shared slot kernel with capacity, the
         // planned row itself without.
         let placed: &[CellId] = if let Some((network, actual)) = &mut self.network {
@@ -571,38 +618,62 @@ impl<'a> StreamingFleetEngine<'a> {
             actual
         } else {
             if slot > 0 {
-                self.stats.migrations += self
-                    .planned_row
-                    .iter()
-                    .zip(&self.planned_prev)
-                    .filter(|(now, prev)| now != prev)
-                    .count();
+                self.stats.migrations += planned_moves;
             }
             &self.planned_row
         };
-        for (&cell, &position) in placed.iter().zip(&self.perm) {
-            self.observed_row[position] = cell;
-        }
-        std::mem::swap(&mut self.planned_prev, &mut self.planned_row);
+        // Anonymize phase: gather through `inv` over destination bands;
+        // the same jobs count where each user band's real services went.
+        let states = self.tie_hist.len();
+        let bands = n.div_ceil(self.band_users);
+        let dest_len = self.num_services.div_ceil(bands);
+        let mut out = &mut self.observed_row[..];
+        let mut inv = &self.inv[..];
+        let mut users = &self.service_starts[..n];
+        let mut hists = &mut self.user_hist[..];
+        let bands = (0..bands).map(|_| {
+            let (inv_band, inv_rest) = inv.split_at(dest_len.min(inv.len()));
+            inv = inv_rest;
+            let (user_band, user_rest) = users.split_at(self.band_users.min(users.len()));
+            users = user_rest;
+            GatherBand {
+                out: take_front(&mut out, inv_band.len()),
+                inv: inv_band,
+                user_services: user_band,
+                user_hist: take_front(&mut hists, states),
+            }
+        });
+        run_bands(bands, |band| {
+            for (cell, &service) in band.out.iter_mut().zip(band.inv) {
+                *cell = placed[service as usize];
+            }
+            band.user_hist.fill(0);
+            for &service in band.user_services {
+                band.user_hist[placed[service].index()] += 1;
+            }
+        });
         self.ring.push(&self.observed_row);
         // Detection phase: the shared per-slot kernel. Cells come from a
         // validated model or a pre-validated ingest row, so this cannot
         // fail — but a typed propagation beats an unwrap if an invariant
         // ever breaks.
         let detection = self.detector.push_slot(&self.observed_row)?;
-        // Incremental accuracy: the per-slot bodies of
-        // `mean_tracking_accuracy_columnar` / `mean_detection_accuracy`.
+        // Accuracy phase: the per-slot bodies of
+        // `mean_tracking_accuracy_columnar` / `mean_detection_accuracy`,
+        // with the per-user tracking sum regrouped by cell.
         let tie = detection.tie_set();
         for &i in tie {
-            self.histogram[self.observed_row[i].index()] += 1;
+            self.tie_hist[self.observed_row[i].index()] += 1;
         }
-        let mut hits = 0usize;
-        for &u in &self.user_observed_indices {
-            hits += self.histogram[self.observed_row[u].index()];
-        }
+        let hits: usize = self
+            .user_hist
+            .chunks_exact(states)
+            .flat_map(|band| band.iter().zip(&self.tie_hist))
+            .map(|(&users, &ties)| users * ties)
+            .sum();
         let tracking_accuracy = hits as f64 / tie.len() as f64 / n as f64;
         for &i in tie {
-            self.histogram[self.observed_row[i].index()] = 0;
+            self.tie_hist[self.observed_row[i].index()] = 0;
         }
         let named = tie.iter().filter(|&&i| self.is_user[i]).count();
         let detection_accuracy = named as f64 / tie.len() as f64 / n as f64;
@@ -614,6 +685,79 @@ impl<'a> StreamingFleetEngine<'a> {
             tracking_accuracy,
             detection_accuracy,
         }))
+    }
+
+    /// The fused draw+chaff pass over user bands. Each user in turn
+    /// draws its cell (when `draw`; the ingest path has already written
+    /// it to `user_row`), writes its real service, then advances its
+    /// chaff lanes, all into the planned row in place. Returns how many
+    /// planned cells changed from last slot's row: the uncapped
+    /// migration count once `slot > 0`.
+    fn draw_and_chaff(&mut self, draw: bool) -> usize {
+        let StreamingFleetEngine {
+            model,
+            service_starts,
+            user_rngs,
+            chaffs,
+            band_users,
+            planned_row,
+            user_row,
+            slot,
+            ..
+        } = self;
+        let (model, slot, band_users, starts) = (*model, *slot, *band_users, &service_starts[..]);
+        let n = user_row.len();
+        let mut cells = &mut user_row[..];
+        let mut rngs = &mut user_rngs[..];
+        let mut planned = &mut planned_row[..];
+        let mut lanes = &mut chaffs[..];
+        let bands = (0..n).step_by(band_users).map(|first| {
+            let last = (first + band_users).min(n);
+            let services = starts[last] - starts[first];
+            UserBand {
+                first,
+                cells: take_front(&mut cells, last - first),
+                rngs: take_front(&mut rngs, last - first),
+                planned: take_front(&mut planned, services),
+                chaffs: take_front(&mut lanes, services - (last - first)),
+            }
+        });
+        let moves = AtomicUsize::new(0);
+        run_bands(bands, |band| {
+            let base = starts[band.first];
+            let mut band_moves = 0usize;
+            for (j, (now, rng)) in band.cells.iter_mut().zip(band.rngs).enumerate() {
+                let user = band.first + j;
+                if draw {
+                    // Each user's arrival is drawn from that slot's
+                    // epoch-active chain, from its own stream.
+                    let chain = model.chain_at_slot(user, slot);
+                    *now = if slot == 0 {
+                        chain.initial().sample(rng)
+                    } else {
+                        chain.step(*now, rng)
+                    };
+                }
+                let cell = *now;
+                // Always-follow for the real service, then one
+                // controller step per chaff lane (lane order, like the
+                // batch engine).
+                let (lo, hi) = (starts[user] - base, starts[user + 1] - base);
+                let (real, planned) = band.planned[lo..hi]
+                    .split_first_mut()
+                    .expect("every user owns its real service");
+                band_moves += usize::from(*real != cell);
+                *real = cell;
+                let lanes = &mut band.chaffs[lo - j..hi - j - 1];
+                for (out, (lane, chaff_rng)) in planned.iter_mut().zip(lanes) {
+                    let next = lane.advance(cell, &[], chaff_rng);
+                    band_moves += usize::from(*out != next);
+                    *out = next;
+                }
+            }
+            moves.fetch_add(band_moves, Ordering::Relaxed);
+        });
+        moves.into_inner()
     }
 }
 
@@ -661,6 +805,43 @@ mod tests {
         assert!(engine.observed_row(7).is_some());
         assert!(engine.observed_row(9).is_some());
         assert!(engine.observed_row(10).is_none());
+    }
+
+    #[test]
+    fn late_ring_depth_keeps_absolute_slot_labels() {
+        let c = chain(2);
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 1);
+        let config = FleetConfig::new(5, 10).with_seed(4);
+        let mut twin = StreamingFleetEngine::new(&c, config.clone(), &policy).unwrap();
+        let mut engine = StreamingFleetEngine::new(&c, config, &policy).unwrap();
+        for _ in 0..5 {
+            engine.step().unwrap();
+        }
+        let mut engine = engine.with_ring_depth(3);
+        assert_eq!(engine.buffered_slots(), 5..5);
+        engine.step().unwrap();
+        for _ in 0..6 {
+            twin.step().unwrap();
+        }
+        assert_eq!(engine.buffered_slots(), 5..6);
+        assert!(engine.observed_row(0).is_none());
+        assert_eq!(engine.observed_row(5), twin.observed_row(5));
+    }
+
+    #[test]
+    fn services_beyond_the_u32_index_are_rejected_before_allocating() {
+        // One user with u32::MAX chaffs: 2³² services. Building its
+        // lanes would take hundreds of GiB, so only an up-front
+        // rejection lets this test finish.
+        let c = chain(3);
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, u32::MAX as usize);
+        assert!(matches!(
+            StreamingFleetEngine::new(&c, FleetConfig::new(1, 1), &policy),
+            Err(SimError::InvalidConfig {
+                parameter: "num_services",
+                ..
+            })
+        ));
     }
 
     #[test]

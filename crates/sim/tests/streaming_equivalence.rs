@@ -332,6 +332,161 @@ fn tight_capacity_spills_and_streams_bit_for_bit() {
     assert!(stats.spills > 0, "tight capacity never spilled: {stats:?}");
 }
 
+/// Everything a streamed run exposes, slot by slot and at the end.
+#[derive(PartialEq)]
+struct StreamRun {
+    detections: Vec<chaff_core::detector::Detection>,
+    /// Per-slot (tracking, detection) accuracy bits.
+    accuracy_bits: Vec<(u64, u64)>,
+    rows: Vec<Vec<CellId>>,
+    stats: chaff_sim::fleet::FleetStats,
+    feedback_bits: Vec<u64>,
+}
+
+/// Streams a registry fleet to its horizon with `shards` bands, drawing
+/// user cells, or ingesting them from `ingest` (user-major rows) when
+/// given.
+fn stream_run(
+    registry: &MobilityRegistry,
+    config: FleetConfig,
+    policy: &FleetChaffPolicy,
+    shards: usize,
+    ingest: Option<&chaff_markov::TrajectoryArena>,
+) -> StreamRun {
+    let horizon = config.horizon;
+    let users = config.num_users;
+    let mut engine =
+        StreamingFleetEngine::with_registry(registry, config.with_shards(shards), policy)
+            .expect("engine")
+            .with_ring_depth(horizon)
+            .with_feedback();
+    let mut detections = Vec::with_capacity(horizon);
+    let mut accuracy_bits = Vec::with_capacity(horizon);
+    for t in 0..horizon {
+        let step = match ingest {
+            Some(cells) => {
+                let row: Vec<CellId> = (0..users).map(|u| cells.row(u)[t]).collect();
+                engine.step_ingested(&row)
+            }
+            None => engine.step(),
+        }
+        .expect("streamed slot")
+        .expect("within horizon");
+        accuracy_bits.push((
+            step.tracking_accuracy.to_bits(),
+            step.detection_accuracy.to_bits(),
+        ));
+        detections.push(step.detection);
+    }
+    StreamRun {
+        detections,
+        accuracy_bits,
+        rows: (0..horizon)
+            .map(|t| engine.observed_row(t).expect("ring").to_vec())
+            .collect(),
+        stats: engine.stats(),
+        feedback_bits: engine
+            .user_feedback()
+            .expect("feedback on")
+            .iter()
+            .map(|a| a.to_bits())
+            .collect(),
+    }
+}
+
+/// The batch pipeline's run in the same shape. Per-slot accuracies use
+/// the per-user loop over observed rows (tie-set cell histogram, one
+/// lookup per user), the form the engine's cell counts must reproduce
+/// exactly.
+fn batch_run(
+    registry: &MobilityRegistry,
+    config: FleetConfig,
+    policy: &FleetChaffPolicy,
+) -> (StreamRun, FleetOutcome) {
+    let (batch, detections) = batch_pipeline(registry, config, policy, 2);
+    let users = batch.user_observed_indices.len() as f64;
+    let mut histogram = vec![0usize; registry.num_states()];
+    let accuracy_bits = detections
+        .iter()
+        .enumerate()
+        .map(|(t, detection)| {
+            let row = batch.observed.row(t);
+            let tie = detection.tie_set();
+            for &i in tie {
+                histogram[row[i].index()] += 1;
+            }
+            let hits: usize = batch
+                .user_observed_indices
+                .iter()
+                .map(|&u| histogram[row[u].index()])
+                .sum();
+            histogram.fill(0);
+            let named = tie
+                .iter()
+                .filter(|i| batch.user_observed_indices.contains(i))
+                .count();
+            let ties = tie.len() as f64;
+            (
+                (hits as f64 / ties / users).to_bits(),
+                (named as f64 / ties / users).to_bits(),
+            )
+        })
+        .collect();
+    let bridged = chaff_core::detector::AccuracyFeedback::from_detections(
+        batch.observed.num_trajectories(),
+        &detections,
+    );
+    let run = StreamRun {
+        accuracy_bits,
+        rows: (0..detections.len())
+            .map(|t| batch.observed.row(t).to_vec())
+            .collect(),
+        stats: batch.stats,
+        feedback_bits: batch
+            .user_observed_indices
+            .iter()
+            .map(|&column| bridged.accuracy(column).to_bits())
+            .collect(),
+        detections,
+    };
+    (run, batch)
+}
+
+/// The banded slot pass cannot depend on its band count: at
+/// `N = 2·10⁴` over a 3-class registry (IM / CML / MO at `B = 2`), runs
+/// with 1, 2, 3 and 8 bands (`with_shards`) equal each other and the
+/// batch pipeline bit for bit — uncapped, capped with spills, and on the
+/// ingest path.
+#[test]
+fn band_count_never_changes_a_streamed_fleet_at_scale() {
+    use chaff_sim::fleet::FleetChaffStrategy::{Cml, Im, Mo};
+
+    let registry = mixed_registry(2017, 8, 3);
+    let policy = FleetChaffPolicy::per_class(vec![(Im, 2), (Cml, 2), (Mo, 2)]);
+    let (users, horizon) = (20_000, 6);
+    let uncapped = FleetConfig::new(users, horizon).with_seed(31);
+    // A tight fit of the 60,000 services on 8 cells, so nodes fill up.
+    let capped = uncapped
+        .clone()
+        .with_capacity((users * 3).div_ceil(registry.num_states()));
+    for (label, config) in [("uncapped", uncapped), ("capped", capped)] {
+        let (expected, batch) = batch_run(&registry, config.clone(), &policy);
+        if label == "capped" {
+            assert!(batch.stats.spills > 0, "tight capacity never spilled");
+        }
+        for shards in [1, 2, 3, 8] {
+            let drawn = stream_run(&registry, config.clone(), &policy, shards, None);
+            assert!(drawn == expected, "{label}: {shards} bands diverged");
+            let cells = Some(&batch.user_cells);
+            let ingested = stream_run(&registry, config.clone(), &policy, shards, cells);
+            assert!(
+                ingested == expected,
+                "{label}, ingested: {shards} bands diverged"
+            );
+        }
+    }
+}
+
 /// FNV-1a over a detection stream: tie-set lengths and indices, slot by
 /// slot — a compact, layout-independent fingerprint.
 fn detection_checksum(detections: &[chaff_core::detector::Detection]) -> u64 {
