@@ -1,4 +1,5 @@
-//! The fleet-scale detection core: batched, sharded prefix detection.
+//! The fleet-scale detection entry point: batched, sharded prefix
+//! detection.
 //!
 //! [`MlDetector::detect_prefixes`](super::MlDetector::detect_prefixes)
 //! walks the transition matrix per trajectory (one `ln` per step) and
@@ -7,46 +8,59 @@
 //! [`BatchPrefixDetector`] produces *identical* detections from a
 //! different execution plan:
 //!
-//! 1. the mobility model's log-likelihoods are cached once in a
-//!    [`LogLikelihoodTable`] (columnar kernel, no `ln` on the hot path);
-//! 2. trajectories are split into contiguous index shards, and each shard
-//!    accumulates its slice of the flat `N × T` cumulative-score matrix
-//!    slot by slot on the process-wide worker [`pool`](crate::pool) (no
-//!    per-call thread spawns) through the vectorized per-slot kernels of
-//!    [`kernel`];
-//! 3. every shard extracts its per-slot argmax candidates (and optional
-//!    top-k) *during* the accumulation pass, so building the per-slot
-//!    [`Detection`]s is a cheap cross-shard merge instead of a fresh
-//!    `O(N)` scan with an index-vector allocation per slot.
-//!
-//! Determinism: each trajectory's score is accumulated in slot order by
-//! exactly one shard, maxima merge with exact comparisons, and tie sets
-//! are emitted in increasing index order — so results are bit-for-bit
-//! independent of the shard count and equal to the per-trajectory path.
+//! 1. the mobility model's log-likelihoods are read from cached
+//!    [`LogLikelihoodTable`]s (no `ln` on the hot path), borrowed from
+//!    the caller's model — no request clones a table;
+//! 2. the population is split into contiguous shard lanes, each of which
+//!    accumulates its services' running prefix scores on the
+//!    process-wide worker [`pool`](crate::pool) (no per-call thread
+//!    spawns) and extracts its per-slot argmax candidates *during* the
+//!    pass;
+//! 3. one cross-lane merge turns each slot's lane candidates into the
+//!    slot's [`Detection`] — no `N × T` score matrix is ever built and no
+//!    `O(N)` rescan runs per slot.
 //!
 //! All of this sits behind **one entry point**:
 //! [`BatchPrefixDetector::detect_prefixes`] takes a [`DetectInput`]
-//! pairing a model ([`DetectModel`]: chain, table, per-class tables, or
-//! registry) with an observation set ([`DetectObservations`]:
-//! trajectories, a columnar grid, or a paged [`SlotRowSource`] stream)
-//! and dispatches to the matching execution plan. Heterogeneous
-//! (multi-class) models score the enlarged chaffed candidate set against
-//! one table per mobility-model class (best class per prefix), with the
-//! same sharded, reproducible semantics; paged observations run through
-//! the online kernel ([`StreamingPrefixDetector`](super::StreamingPrefixDetector))
-//! in `O(N)` state, so fleet stores larger than RAM stream straight into
-//! detection. Time-varying models enter through
-//! [`DetectModel::Schedule`]: a multi-epoch
-//! [`MobilityRegistry`] is scored with
-//! its [`EpochSchedule`](chaff_markov::EpochSchedule), each slot under
-//! that slot's epoch tables, via the same online kernel.
+//! pairing a model ([`DetectModel`]: chain, table, per-class tables,
+//! registry or epoch schedule) with an observation set
+//! ([`DetectObservations`]). The model resolves to borrowed epoch-major
+//! tables (one epoch unless the model is a time-varying
+//! [`DetectModel::Schedule`]), and the observation representation picks
+//! the execution plan:
+//!
+//! * **columnar grids** (and time-varying models over trajectories,
+//!   after a transpose) run on the streaming detector's shard lanes, all
+//!   slots of a lane in one pool job (see [`streaming`](super::streaming));
+//! * **paged** [`SlotRowSource`]s run the same lanes one slot per pool
+//!   scope, in `O(N · classes)` state, so stores larger than RAM stream
+//!   straight into detection;
+//! * **trajectories** under a stationary model keep their
+//!   trajectory-major passes (one trajectory's whole horizon at a time,
+//!   unit stride), which beat transposing first. They emit the same
+//!   per-lane slot summaries into the same merge.
+//!
+//! Heterogeneous (multi-class) models score the chaffed candidate set
+//! against one table per mobility-model class (best class per prefix).
+//!
+//! Determinism: each trajectory's score is accumulated in slot order by
+//! exactly one lane, maxima merge with exact comparisons, and tie sets
+//! are emitted in increasing index order — so results are bit-for-bit
+//! independent of the shard count and of the representation, and equal
+//! to the per-trajectory path.
 
-use super::input::{DetectInput, DetectModel, DetectObservations, GridRowSource, SlotRowSource};
-use super::kernel::{self, fold};
+use super::input::{DetectInput, DetectModel, DetectObservations, SlotRowSource};
+use super::kernel::fold;
 use super::ml::validate_observations;
+use super::streaming::{
+    detect_grid, lane_ranges, merge_horizon, run_lanes, step_lanes, validate_epoch_tables,
+    LaneSlots, ShardLane,
+};
 use super::{argmax_set, Detection};
-use crate::{loglik_cmp, Result};
-use chaff_markov::{CellGrid, LogLikelihoodTable, MarkovChain, MobilityRegistry, Trajectory};
+use crate::Result;
+use chaff_markov::{
+    CellGrid, EpochSchedule, LogLikelihoodTable, MarkovChain, MobilityRegistry, Trajectory,
+};
 
 /// Largest supported population: candidate trackers store service
 /// indices as `u32` (half the footprint of `usize` at fleet scale), so
@@ -122,14 +136,14 @@ impl BatchPrefixDetector {
         }
     }
 
-    /// The shard count used for a population of `n` trajectories.
-    fn effective_shards(&self, n: usize) -> usize {
-        let requested = self.shards.unwrap_or_else(|| {
+    /// The requested shard count (the lane partition clamps it to the
+    /// population).
+    fn shards(&self) -> usize {
+        self.shards.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
-        });
-        requested.clamp(1, n.max(1))
+        })
     }
 
     /// Detects over full trajectories (the final-slot decision), scoring
@@ -141,27 +155,14 @@ impl BatchPrefixDetector {
     pub fn detect(&self, chain: &MarkovChain, observed: &[Trajectory]) -> Result<Detection> {
         validate_observations(chain, observed)?;
         let table = chain.log_likelihood_table();
-        let n = observed.len();
-        let shards = self.effective_shards(n);
-        let mut scores = vec![0.0f64; n];
-        if shards <= 1 {
-            for (score, x) in scores.iter_mut().zip(observed) {
-                *score = table.log_likelihood(x);
-            }
-        } else {
-            let chunk = n.div_ceil(shards);
-            crate::pool::global().scope(|scope| {
-                for (slice, xs) in scores.chunks_mut(chunk).zip(observed.chunks(chunk)) {
-                    let table = &table;
-                    scope.spawn(move || {
-                        for (score, x) in slice.iter_mut().zip(xs) {
-                            *score = table.log_likelihood(x);
-                        }
-                    });
-                }
-            });
-        }
-        Ok(Detection::new(argmax_set(&scores, None)))
+        let mut ranges = lane_ranges(observed.len(), self.shards());
+        let scores = run_lanes(&mut ranges, |&mut (lo, hi)| {
+            Ok(observed[lo..hi]
+                .iter()
+                .map(|x| table.log_likelihood(x))
+                .collect::<Vec<f64>>())
+        })?;
+        Ok(Detection::new(argmax_set(&scores.concat(), None)))
     }
 
     /// Detects once per slot using observation prefixes — the unified
@@ -203,174 +204,70 @@ impl BatchPrefixDetector {
             model,
             observations,
         } = input;
-        // A genuinely time-varying model runs its own driver; a
-        // one-epoch `Schedule` *is* the registry's stationary view and
-        // falls through to the `Registry` arm verbatim (the
+        // Resolve the model to borrowed epoch-major tables; only the
+        // `Chain` arm owns a table, the one it builds here. A one-epoch
+        // `Schedule` resolves exactly like `Registry` (the
         // reduction-to-stationary guarantee).
-        let model = match model {
-            DetectModel::Schedule(registry) if !registry.is_stationary() => {
-                return self.prefixes_schedule(registry, observations);
-            }
-            DetectModel::Schedule(registry) => DetectModel::Registry(registry),
-            other => other,
-        };
-        // Resolve the model to a per-class table slice; the `Chain` arm
-        // owns its freshly built table, the others borrow the caller's.
         let built_table;
-        let single_ref: [&LogLikelihoodTable; 1];
-        let registry_refs: Vec<&LogLikelihoodTable>;
-        let tables: &[&LogLikelihoodTable] = match model {
+        let stationary = EpochSchedule::stationary();
+        let (epoch_tables, schedule): (Vec<Vec<&LogLikelihoodTable>>, _) = match model {
             DetectModel::Chain(chain) => {
                 built_table = chain.log_likelihood_table();
-                single_ref = [&built_table];
-                &single_ref
+                (vec![vec![&built_table]], &stationary)
             }
-            DetectModel::Table(table) => {
-                single_ref = [table];
-                &single_ref
-            }
-            DetectModel::Tables(tables) => tables,
-            // `Schedule` was normalized above: multi-epoch registries
-            // returned early, one-epoch ones became `Registry`. Scoring
-            // epoch 0 here keeps the match total without a panic site.
-            DetectModel::Registry(registry) | DetectModel::Schedule(registry) => {
-                registry_refs = registry.tables();
-                &registry_refs
-            }
+            DetectModel::Table(table) => (vec![vec![table]], &stationary),
+            DetectModel::Tables(tables) => (vec![tables.to_vec()], &stationary),
+            DetectModel::Registry(registry) => (vec![registry.tables()], &stationary),
+            DetectModel::Schedule(registry) => (epoch_tables(registry), registry.schedule()),
         };
+        validate_epoch_tables(&epoch_tables, schedule)?;
         match observations {
-            DetectObservations::Trajectories(observed) => {
-                self.prefixes_trajectories(tables, observed)
+            DetectObservations::Trajectories(observed) if epoch_tables.len() == 1 => {
+                self.prefixes_trajectories(&epoch_tables[0], observed)
             }
-            DetectObservations::Columnar(grid) => self.prefixes_columnar(tables, grid),
-            DetectObservations::Paged(source) => self.prefixes_paged(tables, source),
+            DetectObservations::Trajectories(observed) => {
+                validate_shape(observed)?;
+                let grid = CellGrid::from_trajectories(observed)?;
+                detect_grid(&epoch_tables, schedule, &grid, self.shards())
+            }
+            DetectObservations::Columnar(grid) => {
+                validate_grid(grid)?;
+                detect_grid(&epoch_tables, schedule, grid, self.shards())
+            }
+            DetectObservations::Paged(source) => {
+                self.prefixes_paged(&epoch_tables, schedule, source)
+            }
         }
     }
 
-    /// Per-trajectory workhorse: single-table fast path, mixture pass
-    /// otherwise. Shapes are checked up front; cell ranges are checked
-    /// inside the sharded pass (fused with the first read of each tile)
-    /// so the hot path never walks the observation set twice.
+    /// Trajectory-major workhorse for stationary models: the single-table
+    /// or the mixture pass per lane, then the shared merge. Shapes are
+    /// checked up front; cell ranges are checked inside the pass (fused
+    /// with the first read of each cell) so the hot path never walks the
+    /// observation set twice.
     fn prefixes_trajectories(
         &self,
         tables: &[&LogLikelihoodTable],
         observed: &[Trajectory],
     ) -> Result<Vec<Detection>> {
-        let first = validate_tables(tables)?;
         let horizon = validate_shape(observed)?;
-        let scores = if tables.len() == 1 {
-            self.run(first, observed, 0, false)?
-        } else {
-            self.run_sharded(observed.len(), horizon, |range| {
-                shard_pass_mixture(tables, observed, range)
-            })?
-        };
-        Ok(merge_detections(&scores))
+        let mut ranges = lane_ranges(observed.len(), self.shards());
+        let slots = run_lanes(&mut ranges, |&mut range| match tables {
+            [table] => shard_pass_light(table, observed, range),
+            _ => shard_pass_mixture(tables, observed, range),
+        })?;
+        Ok(merge_horizon(&slots, horizon))
     }
 
-    /// Columnar workhorse: streams the slot-major grid row by row,
-    /// keeping only `O(shard width)` running state — the full `N × T`
-    /// score matrix is never materialized. Bit-for-bit equal to the
-    /// per-trajectory workhorse over [`CellGrid::to_trajectories`], for
-    /// every shard count.
-    fn prefixes_columnar(
-        &self,
-        tables: &[&LogLikelihoodTable],
-        observed: &CellGrid,
-    ) -> Result<Vec<Detection>> {
-        let first = validate_tables(tables)?;
-        validate_grid(observed)?;
-        let scores =
-            self.run_sharded(observed.num_trajectories(), observed.horizon(), |range| {
-                if tables.len() == 1 {
-                    shard_pass_columnar(first, observed, range)
-                } else {
-                    shard_pass_columnar_mixture(tables, observed, range)
-                }
-            })?;
-        Ok(merge_detections(&scores))
-    }
-
-    /// Paged workhorse: pulls slot rows from the source and pushes them
-    /// through a [`StreamingPrefixDetector`](super::StreamingPrefixDetector)
-    /// sized like this detector's shards — the same per-slot kernels as
-    /// the columnar pass, so detections are bit-for-bit equal to loading
-    /// the whole grid, while state stays `O(N · classes)` regardless of
-    /// how large the backing store is.
+    /// The row-drive loop for paged sources: pulls slot rows from the
+    /// source and advances the shard lanes one slot per pool scope, each
+    /// slot under its epoch's borrowed tables. State stays
+    /// `O(N · classes)` however large the backing store is, and
+    /// detections are bit-for-bit those of loading the whole grid.
     fn prefixes_paged(
         &self,
-        tables: &[&LogLikelihoodTable],
-        source: &mut dyn SlotRowSource,
-    ) -> Result<Vec<Detection>> {
-        validate_tables(tables)?;
-        let n = source.num_trajectories();
-        let horizon = source.horizon();
-        if n == 0 {
-            return Err(crate::CoreError::NoTrajectories);
-        }
-        if horizon == 0 {
-            return Err(crate::CoreError::EmptyTrajectory);
-        }
-        ensure_population_fits(n)?;
-        let owned: Vec<LogLikelihoodTable> = tables.iter().map(|&t| t.clone()).collect();
-        let mut online =
-            super::StreamingPrefixDetector::with_shards(owned, n, self.effective_shards(n))?;
-        let mut out = Vec::with_capacity(horizon);
-        while let Some(row) = source.next_row()? {
-            if out.len() == horizon {
-                return Err(crate::CoreError::RowSource {
-                    slot: out.len(),
-                    reason: format!("source ran past its declared horizon of {horizon} slots"),
-                });
-            }
-            out.push(online.push_slot(row)?);
-        }
-        if out.len() != horizon {
-            return Err(crate::CoreError::RowSource {
-                slot: out.len(),
-                reason: format!(
-                    "source ended after {} of {horizon} declared slot rows",
-                    out.len()
-                ),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Time-varying workhorse behind [`DetectModel::Schedule`]: every
-    /// observation representation is driven slot row by slot row through
-    /// a schedule-aware
-    /// [`StreamingPrefixDetector`](super::StreamingPrefixDetector), so
-    /// the arrival at slot `s` is scored under epoch
-    /// `schedule.epoch_of(s)`'s per-class tables — the same per-slot
-    /// kernels as every stationary path, with the table set swapped by
-    /// the epoch clock. Detections stay bit-for-bit independent of the
-    /// shard count and of the observation representation.
-    fn prefixes_schedule(
-        &self,
-        registry: &MobilityRegistry,
-        observations: DetectObservations<'_>,
-    ) -> Result<Vec<Detection>> {
-        match observations {
-            DetectObservations::Trajectories(observed) => {
-                validate_shape(observed)?;
-                let grid = CellGrid::from_trajectories(observed)?;
-                self.schedule_paged(registry, &mut GridRowSource::new(&grid))
-            }
-            DetectObservations::Columnar(grid) => {
-                validate_grid(grid)?;
-                self.schedule_paged(registry, &mut GridRowSource::new(grid))
-            }
-            DetectObservations::Paged(source) => self.schedule_paged(registry, source),
-        }
-    }
-
-    /// The row-drive loop of [`prefixes_schedule`](Self::prefixes_schedule):
-    /// [`prefixes_paged`](Self::prefixes_paged) with the detector built
-    /// from the registry's full epoch-major table set.
-    fn schedule_paged(
-        &self,
-        registry: &MobilityRegistry,
+        epoch_tables: &[Vec<&LogLikelihoodTable>],
+        schedule: &EpochSchedule,
         source: &mut dyn SlotRowSource,
     ) -> Result<Vec<Detection>> {
         let n = source.num_trajectories();
@@ -382,21 +279,28 @@ impl BatchPrefixDetector {
             return Err(crate::CoreError::EmptyTrajectory);
         }
         ensure_population_fits(n)?;
-        let mut online = super::StreamingPrefixDetector::with_schedule(
-            registry.to_epoch_tables(),
-            registry.schedule().clone(),
-            n,
-            self.effective_shards(n),
-        )?;
+        let mut lanes = ShardLane::partition(n, self.shards(), epoch_tables[0].len());
+        let mut prev_row = Vec::with_capacity(n);
         let mut out = Vec::with_capacity(horizon);
         while let Some(row) = source.next_row()? {
-            if out.len() == horizon {
+            let slot = out.len();
+            if slot == horizon {
                 return Err(crate::CoreError::RowSource {
-                    slot: out.len(),
+                    slot,
                     reason: format!("source ran past its declared horizon of {horizon} slots"),
                 });
             }
-            out.push(online.push_slot(row)?);
+            if row.len() != n {
+                return Err(crate::CoreError::LengthMismatch {
+                    expected: n,
+                    found: row.len(),
+                });
+            }
+            let prev = (slot > 0).then_some(prev_row.as_slice());
+            let tables = &epoch_tables[schedule.epoch_of(slot)];
+            out.push(step_lanes(&mut lanes, tables, row, prev)?);
+            prev_row.clear();
+            prev_row.extend_from_slice(row);
         }
         if out.len() != horizon {
             return Err(crate::CoreError::RowSource {
@@ -408,139 +312,14 @@ impl BatchPrefixDetector {
             });
         }
         Ok(out)
-    }
-
-    /// Scores every prefix, returning the full flat `N × T`
-    /// cumulative-score matrix with per-slot argmax sets and global top-`k`
-    /// rankings extracted incrementally during the sharded pass.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`MlDetector::detect`](super::MlDetector::detect).
-    pub fn score_prefixes(
-        &self,
-        chain: &MarkovChain,
-        observed: &[Trajectory],
-        top_k: usize,
-    ) -> Result<PrefixScores> {
-        validate_observations(chain, observed)?;
-        ensure_population_fits(observed.len())?;
-        let table = chain.log_likelihood_table();
-        let shard_scores = self.run(&table, observed, top_k, true)?;
-        let detections = merge_detections(&shard_scores);
-        let top = merge_top_k(&shard_scores, top_k);
-        let n = observed.len();
-        let horizon = shard_scores.horizon;
-        // Assemble the flat slot-major matrix from the shard blocks.
-        let mut scores = vec![0.0f64; n * horizon];
-        for t in 0..horizon {
-            let row = &mut scores[t * n..(t + 1) * n];
-            for shard in &shard_scores.shards {
-                let width = shard.hi - shard.lo;
-                // The block pass always materializes its slice
-                // (`keep_block` above); `Option::iter` keeps that
-                // invariant structural instead of a panic site.
-                for block in shard.block.iter() {
-                    row[shard.lo..shard.hi].copy_from_slice(&block[t * width..(t + 1) * width]);
-                }
-            }
-        }
-        Ok(PrefixScores {
-            num_trajectories: n,
-            horizon,
-            scores,
-            detections,
-            top_k: top_k.min(n),
-            top,
-        })
-    }
-
-    /// The sharded accumulation pass. `observed` must already be
-    /// validated. `top_k == 0` skips top-k bookkeeping; `keep_block`
-    /// materializes each shard's slice of the cumulative-score matrix
-    /// (needed by [`score_prefixes`](Self::score_prefixes) only — the
-    /// plain detection path tracks candidates with a running column and
-    /// never writes the matrix).
-    fn run(
-        &self,
-        table: &LogLikelihoodTable,
-        observed: &[Trajectory],
-        top_k: usize,
-        keep_block: bool,
-    ) -> Result<ShardedScores> {
-        let horizon = observed.first().map_or(0, Trajectory::len);
-        self.run_sharded(observed.len(), horizon, |range| {
-            if keep_block {
-                shard_pass_block(table, observed, range, top_k)
-            } else {
-                shard_pass_light(table, observed, range)
-            }
-        })
-    }
-
-    /// The sharding scaffold shared by every pass: splits the population
-    /// of `n` trajectories into contiguous index ranges, runs `pass` per
-    /// range (on the shared worker pool when more than one range exists)
-    /// and collects results in shard order.
-    fn run_sharded<F>(&self, n: usize, horizon: usize, pass: F) -> Result<ShardedScores>
-    where
-        F: Fn((usize, usize)) -> Result<ShardScores> + Sync,
-    {
-        let shards = self.effective_shards(n);
-        let chunk = n.div_ceil(shards);
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|s| (s * chunk, ((s + 1) * chunk).min(n)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let shards: Result<Vec<ShardScores>> = if ranges.len() <= 1 {
-            pass(ranges.first().map_or((0, 0), |&r| r)).map(|s| vec![s])
-        } else {
-            // Dispatch onto the process-wide worker pool — repeated
-            // detection calls reuse the same parked threads instead of
-            // spawning per call. Collecting results in shard order makes
-            // the lowest erroring shard win, so the same error *variant*
-            // surfaces for every shard count (the reported cell may
-            // differ from the sequential path's, which scans trajectory
-            // by trajectory rather than slot-paired). A panicking shard
-            // is re-raised on the caller's thread by the pool scope,
-            // lowest shard first.
-            let mut slots: Vec<Option<Result<ShardScores>>> = ranges.iter().map(|_| None).collect();
-            crate::pool::global().scope(|scope| {
-                for (&range, slot) in ranges.iter().zip(slots.iter_mut()) {
-                    let pass = &pass;
-                    scope.spawn(move || *slot = Some(pass(range)));
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("pool scope ran every shard"))
-                .collect()
-        };
-        Ok(ShardedScores {
-            horizon,
-            shards: shards?,
-        })
     }
 }
 
-/// Validates a per-class table set: non-empty, all tables over the same
-/// cell space. Returns the first table (the whole set for single-class
-/// dispatch decisions).
-fn validate_tables<'a>(tables: &[&'a LogLikelihoodTable]) -> Result<&'a LogLikelihoodTable> {
-    let first = *tables
-        .first()
-        .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
-    for table in &tables[1..] {
-        if table.num_states() != first.num_states() {
-            return Err(crate::CoreError::Markov(
-                chaff_markov::MarkovError::DimensionMismatch {
-                    expected: first.num_states(),
-                    found: table.num_states(),
-                },
-            ));
-        }
-    }
-    Ok(first)
+/// A registry's per-class tables for every epoch, epoch-major, borrowed.
+fn epoch_tables(registry: &MobilityRegistry) -> Vec<Vec<&LogLikelihoodTable>> {
+    (0..registry.num_epochs())
+        .map(|epoch| registry.tables_at(epoch))
+        .collect()
 }
 
 /// Validates the shape of an observation set (non-empty, equal lengths)
@@ -568,7 +347,7 @@ fn validate_shape(observed: &[Trajectory]) -> Result<usize> {
 
 /// Validates a columnar observation grid (non-empty in both dimensions,
 /// population within the `u32` index space); cells are range-checked by
-/// the streaming pass on first read.
+/// the kernels on first read.
 fn validate_grid(observed: &CellGrid) -> Result<()> {
     if observed.num_trajectories() == 0 {
         return Err(crate::CoreError::NoTrajectories);
@@ -579,148 +358,14 @@ fn validate_grid(observed: &CellGrid) -> Result<()> {
     ensure_population_fits(observed.num_trajectories())
 }
 
-/// Flattens per-slot candidate lists into the concatenated tie layout of
-/// [`ShardScores`] (no score block, no top-k) — the shared tail of every
-/// detection-only shard pass.
-fn light_shard_scores(
-    (lo, hi): (usize, usize),
-    maxima: Vec<f64>,
-    candidates: Vec<Vec<(u32, f64)>>,
-) -> ShardScores {
-    let horizon = maxima.len();
-    let mut ties = Vec::new();
-    let mut tie_starts = Vec::with_capacity(horizon + 1);
-    tie_starts.push(0);
-    for slot in candidates {
-        ties.extend(slot);
-        tie_starts.push(ties.len());
+/// Packs per-slot lane maxima and candidate lists into the [`LaneSlots`]
+/// the shared merge consumes.
+fn lane_slots(maxima: &[f64], candidates: &[Vec<(u32, f64)>]) -> LaneSlots {
+    let mut out = LaneSlots::with_horizon(maxima.len());
+    for (&best, slot) in maxima.iter().zip(candidates) {
+        out.push(best, slot);
     }
-    ShardScores {
-        lo,
-        hi,
-        block: None,
-        maxima,
-        ties,
-        tie_starts,
-        top: Vec::new(),
-        top_starts: vec![0; horizon + 1],
-    }
-}
-
-/// Advances one slot of the single-table columnar kernel: the cumulative
-/// score of trajectory `lo + j` moves from `accs[j]` to
-/// `accs[j] + increment(prev_row[j] -> row[j])` (or is initialized from
-/// `log_initial` when `prev_row` is `None`, i.e. at slot zero), and every
-/// updated score is folded into the slot's running max / tie trackers in
-/// ascending index order.
-///
-/// The columnar streaming shard pass behind the single-table grid
-/// requests of [`BatchPrefixDetector::detect_prefixes`]: walks
-/// the grid slot row by slot row (unit stride, exactly the storage
-/// order), carrying one running cumulative score per owned trajectory
-/// and folding each into the per-slot max/tie trackers via
-/// [`advance_slot_single`]. State is `O(width + horizon)` — no `N × T`
-/// block, no per-trajectory allocation.
-///
-/// Scores are bit-for-bit those of the per-trajectory pass: each
-/// trajectory's increments are added in slot order either way, and per
-/// slot the fold visits trajectories in ascending index order.
-fn shard_pass_columnar(
-    table: &LogLikelihoodTable,
-    observed: &CellGrid,
-    (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
-    let horizon = observed.horizon();
-    let width = hi - lo;
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-    let mut accs = vec![0.0f64; width];
-    for ((t, best), slot) in (0..horizon)
-        .zip(maxima.iter_mut())
-        .zip(candidates.iter_mut())
-    {
-        let row = &observed.row(t)[lo..hi];
-        let prev_row = if t == 0 {
-            None
-        } else {
-            Some(&observed.row(t - 1)[lo..hi])
-        };
-        kernel::advance_slot_single(table, lo, row, prev_row, &mut accs, best, slot)?;
-    }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
-}
-
-/// The columnar multi-class (mixture) shard pass behind the multi-table
-/// grid requests of [`BatchPrefixDetector::detect_prefixes`]: one
-/// running accumulator per `(trajectory, class)` pair (class-major per
-/// trajectory), scoring each prefix by its best class via
-/// [`advance_slot_mixture`] — the same generalized-likelihood-ratio
-/// semantics, accumulation order and fold order as the per-trajectory
-/// mixture pass, so results are bit-for-bit equal and shard-count
-/// independent.
-fn shard_pass_columnar_mixture(
-    tables: &[&LogLikelihoodTable],
-    observed: &CellGrid,
-    (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
-    let horizon = observed.horizon();
-    let width = hi - lo;
-    let classes = tables.len();
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-    // Class-major: accs[k * width + j] is trajectory `lo + j`'s running
-    // score under class `k`, so each class advances contiguously.
-    let mut accs = vec![0.0f64; width * classes];
-    let mut scores = vec![0.0f64; width];
-    for ((t, best), slot) in (0..horizon)
-        .zip(maxima.iter_mut())
-        .zip(candidates.iter_mut())
-    {
-        let row = &observed.row(t)[lo..hi];
-        let prev_row = if t == 0 {
-            None
-        } else {
-            Some(&observed.row(t - 1)[lo..hi])
-        };
-        kernel::advance_slot_mixture(
-            tables,
-            lo,
-            row,
-            prev_row,
-            &mut accs,
-            &mut scores,
-            best,
-            slot,
-        )?;
-    }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
-}
-
-/// One shard's per-slot extraction summaries (and, for the score-matrix
-/// path, its slice of the cumulative-score matrix).
-struct ShardScores {
-    /// Trajectory index range `[lo, hi)` owned by this shard.
-    lo: usize,
-    hi: usize,
-    /// Slot-major cumulative scores for the owned range
-    /// (`block[t * (hi - lo) + (i - lo)]`); `None` on the light path.
-    block: Option<Vec<f64>>,
-    /// Per-slot maximum over the owned range.
-    maxima: Vec<f64>,
-    /// Concatenated per-slot argmax candidates `(global index, score)`,
-    /// ascending by index within a slot; slot `t` occupies
-    /// `ties[tie_starts[t]..tie_starts[t + 1]]`.
-    ties: Vec<(u32, f64)>,
-    tie_starts: Vec<usize>,
-    /// Concatenated per-slot local top-k `(index, score)` entries, best
-    /// first; empty when top-k extraction is off.
-    top: Vec<(u32, f64)>,
-    top_starts: Vec<usize>,
-}
-
-struct ShardedScores {
-    horizon: usize,
-    shards: Vec<ShardScores>,
+    out
 }
 
 /// The multi-class (mixture) shard pass behind the multi-table
@@ -734,7 +379,7 @@ fn shard_pass_mixture(
     tables: &[&LogLikelihoodTable],
     observed: &[Trajectory],
     (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
+) -> Result<LaneSlots> {
     let horizon = observed.first().map_or(0, Trajectory::len);
     let states = tables[0].num_states();
     let mut maxima = vec![f64::NEG_INFINITY; horizon];
@@ -769,7 +414,7 @@ fn shard_pass_mixture(
             fold(best, slot, i, score);
         }
     }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
+    Ok(lane_slots(&maxima, &candidates))
 }
 
 /// The detection-only shard pass: walks each trajectory once (unit
@@ -781,7 +426,7 @@ fn shard_pass_light(
     table: &LogLikelihoodTable,
     observed: &[Trajectory],
     (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
+) -> Result<LaneSlots> {
     let horizon = observed.first().map_or(0, Trajectory::len);
     let states = table.num_states();
     let mut maxima = vec![f64::NEG_INFINITY; horizon];
@@ -859,237 +504,13 @@ fn shard_pass_light(
         }
         j += 1;
     }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
-}
-
-/// The score-matrix shard pass: fills this shard's slot-major block from
-/// the columnar kernel (the increments become cumulative scores in
-/// place) and extracts per-slot candidates and top-k from each finished
-/// row.
-fn shard_pass_block(
-    table: &LogLikelihoodTable,
-    observed: &[Trajectory],
-    (lo, hi): (usize, usize),
-    top_k: usize,
-) -> Result<ShardScores> {
-    let width = hi - lo;
-    let horizon = observed.first().map_or(0, Trajectory::len);
-    let mut block = table
-        .step_log_likelihoods_batch(&observed[lo..hi])
-        .map_err(kernel::map_markov)?;
-    let mut maxima = Vec::with_capacity(horizon);
-    let mut ties = Vec::new();
-    let mut tie_starts = Vec::with_capacity(horizon + 1);
-    tie_starts.push(0);
-    let mut top = Vec::new();
-    let mut top_starts = Vec::with_capacity(horizon + 1);
-    top_starts.push(0);
-    for t in 0..horizon {
-        if t > 0 {
-            let (prev, cur) = block.split_at_mut(t * width);
-            let prev = &prev[(t - 1) * width..];
-            // -inf + -inf is fine; +inf never occurs (increments are
-            // log-probs <= 0), so no NaN can appear.
-            for (c, p) in cur[..width].iter_mut().zip(prev) {
-                *c += p;
-            }
-        }
-        let row = &block[t * width..(t + 1) * width];
-        // Exact max first, tolerance filter second — the same two-pass
-        // semantics as `argmax_set`, but over this shard's contiguous row.
-        let mut best = f64::NEG_INFINITY;
-        for &s in row {
-            if s > best {
-                best = s;
-            }
-        }
-        maxima.push(best);
-        for (j, &s) in row.iter().enumerate() {
-            if loglik_cmp(s, best).is_eq() {
-                ties.push((service_index(lo, j), s));
-            }
-        }
-        tie_starts.push(ties.len());
-        if top_k > 0 {
-            let start = top.len();
-            for (j, &s) in row.iter().enumerate() {
-                insert_top_k(&mut top, start, top_k, service_index(lo, j), s);
-            }
-        }
-        top_starts.push(top.len());
-    }
-    Ok(ShardScores {
-        lo,
-        hi,
-        block: Some(block),
-        maxima,
-        ties,
-        tie_starts,
-        top,
-        top_starts,
-    })
-}
-
-/// Inserts `(index, score)` into the slot's running top-k buffer
-/// (`buffer[start..]`), kept sorted best-first with ties broken towards
-/// the lower index. Scores are never NaN (sums of log-probabilities).
-pub(super) fn insert_top_k(
-    buffer: &mut Vec<(u32, f64)>,
-    start: usize,
-    k: usize,
-    index: u32,
-    score: f64,
-) {
-    let slot = &buffer[start..];
-    let pos = slot.partition_point(|&(i, s)| s > score || (s == score && i < index));
-    if pos >= k {
-        return;
-    }
-    buffer.insert(start + pos, (index, score));
-    if buffer.len() - start > k {
-        buffer.pop();
-    }
-}
-
-/// Merges shard-local per-slot candidates into global detections.
-///
-/// A shard candidate within tolerance of the *global* best is necessarily
-/// within tolerance of its shard-local best (local max ≤ global max), so
-/// filtering the shard candidate lists against the merged maximum loses
-/// nothing; shards are visited in index order, which keeps tie sets
-/// ascending exactly like `argmax_set`.
-fn merge_detections(scores: &ShardedScores) -> Vec<Detection> {
-    let mut out = Vec::with_capacity(scores.horizon);
-    for t in 0..scores.horizon {
-        let mut best = f64::NEG_INFINITY;
-        for shard in &scores.shards {
-            if shard.maxima[t] > best {
-                best = shard.maxima[t];
-            }
-        }
-        let mut tie_set = Vec::new();
-        for shard in &scores.shards {
-            for &(i, s) in &shard.ties[shard.tie_starts[t]..shard.tie_starts[t + 1]] {
-                if loglik_cmp(s, best).is_eq() {
-                    tie_set.push(i as usize);
-                }
-            }
-        }
-        out.push(Detection::new(tie_set));
-    }
-    out
-}
-
-/// Merges shard-local top-k lists into the global per-slot top-k ranking
-/// (indices only, best first; ties broken towards the lower index).
-fn merge_top_k(scores: &ShardedScores, k: usize) -> Vec<usize> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(scores.horizon * k);
-    let mut merged: Vec<(u32, f64)> = Vec::new();
-    for t in 0..scores.horizon {
-        merged.clear();
-        for shard in &scores.shards {
-            merged.extend_from_slice(&shard.top[shard.top_starts[t]..shard.top_starts[t + 1]]);
-        }
-        merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        merged.truncate(k);
-        out.extend(merged.iter().map(|&(i, _)| i as usize));
-    }
-    out
-}
-
-/// The flat `N × T` cumulative-score matrix produced by
-/// [`BatchPrefixDetector::score_prefixes`], with per-slot detections and
-/// top-k rankings extracted incrementally during the sharded pass.
-#[derive(Debug, Clone)]
-pub struct PrefixScores {
-    num_trajectories: usize,
-    horizon: usize,
-    /// Slot-major flat matrix: `scores[t * N + i]` is trajectory `i`'s
-    /// cumulative log-likelihood after slot `t`.
-    scores: Vec<f64>,
-    detections: Vec<Detection>,
-    top_k: usize,
-    /// Concatenated per-slot global top-k indices (`top_k` per slot).
-    top: Vec<usize>,
-}
-
-impl PrefixScores {
-    /// Number of trajectories `N`.
-    pub fn num_trajectories(&self) -> usize {
-        self.num_trajectories
-    }
-
-    /// Number of slots `T`.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// All `N` cumulative scores after slot `t` (one slot-major row of the
-    /// flat matrix).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= horizon()`.
-    pub fn scores_at(&self, t: usize) -> &[f64] {
-        &self.scores[t * self.num_trajectories..(t + 1) * self.num_trajectories]
-    }
-
-    /// Trajectory `i`'s cumulative score after slot `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` or `i` is out of range.
-    pub fn score(&self, t: usize, i: usize) -> f64 {
-        assert!(i < self.num_trajectories, "trajectory index out of range");
-        self.scores[t * self.num_trajectories + i]
-    }
-
-    /// The detection (argmax tie set) at slot `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= horizon()`.
-    pub fn detection(&self, t: usize) -> &Detection {
-        &self.detections[t]
-    }
-
-    /// All per-slot detections.
-    pub fn detections(&self) -> &[Detection] {
-        &self.detections
-    }
-
-    /// Consumes the matrix, returning the per-slot detections.
-    pub fn into_detections(self) -> Vec<Detection> {
-        self.detections
-    }
-
-    /// The `k` requested at construction (clamped to `N`).
-    pub fn top_k(&self) -> usize {
-        self.top_k
-    }
-
-    /// The global top-k trajectory indices at slot `t`, best first; ties
-    /// break towards the lower index. Empty when constructed with
-    /// `top_k == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= horizon()`.
-    pub fn top_k_at(&self, t: usize) -> &[usize] {
-        assert!(t < self.horizon, "slot out of range");
-        if self.top_k == 0 {
-            return &[];
-        }
-        &self.top[t * self.top_k..(t + 1) * self.top_k]
-    }
+    Ok(lane_slots(&maxima, &candidates))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::input::GridRowSource;
     use crate::detector::MlDetector;
     use crate::CoreError;
     use chaff_markov::models::ModelKind;
@@ -1125,68 +546,6 @@ mod tests {
             .unwrap();
         let single = MlDetector.detect(&chain, &observed).unwrap();
         assert_eq!(batch, single);
-    }
-
-    #[test]
-    fn score_matrix_matches_prefix_log_likelihoods() {
-        let (chain, observed) = fleet(43, 17, 12);
-        let scores = BatchPrefixDetector::with_shards(3)
-            .score_prefixes(&chain, &observed, 0)
-            .unwrap();
-        assert_eq!(scores.num_trajectories(), 17);
-        assert_eq!(scores.horizon(), 12);
-        for (i, x) in observed.iter().enumerate() {
-            let prefix = chain.prefix_log_likelihoods(x);
-            for (t, &expected) in prefix.iter().enumerate() {
-                assert_eq!(
-                    scores.score(t, i).to_bits(),
-                    expected.to_bits(),
-                    "trajectory {i}, slot {t}"
-                );
-            }
-        }
-        assert_eq!(
-            scores.detections(),
-            MlDetector
-                .detect_prefixes(&chain, &observed)
-                .unwrap()
-                .as_slice()
-        );
-    }
-
-    #[test]
-    fn top_k_ranks_by_score_with_index_tie_breaks() {
-        let (chain, observed) = fleet(44, 29, 9);
-        let scores = BatchPrefixDetector::with_shards(4)
-            .score_prefixes(&chain, &observed, 5)
-            .unwrap();
-        for t in 0..scores.horizon() {
-            let top = scores.top_k_at(t);
-            assert_eq!(top.len(), 5);
-            // Reference: full sort of the slot row.
-            let row = scores.scores_at(t);
-            let mut expected: Vec<usize> = (0..row.len()).collect();
-            expected.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
-            assert_eq!(top, &expected[..5], "slot {t}");
-            // The argmax is always ranked first.
-            assert_eq!(top[0], scores.detection(t).tie_set()[0]);
-        }
-    }
-
-    #[test]
-    fn top_k_is_independent_of_shard_count() {
-        let (chain, observed) = fleet(45, 41, 11);
-        let reference = BatchPrefixDetector::with_shards(1)
-            .score_prefixes(&chain, &observed, 7)
-            .unwrap();
-        for shards in [2, 5, 16] {
-            let scores = BatchPrefixDetector::with_shards(shards)
-                .score_prefixes(&chain, &observed, 7)
-                .unwrap();
-            for t in 0..scores.horizon() {
-                assert_eq!(scores.top_k_at(t), reference.top_k_at(t), "slot {t}");
-            }
-        }
     }
 
     #[test]
@@ -1453,6 +812,51 @@ mod tests {
             d.detect_prefixes(DetectInput::new(&chain, &mut no_slots)),
             Err(CoreError::EmptyTrajectory)
         ));
+    }
+
+    #[test]
+    fn scheduled_paged_sources_that_break_their_contract_are_typed_errors() {
+        /// A grid source that declares `claimed` slots whatever the grid
+        /// holds.
+        struct ClaimedHorizon<'a> {
+            rows: GridRowSource<'a>,
+            claimed: usize,
+        }
+        impl SlotRowSource for ClaimedHorizon<'_> {
+            fn num_trajectories(&self) -> usize {
+                self.rows.num_trajectories()
+            }
+            fn horizon(&self) -> usize {
+                self.claimed
+            }
+            fn next_row(&mut self) -> crate::Result<Option<&[chaff_markov::CellId]>> {
+                self.rows.next_row()
+            }
+        }
+        let (day, observed) = fleet(78, 9, 5);
+        let mut rng = StdRng::seed_from_u64(79);
+        let night =
+            MarkovChain::new(ModelKind::SpatiallySkewed.build(10, &mut rng).unwrap()).unwrap();
+        let registry = MobilityRegistry::with_epochs(
+            vec![vec![day], vec![night]],
+            chaff_markov::EpochSchedule::day_night(2, 1).unwrap(),
+        )
+        .unwrap();
+        let grid = CellGrid::from_trajectories(&observed).unwrap();
+        for (claimed, slot) in [(7, 5), (3, 3)] {
+            let mut source = ClaimedHorizon {
+                rows: GridRowSource::new(&grid),
+                claimed,
+            };
+            let got = BatchPrefixDetector::with_shards(2).detect_prefixes(DetectInput::new(
+                DetectModel::Schedule(&registry),
+                &mut source,
+            ));
+            assert!(
+                matches!(got, Err(CoreError::RowSource { slot: s, .. }) if s == slot),
+                "claimed {claimed}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! The vectorized per-slot detection kernels shared by the batch and
-//! streaming detectors.
+//! The vectorized per-slot detection kernels under every slot-major
+//! detection path.
 //!
-//! One slot of fleet-scale ML detection is three phases over a shard's
-//! contiguous lane block:
+//! One slot of fleet-scale ML detection is three phases over a shard
+//! lane's contiguous block of services (see
+//! [`streaming`](super::streaming) for the lanes and the two drivers that
+//! run them):
 //!
 //! 1. **gather/add** — [`LogLikelihoodTable::add_step_batch`] gathers the
 //!    per-user log-likelihood increments and adds them into the running
@@ -141,10 +143,12 @@ pub fn collect_ties(scores: &[f64], lo: usize, best: f64, out: &mut Vec<(u32, f6
 /// refreshed scores pass through the two-pass running-max + tie-collection
 /// argmax into `best` / `slot`.
 ///
-/// This is *the* per-slot inner loop of the batch columnar pass, shared
-/// verbatim with [`StreamingPrefixDetector`](super::StreamingPrefixDetector)
-/// so the online path is bit-for-bit the batch path by construction. The
-/// phases and the bit-for-bit argument are in the [module docs](self).
+/// This is *the* single-class per-slot inner loop: the shard lanes run it
+/// for [`StreamingPrefixDetector`](super::StreamingPrefixDetector) and for
+/// every columnar, paged and time-varying
+/// [`BatchPrefixDetector`](super::BatchPrefixDetector) request, so the
+/// online path is bit-for-bit the batch path by construction. The phases
+/// and the bit-for-bit argument are in the [module docs](self).
 ///
 /// # Errors
 ///
@@ -184,15 +188,19 @@ pub fn advance_slot_single(
 /// class fold, legacy comparison order) and passed through the same
 /// two-pass argmax as the single-table kernel.
 ///
-/// Shared between the batch mixture pass and
-/// [`StreamingPrefixDetector`](super::StreamingPrefixDetector), exactly
-/// like [`advance_slot_single`].
+/// Run by the same shard lanes as [`advance_slot_single`].
 ///
 /// # Errors
 ///
-/// Same errors as [`advance_slot_single`]; a failure on a later class
-/// leaves earlier classes advanced (callers either discard the block or
-/// pre-validate the row, so a partial advance is never observed).
+/// Same errors as [`advance_slot_single`], plus
+/// [`CoreError::LengthMismatch`](crate::CoreError::LengthMismatch) when
+/// `accs` is not `row.len() * tables.len()` long or `scores` is not
+/// `row.len()` long, and
+/// [`MarkovError::Empty`] for an empty
+/// `tables` slice — all before any accumulator is touched. A cell or
+/// arity failure on a later class leaves earlier classes advanced
+/// (callers either discard the block or pre-validate the row, so a
+/// partial advance is never observed).
 #[allow(clippy::too_many_arguments)] // hot kernel: flat args keep the call free of wrapper structs
 pub fn advance_slot_mixture<T: Borrow<LogLikelihoodTable>>(
     tables: &[T],
@@ -204,9 +212,22 @@ pub fn advance_slot_mixture<T: Borrow<LogLikelihoodTable>>(
     best: &mut f64,
     slot: &mut Vec<(u32, f64)>,
 ) -> Result<()> {
+    if tables.is_empty() {
+        return Err(crate::CoreError::Markov(MarkovError::Empty));
+    }
     let width = row.len();
-    debug_assert_eq!(accs.len(), width * tables.len());
-    debug_assert_eq!(scores.len(), width);
+    if accs.len() != width * tables.len() {
+        return Err(crate::CoreError::LengthMismatch {
+            expected: width * tables.len(),
+            found: accs.len(),
+        });
+    }
+    if scores.len() != width {
+        return Err(crate::CoreError::LengthMismatch {
+            expected: width,
+            found: scores.len(),
+        });
+    }
     for (k, table) in tables.iter().enumerate() {
         table
             .borrow()
@@ -333,5 +354,68 @@ mod tests {
             .collect();
         lane_max_into(&mut scores, &block);
         assert_eq!(scores, expected);
+    }
+
+    /// Runs the mixture kernel over a 3-service row with the given
+    /// buffer sizes and reports the error plus whether `accs` moved.
+    fn mixture_with(
+        classes: usize,
+        accs_len: usize,
+        scores_len: usize,
+    ) -> (crate::CoreError, bool) {
+        let m = chaff_markov::TransitionMatrix::from_rows(vec![vec![0.5, 0.5], vec![0.5, 0.5]])
+            .unwrap();
+        let table = chaff_markov::MarkovChain::new(m)
+            .unwrap()
+            .log_likelihood_table();
+        let tables = vec![&table; classes];
+        let row = [CellId::new(0), CellId::new(1), CellId::new(0)];
+        let mut accs = vec![-1.0f64; accs_len];
+        let mut scores = vec![0.0f64; scores_len];
+        let (mut best, mut slot) = (f64::NEG_INFINITY, Vec::new());
+        let err = advance_slot_mixture(
+            &tables,
+            0,
+            &row,
+            None,
+            &mut accs,
+            &mut scores,
+            &mut best,
+            &mut slot,
+        )
+        .unwrap_err();
+        (err, accs.iter().any(|&a| a != -1.0))
+    }
+
+    #[test]
+    fn mixture_rejects_mis_sized_accumulators_before_advancing() {
+        let (err, moved) = mixture_with(2, 5, 3);
+        assert!(matches!(
+            err,
+            crate::CoreError::LengthMismatch {
+                expected: 6,
+                found: 5
+            }
+        ));
+        assert!(!moved);
+    }
+
+    #[test]
+    fn mixture_rejects_mis_sized_scores_before_advancing() {
+        let (err, moved) = mixture_with(2, 6, 2);
+        assert!(matches!(
+            err,
+            crate::CoreError::LengthMismatch {
+                expected: 3,
+                found: 2
+            }
+        ));
+        assert!(!moved);
+    }
+
+    #[test]
+    fn mixture_rejects_an_empty_table_set() {
+        let (err, _) = mixture_with(0, 0, 3);
+        assert!(matches!(err, crate::CoreError::Markov(MarkovError::Empty)));
     }
 }

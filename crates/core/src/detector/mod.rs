@@ -38,7 +38,7 @@ mod ml;
 pub mod streaming;
 
 pub use advanced::AdvancedDetector;
-pub use batch::{BatchPrefixDetector, PrefixScores, MAX_POPULATION};
+pub use batch::{BatchPrefixDetector, MAX_POPULATION};
 pub use input::{DetectInput, DetectModel, DetectObservations, GridRowSource, SlotRowSource};
 pub use ml::MlDetector;
 pub use streaming::{AccuracyFeedback, StreamingPrefixDetector};

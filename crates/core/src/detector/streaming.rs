@@ -1,32 +1,44 @@
-//! Online (slot-at-a-time) prefix detection over a columnar stream.
+//! Slot-major prefix detection on shard lanes: the one execution path
+//! every columnar, paged and time-varying detection runs on.
 //!
-//! [`BatchPrefixDetector`](super::BatchPrefixDetector) consumes a finished
-//! [`CellGrid`](chaff_markov::CellGrid): the whole fleet must be simulated
-//! before the first detection. The paper's eavesdropper (eq. 11) is
-//! inherently online — it observes one service row per slot and tracks in
-//! real time. [`StreamingPrefixDetector`] is that adversary: feed it one
-//! observation row per slot ([`push_slot`](StreamingPrefixDetector::push_slot))
-//! and it returns the slot's [`Detection`] immediately, carrying only the
+//! The paper's eavesdropper (eq. 11) is inherently online: it observes
+//! one service row per slot and tracks in real time.
+//! [`StreamingPrefixDetector`] is that adversary. Feed it one observation
+//! row per slot ([`push_slot`](StreamingPrefixDetector::push_slot)) and
+//! it returns the slot's [`Detection`] immediately, carrying only the
 //! running cumulative-score state between slots.
 //!
-//! Both paths share one per-slot kernel
-//! ([`advance_slot_single`](super::kernel::advance_slot_single) /
-//! [`advance_slot_mixture`](super::kernel::advance_slot_mixture) in
-//! [`kernel`]), so a streamed run is bit-for-bit the batch
-//! run *by construction*: the same accumulator updates in the same order,
-//! the same two-pass argmax over the refreshed scores, the same
-//! cross-shard merge semantics. Multi-shard pushes dispatch onto the
-//! process-wide [`pool`] — a per-slot push never spawns an
-//! OS thread.
+//! The population is split into contiguous `ShardLane`s. Each lane owns
+//! its slice of the running accumulators, and `advance_lane` moves one
+//! lane by one slot through the shared per-slot kernels in [`kernel`].
+//! `run_lanes` dispatches the lanes onto the process-wide [`pool`] and
+//! returns their errors in lane order, and `merge_lanes` turns the
+//! lanes' per-slot candidates into the slot's tie set. Two drivers use
+//! them:
 //!
-//! State is `O(N · classes)` — independent of the horizon. The batch
-//! path's per-shard maxima/tie concatenations (sized by the horizon)
-//! never exist here; each slot's candidates are merged and discarded
-//! before the next row arrives.
+//! * the per-slot driver (`step_lanes`) runs one slot per pool scope.
+//!   `push_slot` and the paged path of
+//!   [`BatchPrefixDetector`](super::BatchPrefixDetector) use it;
+//! * the grid driver (`detect_grid`) runs every slot of a lane inside
+//!   one pool job, records the lane's per-slot `LaneSlots`, then merges
+//!   slot by slot. Columnar inputs and time-varying inputs over a grid
+//!   use it.
+//!
+//! Both drivers are generic over [`Borrow<LogLikelihoodTable>`], so the
+//! batch entry point scores against the caller's tables without cloning
+//! them, while the streaming detector owns its tables. A streamed run is
+//! therefore bit-for-bit the batch run *by construction*: the same
+//! accumulator updates in the same order, the same two-pass argmax and the
+//! same cross-lane merge.
+//!
+//! Streaming state is `O(N · classes)`, independent of the horizon: each
+//! slot's candidates are merged and discarded before the next row
+//! arrives.
 
 use super::{batch, kernel, Detection};
 use crate::{loglik_cmp, pool, Result};
-use chaff_markov::{CellId, EpochSchedule, LogLikelihoodTable};
+use chaff_markov::{CellGrid, CellId, EpochSchedule, LogLikelihoodTable, MarkovError};
+use std::borrow::Borrow;
 
 /// Running per-column detection-accuracy feedback, accumulated from the
 /// tie set of every slot with no extra pass over the scores: column `i`
@@ -75,10 +87,7 @@ impl AccuracyFeedback {
 
     /// Folds one slot's detection into the running mass.
     pub fn record(&mut self, detection: &Detection) {
-        self.record_tie_set(detection.tie_set());
-    }
-
-    fn record_tie_set(&mut self, tie: &[usize]) {
+        let tie = detection.tie_set();
         let share = 1.0 / tie.len() as f64;
         for &i in tie {
             self.mass[i] += share;
@@ -167,7 +176,6 @@ pub struct StreamingPrefixDetector {
     schedule: EpochSchedule,
     states: usize,
     population: usize,
-    top_k: usize,
     /// Contiguous index shards, each owning its slice of the running
     /// class-major accumulator block.
     lanes: Vec<ShardLane>,
@@ -175,38 +183,9 @@ pub struct StreamingPrefixDetector {
     /// observation history the detector keeps.
     prev_row: Vec<CellId>,
     slots_seen: usize,
-    /// Global top-k of the most recent slot (empty when `top_k == 0`).
-    last_top: Vec<usize>,
     /// Opt-in running per-column accuracy feedback (see
     /// [`with_feedback`](StreamingPrefixDetector::with_feedback)).
     feedback: Option<AccuracyFeedback>,
-}
-
-/// One shard's running state: the index range it owns, the cumulative
-/// score accumulators for every `(trajectory, class)` lane in that range,
-/// and the reusable per-slot scratch its shard pass writes into — owning
-/// the scratch keeps the steady-state push loop allocation-free.
-#[derive(Debug, Clone)]
-struct ShardLane {
-    lo: usize,
-    hi: usize,
-    /// Class-major accumulator block: `accs[k * width + j]` is trajectory
-    /// `lo + j`'s running score under class `k` (`width == hi - lo`;
-    /// single-class layouts collapse to `accs[j]`) — the layout the
-    /// mixture kernel advances one contiguous class block at a time.
-    accs: Vec<f64>,
-    /// Per-trajectory best-class scores of the current slot (mixture
-    /// only; empty — and unused — for single-class layouts, where `accs`
-    /// already *is* the per-trajectory score row).
-    scores: Vec<f64>,
-    /// The slot's shard-local exact maximum (reset every push).
-    best: f64,
-    /// Argmax candidates `(global index, score)`, ascending by index
-    /// (reset every push, capacity retained).
-    candidates: Vec<(u32, f64)>,
-    /// Shard-local top-k `(index, score)`, best first (reset every push,
-    /// capacity retained).
-    top: Vec<(u32, f64)>,
 }
 
 impl StreamingPrefixDetector {
@@ -216,9 +195,9 @@ impl StreamingPrefixDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`MarkovError::Empty`](chaff_markov::MarkovError::Empty)
+    /// Returns [`MarkovError::Empty`]
     /// when no tables are supplied,
-    /// [`MarkovError::DimensionMismatch`](chaff_markov::MarkovError::DimensionMismatch)
+    /// [`MarkovError::DimensionMismatch`]
     /// when the class tables disagree on the cell space,
     /// [`CoreError::NoTrajectories`](crate::CoreError::NoTrajectories)
     /// for an empty population and
@@ -260,7 +239,7 @@ impl StreamingPrefixDetector {
     /// # Errors
     ///
     /// The errors of [`new`](Self::new), plus
-    /// [`MarkovError::LengthMismatch`](chaff_markov::MarkovError::LengthMismatch)
+    /// [`MarkovError::LengthMismatch`]
     /// when `epoch_tables` does not cover `schedule.num_epochs()` or the
     /// epochs disagree on the class count.
     pub fn with_schedule(
@@ -269,86 +248,22 @@ impl StreamingPrefixDetector {
         population: usize,
         shards: usize,
     ) -> Result<Self> {
-        let first_epoch = epoch_tables
-            .first()
-            .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
-        let first = first_epoch
-            .first()
-            .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
-        if epoch_tables.len() != schedule.num_epochs() {
-            return Err(crate::CoreError::Markov(
-                chaff_markov::MarkovError::LengthMismatch {
-                    expected: schedule.num_epochs(),
-                    found: epoch_tables.len(),
-                },
-            ));
-        }
-        let classes = first_epoch.len();
-        let states = first.num_states();
-        for tables in &epoch_tables {
-            if tables.len() != classes {
-                return Err(crate::CoreError::Markov(
-                    chaff_markov::MarkovError::LengthMismatch {
-                        expected: classes,
-                        found: tables.len(),
-                    },
-                ));
-            }
-            for table in tables {
-                if table.num_states() != states {
-                    return Err(crate::CoreError::Markov(
-                        chaff_markov::MarkovError::DimensionMismatch {
-                            expected: states,
-                            found: table.num_states(),
-                        },
-                    ));
-                }
-            }
-        }
+        let states = validate_epoch_tables(&epoch_tables, &schedule)?;
         if population == 0 {
             return Err(crate::CoreError::NoTrajectories);
         }
         batch::ensure_population_fits(population)?;
-        // The same contiguous chunking as the batch scaffold, so each
-        // trajectory's accumulator lives on exactly one shard.
-        let shards = shards.max(1).clamp(1, population);
-        let chunk = population.div_ceil(shards);
-        let lanes = (0..shards)
-            .map(|s| (s * chunk, ((s + 1) * chunk).min(population)))
-            .filter(|&(lo, hi)| lo < hi)
-            .map(|(lo, hi)| ShardLane {
-                lo,
-                hi,
-                accs: vec![0.0f64; (hi - lo) * classes],
-                scores: if classes > 1 {
-                    vec![0.0f64; hi - lo]
-                } else {
-                    Vec::new()
-                },
-                best: f64::NEG_INFINITY,
-                candidates: Vec::new(),
-                top: Vec::new(),
-            })
-            .collect();
+        let lanes = ShardLane::partition(population, shards, epoch_tables[0].len());
         Ok(StreamingPrefixDetector {
             epoch_tables,
             schedule,
             states,
             population,
-            top_k: 0,
             lanes,
             prev_row: Vec::new(),
             slots_seen: 0,
-            last_top: Vec::new(),
             feedback: None,
         })
-    }
-
-    /// Enables per-slot global top-`k` ranking alongside the argmax
-    /// detection (retrieve with [`last_top_k`](Self::last_top_k)).
-    pub fn with_top_k(mut self, k: usize) -> Self {
-        self.top_k = k.min(self.population);
-        self
     }
 
     /// Enables the running [`AccuracyFeedback`] view: every pushed slot
@@ -413,13 +328,6 @@ impl StreamingPrefixDetector {
         accs + self.prev_row.capacity() * 4 + feedback
     }
 
-    /// The most recent slot's global top-k service indices, best first
-    /// (ties towards the lower index); empty before the first push or
-    /// when top-k is disabled.
-    pub fn last_top_k(&self) -> &[usize] {
-        &self.last_top
-    }
-
     /// Consumes one slot row (the observed cell of every service at this
     /// slot, in service order) and returns the slot's detection.
     ///
@@ -442,9 +350,8 @@ impl StreamingPrefixDetector {
                 found: row.len(),
             });
         }
-        // Full-row range check up front: the shared kernels check again
-        // (they are the batch inner loop, verbatim), but by then half the
-        // accumulators could have advanced — this pass makes failure
+        // Full-row range check up front: the kernels check again, but by
+        // then some lanes could have advanced — this pass makes failure
         // atomic.
         for &cell in row {
             if cell.index() >= self.states {
@@ -454,132 +361,312 @@ impl StreamingPrefixDetector {
                 });
             }
         }
-        let prev = if self.slots_seen == 0 {
-            None
-        } else {
-            Some(self.prev_row.as_slice())
-        };
+        let prev = (self.slots_seen > 0).then_some(self.prev_row.as_slice());
         // The epoch clock is the slot counter: the arrival at slot
         // `slots_seen` is scored under that slot's epoch tables. A
         // stationary schedule always selects epoch 0.
-        let tables = self.epoch_tables[self.schedule.epoch_of(self.slots_seen)].as_slice();
-        let top_k = self.top_k;
-        if self.lanes.len() <= 1 {
-            for lane in self.lanes.iter_mut() {
-                advance_lane(tables, lane, row, prev, top_k)?;
-            }
-        } else {
-            // Dispatch the shard passes onto the process-wide worker pool
-            // (no per-push thread spawns); the pool scope re-raises shard
-            // panics lowest index first, and errors are collected in
-            // shard order — the batch scaffold's semantics.
-            let mut slots: Vec<Option<Result<()>>> = self.lanes.iter().map(|_| None).collect();
-            pool::global().scope(|scope| {
-                for (lane, slot) in self.lanes.iter_mut().zip(slots.iter_mut()) {
-                    scope.spawn(move || *slot = Some(advance_lane(tables, lane, row, prev, top_k)));
-                }
-            });
-            for slot in slots {
-                slot.expect("pool scope ran every shard lane")?;
-            }
-        }
-        // Cross-shard merge: exact global max first, tolerance filter
-        // second, shards visited in index order — `merge_detections` for
-        // a single slot.
-        let mut best = f64::NEG_INFINITY;
-        for lane in &self.lanes {
-            if lane.best > best {
-                best = lane.best;
-            }
-        }
-        let mut tie_set = Vec::new();
-        for lane in &self.lanes {
-            for &(i, s) in &lane.candidates {
-                if loglik_cmp(s, best).is_eq() {
-                    tie_set.push(i as usize);
-                }
-            }
-        }
-        if self.top_k > 0 {
-            let mut merged: Vec<(u32, f64)> = Vec::new();
-            for lane in &self.lanes {
-                merged.extend_from_slice(&lane.top);
-            }
-            merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            merged.truncate(self.top_k);
-            self.last_top.clear();
-            self.last_top
-                .extend(merged.iter().map(|&(i, _)| i as usize));
-        }
+        let tables = &self.epoch_tables[self.schedule.epoch_of(self.slots_seen)];
+        let detection = step_lanes(&mut self.lanes, tables, row, prev)?;
         if let Some(feedback) = &mut self.feedback {
-            feedback.record_tie_set(&tie_set);
+            feedback.record(&detection);
         }
         self.prev_row.clear();
         self.prev_row.extend_from_slice(row);
         self.slots_seen += 1;
-        Ok(Detection::new(tie_set))
+        Ok(detection)
     }
 }
 
-/// Advances one shard by one slot through the shared vectorized kernel
-/// and extracts the slot's argmax candidates (and optional top-k) from
-/// the refreshed accumulators into the lane's reusable scratch.
-fn advance_lane(
-    tables: &[LogLikelihoodTable],
+/// Validates an epoch-major table set against its schedule: at least one
+/// epoch and one class, one table list per scheduled epoch, the same
+/// class count in every epoch and every table over the same cell space.
+/// Returns the number of cells.
+pub(super) fn validate_epoch_tables<T: Borrow<LogLikelihoodTable>>(
+    epoch_tables: &[Vec<T>],
+    schedule: &EpochSchedule,
+) -> Result<usize> {
+    let first_epoch = epoch_tables
+        .first()
+        .ok_or(crate::CoreError::Markov(MarkovError::Empty))?;
+    let states = first_epoch
+        .first()
+        .ok_or(crate::CoreError::Markov(MarkovError::Empty))?
+        .borrow()
+        .num_states();
+    if epoch_tables.len() != schedule.num_epochs() {
+        return Err(crate::CoreError::Markov(MarkovError::LengthMismatch {
+            expected: schedule.num_epochs(),
+            found: epoch_tables.len(),
+        }));
+    }
+    for tables in epoch_tables {
+        if tables.len() != first_epoch.len() {
+            return Err(crate::CoreError::Markov(MarkovError::LengthMismatch {
+                expected: first_epoch.len(),
+                found: tables.len(),
+            }));
+        }
+        for table in tables {
+            if table.borrow().num_states() != states {
+                return Err(crate::CoreError::Markov(MarkovError::DimensionMismatch {
+                    expected: states,
+                    found: table.borrow().num_states(),
+                }));
+            }
+        }
+    }
+    Ok(states)
+}
+
+/// Splits `population` services into at most `shards` contiguous,
+/// non-empty index ranges `[lo, hi)` of near-equal width, so each
+/// service's accumulator lives on exactly one lane.
+pub(super) fn lane_ranges(population: usize, shards: usize) -> Vec<(usize, usize)> {
+    let shards = shards.clamp(1, population.max(1));
+    let chunk = population.div_ceil(shards);
+    (0..shards)
+        .map(|s| (s * chunk, ((s + 1) * chunk).min(population)))
+        .filter(|&(lo, hi)| lo < hi)
+        .collect()
+}
+
+/// One lane's running state: the index range it owns, the cumulative
+/// score accumulators for every `(trajectory, class)` pair in that range,
+/// and the reusable per-slot scratch [`advance_lane`] writes into —
+/// owning the scratch keeps the steady-state slot loop allocation-free.
+///
+/// Aligned to 128 bytes so that lanes stored side by side never share a
+/// cache line (or an adjacent-line prefetch pair): each pool job writes
+/// its lane's maximum and candidate-vector length once per tie, and
+/// false sharing between neighbouring lanes measurably slows the grid
+/// driver.
+#[derive(Debug, Clone)]
+#[repr(align(128))]
+pub(super) struct ShardLane {
+    lo: usize,
+    hi: usize,
+    /// Class-major accumulator block: `accs[k * width + j]` is trajectory
+    /// `lo + j`'s running score under class `k` (`width == hi - lo`;
+    /// single-class layouts collapse to `accs[j]`) — the layout the
+    /// mixture kernel advances one contiguous class block at a time.
+    accs: Vec<f64>,
+    /// Per-trajectory best-class scores of the current slot (mixture
+    /// only; empty — and unused — for single-class layouts, where `accs`
+    /// already *is* the per-trajectory score row).
+    scores: Vec<f64>,
+    /// The slot's lane-local exact maximum.
+    best: f64,
+    /// The slot's argmax candidates `(global index, score)`, ascending by
+    /// index.
+    candidates: Vec<(u32, f64)>,
+}
+
+impl ShardLane {
+    /// Fresh lanes over [`lane_ranges`]`(population, shards)`, each with
+    /// zeroed accumulators for `classes` mobility classes.
+    pub(super) fn partition(population: usize, shards: usize, classes: usize) -> Vec<ShardLane> {
+        lane_ranges(population, shards)
+            .into_iter()
+            .map(|(lo, hi)| ShardLane {
+                lo,
+                hi,
+                accs: vec![0.0f64; (hi - lo) * classes],
+                scores: if classes > 1 {
+                    vec![0.0f64; hi - lo]
+                } else {
+                    Vec::new()
+                },
+                best: f64::NEG_INFINITY,
+                candidates: Vec::new(),
+            })
+            .collect()
+    }
+}
+
+/// Advances one lane by one slot — *the* per-slot dispatch: one table
+/// runs [`advance_slot_single`](kernel::advance_slot_single), several run
+/// [`advance_slot_mixture`](kernel::advance_slot_mixture). The slot's
+/// lane maximum and argmax candidates land in the lane's scratch.
+/// `row` and `prev` are full population rows; the lane reads its range.
+pub(super) fn advance_lane<T: Borrow<LogLikelihoodTable>>(
+    tables: &[T],
     lane: &mut ShardLane,
     row: &[CellId],
     prev: Option<&[CellId]>,
-    top_k: usize,
 ) -> Result<()> {
     lane.best = f64::NEG_INFINITY;
     lane.candidates.clear();
-    lane.top.clear();
-    let shard_row = &row[lane.lo..lane.hi];
-    let shard_prev = prev.map(|p| &p[lane.lo..lane.hi]);
-    // Dispatch exactly like the batch entry point: one table runs the
-    // single-table kernel, several run the mixture kernel.
-    if tables.len() == 1 {
+    let lane_row = &row[lane.lo..lane.hi];
+    let lane_prev = prev.map(|p| &p[lane.lo..lane.hi]);
+    if let [table] = tables {
         kernel::advance_slot_single(
-            &tables[0],
+            table.borrow(),
             lane.lo,
-            shard_row,
-            shard_prev,
+            lane_row,
+            lane_prev,
             &mut lane.accs,
             &mut lane.best,
             &mut lane.candidates,
-        )?;
+        )
     } else {
         kernel::advance_slot_mixture(
             tables,
             lane.lo,
-            shard_row,
-            shard_prev,
+            lane_row,
+            lane_prev,
             &mut lane.accs,
             &mut lane.scores,
             &mut lane.best,
             &mut lane.candidates,
-        )?;
+        )
     }
-    if top_k > 0 {
-        // The per-trajectory score row the kernel just refreshed: the
-        // accumulators themselves for one class, the materialized
-        // best-class row for a mixture.
-        let scores = if tables.len() == 1 {
-            &lane.accs
-        } else {
-            &lane.scores
-        };
-        for (j, &score) in scores.iter().enumerate() {
-            batch::insert_top_k(
-                &mut lane.top,
-                0,
-                top_k,
-                batch::service_index(lane.lo, j),
-                score,
-            );
+}
+
+/// The lane pool scaffold: runs `job` once per lane — inline for a single
+/// lane, otherwise one job per lane on the process-wide [`pool`] (no
+/// per-call thread spawns) — and returns the results in lane order.
+///
+/// Collecting in lane order makes the lowest failing lane's error win,
+/// so the same error variant surfaces for every shard count. A panicking
+/// job is re-raised on the caller's thread by the pool scope, lowest lane
+/// first.
+pub(super) fn run_lanes<L, R, F>(lanes: &mut [L], job: F) -> Result<Vec<R>>
+where
+    L: Send,
+    R: Send,
+    F: Fn(&mut L) -> Result<R> + Sync,
+{
+    if lanes.len() <= 1 {
+        return lanes.iter_mut().map(job).collect();
+    }
+    let mut results: Vec<Option<Result<R>>> = lanes.iter().map(|_| None).collect();
+    pool::global().scope(|scope| {
+        for (lane, result) in lanes.iter_mut().zip(results.iter_mut()) {
+            let job = &job;
+            scope.spawn(move || *result = Some(job(lane)));
+        }
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("pool scope ran every lane"))
+        .collect()
+}
+
+/// The cross-lane tie-set merge: one slot's `(lane maximum, lane
+/// candidates)` pairs, lanes in index order, become the slot's
+/// [`Detection`].
+///
+/// A lane candidate within tolerance of the *global* best is necessarily
+/// within tolerance of its lane-local best (local max ≤ global max), so
+/// filtering the candidate lists against the merged maximum loses
+/// nothing. Visiting lanes in index order keeps tie sets ascending,
+/// exactly like `argmax_set`.
+pub(super) fn merge_lanes<'a, I>(lanes: I) -> Detection
+where
+    I: Iterator<Item = (f64, &'a [(u32, f64)])> + Clone,
+{
+    let mut best = f64::NEG_INFINITY;
+    for (lane_best, _) in lanes.clone() {
+        if lane_best > best {
+            best = lane_best;
         }
     }
-    Ok(())
+    let mut tie_set = Vec::new();
+    for (_, candidates) in lanes {
+        for &(i, s) in candidates {
+            if loglik_cmp(s, best).is_eq() {
+                tie_set.push(i as usize);
+            }
+        }
+    }
+    Detection::new(tie_set)
+}
+
+/// The per-slot driver: advances every lane by one slot under `tables`
+/// in one pool scope, then merges the lanes' candidates.
+pub(super) fn step_lanes<T: Borrow<LogLikelihoodTable> + Sync>(
+    lanes: &mut [ShardLane],
+    tables: &[T],
+    row: &[CellId],
+    prev: Option<&[CellId]>,
+) -> Result<Detection> {
+    run_lanes(lanes, |lane| advance_lane(tables, lane, row, prev))?;
+    Ok(merge_lanes(
+        lanes.iter().map(|l| (l.best, l.candidates.as_slice())),
+    ))
+}
+
+/// One lane's per-slot summaries over a whole horizon: the lane maximum
+/// and the argmax candidates of every slot, concatenated. The grid driver
+/// and the trajectory-major passes emit these; [`merge_horizon`] merges
+/// them.
+#[derive(Debug)]
+pub(super) struct LaneSlots {
+    maxima: Vec<f64>,
+    /// Slot `t`'s candidates are `ties[tie_starts[t]..tie_starts[t + 1]]`.
+    ties: Vec<(u32, f64)>,
+    tie_starts: Vec<usize>,
+}
+
+impl LaneSlots {
+    pub(super) fn with_horizon(horizon: usize) -> Self {
+        let mut tie_starts = Vec::with_capacity(horizon + 1);
+        tie_starts.push(0);
+        LaneSlots {
+            maxima: Vec::with_capacity(horizon),
+            ties: Vec::new(),
+            tie_starts,
+        }
+    }
+
+    /// Appends the next slot's lane maximum and candidates.
+    pub(super) fn push(&mut self, best: f64, candidates: &[(u32, f64)]) {
+        self.maxima.push(best);
+        self.ties.extend_from_slice(candidates);
+        self.tie_starts.push(self.ties.len());
+    }
+
+    fn slot(&self, t: usize) -> (f64, &[(u32, f64)]) {
+        (
+            self.maxima[t],
+            &self.ties[self.tie_starts[t]..self.tie_starts[t + 1]],
+        )
+    }
+}
+
+/// Merges every lane's summaries slot by slot into the horizon's
+/// detections.
+pub(super) fn merge_horizon(lanes: &[LaneSlots], horizon: usize) -> Vec<Detection> {
+    (0..horizon)
+        .map(|t| merge_lanes(lanes.iter().map(|lane| lane.slot(t))))
+        .collect()
+}
+
+/// The grid driver: every lane runs all slots of `grid` inside one pool
+/// job — the arrival at slot `t` scored under
+/// `epoch_tables[schedule.epoch_of(t)]` — and the lanes' summaries are
+/// merged slot by slot. `epoch_tables` must pass
+/// [`validate_epoch_tables`] and `grid` must be non-empty with a
+/// population within [`MAX_POPULATION`](super::MAX_POPULATION).
+pub(super) fn detect_grid<T: Borrow<LogLikelihoodTable> + Sync>(
+    epoch_tables: &[Vec<T>],
+    schedule: &EpochSchedule,
+    grid: &CellGrid,
+    shards: usize,
+) -> Result<Vec<Detection>> {
+    let horizon = grid.horizon();
+    let mut lanes = ShardLane::partition(grid.num_trajectories(), shards, epoch_tables[0].len());
+    let slots = run_lanes(&mut lanes, |lane| {
+        let mut out = LaneSlots::with_horizon(horizon);
+        for t in 0..horizon {
+            let prev = t.checked_sub(1).map(|p| grid.row(p));
+            let tables = &epoch_tables[schedule.epoch_of(t)];
+            advance_lane(tables, lane, grid.row(t), prev)?;
+            out.push(lane.best, &lane.candidates);
+        }
+        Ok(out)
+    })?;
+    Ok(merge_horizon(&slots, horizon))
 }
 
 #[cfg(test)]
@@ -653,27 +740,6 @@ mod tests {
                 let detection = online.push_slot(grid.row(t)).unwrap();
                 assert_eq!(&detection, expected, "slot {t}, shards {shards}");
             }
-        }
-    }
-
-    #[test]
-    fn streamed_top_k_matches_the_batch_ranking() {
-        let (chain, grid) = fleet(63, 29, 9);
-        let observed = grid.to_trajectories();
-        let scores = BatchPrefixDetector::with_shards(4)
-            .score_prefixes(&chain, &observed, 5)
-            .unwrap();
-        let mut online = StreamingPrefixDetector::with_shards(
-            vec![chain.log_likelihood_table()],
-            grid.num_trajectories(),
-            3,
-        )
-        .unwrap()
-        .with_top_k(5);
-        assert!(online.last_top_k().is_empty());
-        for t in 0..grid.horizon() {
-            online.push_slot(grid.row(t)).unwrap();
-            assert_eq!(online.last_top_k(), scores.top_k_at(t), "slot {t}");
         }
     }
 
