@@ -252,10 +252,14 @@ impl BatchPrefixDetector {
     ) -> Result<Vec<Detection>> {
         let horizon = validate_shape(observed)?;
         let mut ranges = lane_ranges(observed.len(), self.shards());
-        let slots = run_lanes(&mut ranges, |&mut range| match tables {
-            [table] => shard_pass_light(table, observed, range),
-            _ => shard_pass_mixture(tables, observed, range),
-        })?;
+        let slots = match tables {
+            [table] => run_lanes(&mut ranges, |&mut range| {
+                shard_pass_light(table, observed, range)
+            }),
+            _ => run_lanes(&mut ranges, |&mut range| {
+                shard_pass_mixture(tables, observed, range)
+            }),
+        }?;
         Ok(merge_horizon(&slots, horizon))
     }
 
@@ -281,7 +285,8 @@ impl BatchPrefixDetector {
         ensure_population_fits(n)?;
         let mut lanes = ShardLane::partition(n, self.shards(), epoch_tables[0].len());
         let mut prev_row = Vec::with_capacity(n);
-        let mut out = Vec::with_capacity(horizon);
+        // Not pre-sized: `horizon` is the source's claim, not a row count.
+        let mut out = Vec::new();
         while let Some(row) = source.next_row()? {
             let slot = out.len();
             if slot == horizon {

@@ -195,9 +195,8 @@ pub fn advance_slot_single(
 /// Same errors as [`advance_slot_single`], plus
 /// [`CoreError::LengthMismatch`](crate::CoreError::LengthMismatch) when
 /// `accs` is not `row.len() * tables.len()` long or `scores` is not
-/// `row.len()` long, and
-/// [`MarkovError::Empty`] for an empty
-/// `tables` slice — all before any accumulator is touched. A cell or
+/// `row.len()` long, and [`MarkovError::Empty`] for an empty `tables`
+/// slice — all before any accumulator is touched. A cell or
 /// arity failure on a later class leaves earlier classes advanced
 /// (callers either discard the block or pre-validate the row, so a
 /// partial advance is never observed).

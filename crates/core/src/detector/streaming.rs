@@ -195,10 +195,9 @@ impl StreamingPrefixDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`MarkovError::Empty`]
-    /// when no tables are supplied,
-    /// [`MarkovError::DimensionMismatch`]
-    /// when the class tables disagree on the cell space,
+    /// Returns [`MarkovError::Empty`] when no tables are supplied,
+    /// [`MarkovError::DimensionMismatch`] when the class tables disagree
+    /// on the cell space,
     /// [`CoreError::NoTrajectories`](crate::CoreError::NoTrajectories)
     /// for an empty population and
     /// [`CoreError::PopulationTooLarge`](crate::CoreError::PopulationTooLarge)
@@ -239,9 +238,8 @@ impl StreamingPrefixDetector {
     /// # Errors
     ///
     /// The errors of [`new`](Self::new), plus
-    /// [`MarkovError::LengthMismatch`]
-    /// when `epoch_tables` does not cover `schedule.num_epochs()` or the
-    /// epochs disagree on the class count.
+    /// [`MarkovError::LengthMismatch`] when `epoch_tables` does not cover
+    /// `schedule.num_epochs()` or the epochs disagree on the class count.
     pub fn with_schedule(
         epoch_tables: Vec<Vec<LogLikelihoodTable>>,
         schedule: EpochSchedule,
