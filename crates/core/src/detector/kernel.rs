@@ -3,7 +3,7 @@
 //!
 //! One slot of fleet-scale ML detection is three phases over a shard
 //! lane's contiguous block of services (see
-//! [`streaming`](super::streaming) for the lanes and the two drivers that
+//! [`streaming`](super::streaming) for the lanes and the two loops that
 //! run them):
 //!
 //! 1. **gather/add** — [`LogLikelihoodTable::add_step_batch`] gathers the

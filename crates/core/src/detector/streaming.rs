@@ -13,18 +13,18 @@
 //! lane by one slot through the shared per-slot kernels in [`kernel`].
 //! `run_lanes` dispatches the lanes onto the process-wide [`pool`] and
 //! returns their errors in lane order, and `merge_lanes` turns the
-//! lanes' per-slot candidates into the slot's tie set. Two drivers use
+//! lanes' per-slot candidates into the slot's tie set. Two loops run
 //! them:
 //!
-//! * the per-slot driver (`step_lanes`) runs one slot per pool scope.
+//! * the per-slot loop (`step_lanes`) runs one slot per pool scope.
 //!   `push_slot` and the paged path of
 //!   [`BatchPrefixDetector`](super::BatchPrefixDetector) use it;
-//! * the grid driver (`detect_grid`) runs every slot of a lane inside
+//! * the grid loop (`detect_grid`) runs every slot of a lane inside
 //!   one pool job, records the lane's per-slot `LaneSlots`, then merges
 //!   slot by slot. Columnar inputs and time-varying inputs over a grid
 //!   use it.
 //!
-//! Both drivers are generic over [`Borrow<LogLikelihoodTable>`], so the
+//! Both loops are generic over [`Borrow<LogLikelihoodTable>`], so the
 //! batch entry point scores against the caller's tables without cloning
 //! them, while the streaming detector owns its tables. A streamed run is
 //! therefore bit-for-bit the batch run *by construction*: the same
@@ -430,14 +430,14 @@ pub(super) fn lane_ranges(population: usize, shards: usize) -> Vec<(usize, usize
 
 /// One lane's running state: the index range it owns, the cumulative
 /// score accumulators for every `(trajectory, class)` pair in that range,
-/// and the reusable per-slot scratch [`advance_lane`] writes into —
-/// owning the scratch keeps the steady-state slot loop allocation-free.
+/// and the reusable per-slot buffers [`advance_lane`] writes into —
+/// owning the buffers keeps the steady-state slot loop allocation-free.
 ///
 /// Aligned to 128 bytes so that lanes stored side by side never share a
 /// cache line (or an adjacent-line prefetch pair): each pool job writes
 /// its lane's maximum and candidate-vector length once per tie, and
 /// false sharing between neighbouring lanes measurably slows the grid
-/// driver.
+/// loop.
 #[derive(Debug, Clone)]
 #[repr(align(128))]
 pub(super) struct ShardLane {
@@ -484,7 +484,7 @@ impl ShardLane {
 /// Advances one lane by one slot — *the* per-slot dispatch: one table
 /// runs [`advance_slot_single`](kernel::advance_slot_single), several run
 /// [`advance_slot_mixture`](kernel::advance_slot_mixture). The slot's
-/// lane maximum and argmax candidates land in the lane's scratch.
+/// lane maximum and argmax candidates land in the lane's buffers.
 /// `row` and `prev` are full population rows; the lane reads its range.
 pub(super) fn advance_lane<T: Borrow<LogLikelihoodTable>>(
     tables: &[T],
@@ -580,7 +580,7 @@ where
     Detection::new(tie_set)
 }
 
-/// The per-slot driver: advances every lane by one slot under `tables`
+/// The per-slot loop: advances every lane by one slot under `tables`
 /// in one pool scope, then merges the lanes' candidates.
 pub(super) fn step_lanes<T: Borrow<LogLikelihoodTable> + Sync>(
     lanes: &mut [ShardLane],
@@ -595,7 +595,7 @@ pub(super) fn step_lanes<T: Borrow<LogLikelihoodTable> + Sync>(
 }
 
 /// One lane's per-slot summaries over a whole horizon: the lane maximum
-/// and the argmax candidates of every slot, concatenated. The grid driver
+/// and the argmax candidates of every slot, concatenated. The grid loop
 /// and the trajectory-major passes emit these; [`merge_horizon`] merges
 /// them.
 #[derive(Debug)]
@@ -640,7 +640,7 @@ pub(super) fn merge_horizon(lanes: &[LaneSlots], horizon: usize) -> Vec<Detectio
         .collect()
 }
 
-/// The grid driver: every lane runs all slots of `grid` inside one pool
+/// The grid loop: every lane runs all slots of `grid` inside one pool
 /// job — the arrival at slot `t` scored under
 /// `epoch_tables[schedule.epoch_of(t)]` — and the lanes' summaries are
 /// merged slot by slot. `epoch_tables` must pass

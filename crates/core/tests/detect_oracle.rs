@@ -5,7 +5,7 @@
 //! itself over different observation layouts. This file instead holds
 //! every layout — trajectories, a columnar [`CellGrid`] and a paged
 //! [`GridRowSource`] — at shard counts {1, 2, 3, 7} against references
-//! that share no code with the detection drivers:
+//! that share no code with the detection code paths:
 //!
 //! * single tables: [`MlDetector::detect_prefixes`], the paper-scale
 //!   per-trajectory detector;
