@@ -18,10 +18,18 @@ odd ones) so that slow drift of the host speed does not favour either
 side. Any run that exits non-zero, reports ``correct: false`` or counts
 failed ops fails the whole comparison.
 
+With ``--record PATH`` the comparison is also appended to ``PATH`` as
+one JSON line; the repo keeps its trajectory in ``BENCH_fleetbench.json``.
+A row holds the label, workload, seeds and seconds, the stamp of the
+change's first run (machine and fixture shape), and per metric the
+parent and change ``[median, q1, q3]``, the wins, the bound check and
+the gain verdict. Nothing is recorded when a run fails.
+
 Usage::
 
     ab_pairs.py --parent PARENT_BIN --change CHANGE_BIN --workload NAME \\
-        --seeds 1,2,3,4,5,6,7,8,9,10 --seconds 30 [--benchmark BENCHMARK.json]
+        --seeds 1,2,3,4,5,6,7,8,9,10 --seconds 30 [--benchmark BENCHMARK.json] \\
+        [--record BENCH_fleetbench.json --label TEXT]
 
 Exit codes: 0 when every metric stays inside its bound, 1 when at least
 one metric breaks its bound or a run fails, 2 for usage errors.
@@ -34,7 +42,7 @@ import json
 import os
 import subprocess
 import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Fraction of pairs the change must win for a gain verdict (9 of 10).
 GAIN_WIN_FRACTION = 0.9
@@ -69,6 +77,18 @@ def parse_result(stdout: str) -> Dict:
         if key not in result:
             raise ValueError(f"result line lacks {key!r}")
     return result
+
+
+def parse_stamp(stdout: str) -> Optional[Dict]:
+    """fleetbench's ``{"stamp": {...}}`` line (machine and fixture shape),
+    or ``None`` when there is none. The workload, seed and commit fields
+    are dropped: the record carries the first two itself, and the commit
+    is read from the working directory, not from the binary's checkout."""
+    for line in stdout.splitlines():
+        if line.startswith('{"stamp"'):
+            stamp = json.loads(line)["stamp"]
+            return {k: v for k, v in stamp.items() if k not in ("workload", "seed", "git_commit")}
+    return None
 
 
 def run_failure(result: Dict) -> str:
@@ -154,6 +174,7 @@ def run_once(binary: str, workload: str, seed: int, seconds: float) -> Dict:
     failure = run_failure(result)
     if failure:
         raise RuntimeError(f"{binary} seed {seed}: {failure}")
+    result["stamp"] = parse_stamp(done.stdout)
     return result
 
 
@@ -173,6 +194,41 @@ def run_pairs(
     return pairs
 
 
+def record_row(
+    label: Optional[str],
+    workload: str,
+    seeds: Sequence[int],
+    seconds: float,
+    pairs: Sequence[Tuple[Dict, Dict]],
+    rows: Sequence[Dict],
+) -> Dict:
+    """The JSON record of one comparison (see the module docs)."""
+    return {
+        "label": label,
+        "workload": workload,
+        "seeds": list(seeds),
+        "seconds": seconds,
+        "pairs": len(pairs),
+        "stamp": pairs[0][1].get("stamp") if pairs else None,
+        "metrics": {
+            row["name"]: {
+                "parent": list(row["parent"]),
+                "change": list(row["change"]),
+                "wins": row["wins"],
+                "within_bound": row["within_bound"],
+                "gain": row["gain"],
+            }
+            for row in rows
+        },
+        "within_bounds": all(row["within_bound"] for row in rows),
+    }
+
+
+def append_record(path: str, row: Dict) -> None:
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent fleetbench binary")
@@ -185,6 +241,8 @@ def main(argv: Sequence[str]) -> int:
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json"),
         help="BENCHMARK.json declaring the end-to-end metrics and bounds",
     )
+    parser.add_argument("--record", help="append the comparison as one JSON line to this file")
+    parser.add_argument("--label", help="free-text label of the comparison in the record")
     try:
         args = parser.parse_args(argv)
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -206,6 +264,13 @@ def main(argv: Sequence[str]) -> int:
     rows = summarize(pairs, end_to_end)
     print(f"workload {args.workload}, seeds {','.join(map(str, seeds))}, {args.seconds:g} s per run")
     print(format_rows(rows))
+    if args.record:
+        row = record_row(args.label, args.workload, seeds, args.seconds, pairs, rows)
+        try:
+            append_record(args.record, row)
+        except OSError as e:
+            print(f"cannot record to {args.record}: {e}", file=sys.stderr)
+            return 1
     return 0 if all(row["within_bound"] for row in rows) else 1
 
 

@@ -131,7 +131,7 @@ class RunnerTests(unittest.TestCase):
 
     def fake_bench(self, name, throughput, correct=True):
         """A stand-in fleetbench that logs its name and seed, then prints
-        a summary line and a result line."""
+        a machine stamp, a summary line and a result line."""
         path = os.path.join(self.tmp.name, name)
         line = json.dumps(result(throughput, 10.0, correct=correct))
         with open(path, "w", encoding="utf-8") as handle:
@@ -141,13 +141,14 @@ class RunnerTests(unittest.TestCase):
                 "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
                 f"with open({self.log!r}, 'a') as log:\n"
                 f"    log.write({name!r} + ' ' + seed + '\\n')\n"
+                "print('{\"stamp\":{\"workload\":\"w\",\"seed\":1,\"git_commit\":\"x\",\"nproc\":2}}')\n"
                 "print('summary')\n"
                 f"print({line!r})\n"
             )
         os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
         return path
 
-    def run_main(self, parent, change, seeds="1,2,3,4"):
+    def run_main(self, parent, change, seeds="1,2,3,4", extra=()):
         return main(
             [
                 "--parent", parent,
@@ -156,6 +157,7 @@ class RunnerTests(unittest.TestCase):
                 "--seeds", seeds,
                 "--seconds", "1",
                 "--benchmark", self.benchmark,
+                *extra,
             ]
         )
 
@@ -186,6 +188,40 @@ class RunnerTests(unittest.TestCase):
         self.assertEqual(self.run_main(parent, parent, seeds="x"), 2)
         self.assertEqual(self.run_main(parent, parent, seeds=""), 2)
         self.assertEqual(main(["--parent", parent]), 2)
+
+    def test_record_appends_one_json_row_per_comparison(self):
+        parent = self.fake_bench("parent", 100.0)
+        change = self.fake_bench("change", 110.0)
+        record = os.path.join(self.tmp.name, "trajectory.json")
+        extra = ["--record", record, "--label", "faster"]
+        self.assertEqual(self.run_main(parent, change, extra=extra), 0)
+        self.assertEqual(self.run_main(parent, change, seeds="5,6", extra=extra), 0)
+        with open(record, encoding="utf-8") as handle:
+            rows = [json.loads(line) for line in handle]
+        self.assertEqual(len(rows), 2)
+        first = rows[0]
+        self.assertEqual(first["label"], "faster")
+        self.assertEqual(first["workload"], "batch_chaffed")
+        self.assertEqual(first["seeds"], [1, 2, 3, 4])
+        self.assertEqual(first["seconds"], 1.0)
+        self.assertEqual(first["pairs"], 4)
+        self.assertEqual(first["stamp"], {"nproc": 2})
+        self.assertTrue(first["within_bounds"])
+        throughput = first["metrics"]["user_slots_per_s"]
+        self.assertEqual(throughput["parent"], [100.0, 100.0, 100.0])
+        self.assertEqual(throughput["change"], [110.0, 110.0, 110.0])
+        self.assertEqual(throughput["wins"], 4)
+        self.assertTrue(throughput["within_bound"])
+        self.assertTrue(throughput["gain"])
+        self.assertEqual(first["metrics"]["op_ms_p50"]["wins"], 0)
+        self.assertEqual(rows[1]["seeds"], [5, 6])
+
+    def test_a_failed_run_records_nothing(self):
+        parent = self.fake_bench("parent", 100.0)
+        change = self.fake_bench("change", 100.0, correct=False)
+        record = os.path.join(self.tmp.name, "trajectory.json")
+        self.assertEqual(self.run_main(parent, change, extra=["--record", record]), 1)
+        self.assertFalse(os.path.exists(record))
 
     def test_a_missing_binary_exits_one(self):
         parent = self.fake_bench("parent", 100.0)

@@ -12,8 +12,12 @@
 //!   entry over the paged [`SlotStream`](chaff_store::SlotStream),
 //!   never materializing the grid.
 //!
-//! A fourth, `fleet_store/crc32`, times the CRC32 of one 1 MiB page on
-//! its own, so the gate tracks checksum throughput apart from I/O.
+//! A fourth, `fleet_store/crc32`, times the CRC32 on its own, so the
+//! gate tracks checksum throughput apart from I/O. It has two inputs: a
+//! 64 KiB buffer, which takes the interleaved-lane kernel alone, and one
+//! 1 MiB page, which the checksum also splits across the worker pool.
+//! The group runs at `sample_size(100)`: with 10 samples the gated
+//! nearest-rank p99 would be the single worst sample.
 //!
 //! The criterion shim records `peak_rss_bytes` per group, so the CI
 //! bench gate (`ci/compare_bench.py`) guards both the time and the
@@ -102,18 +106,21 @@ fn bench_stream_detect(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-/// Page checksum in isolation: CRC32 of one full-size (1 MiB) page
-/// payload, the cost every page write and every page read pays.
+/// Page checksum in isolation: CRC32 of a 64 KiB buffer (below the pool
+/// split threshold) and of one full-size (1 MiB) page payload, the cost
+/// every page write and every page read pays.
 fn bench_crc32(c: &mut Criterion) {
     let page: Vec<u8> = (0..TARGET_PAGE_PAYLOAD)
         .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
         .collect();
     let mut group = c.benchmark_group("fleet_store/crc32");
-    group.bench_with_input(
-        BenchmarkId::from_parameter(TARGET_PAGE_PAYLOAD),
-        &page,
-        |b, page| b.iter(|| crc32(black_box(page))),
-    );
+    for len in [64 << 10, TARGET_PAGE_PAYLOAD] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(len),
+            &page[..len],
+            |b, bytes| b.iter(|| crc32(black_box(bytes))),
+        );
+    }
     group.finish();
 }
 
@@ -129,6 +136,12 @@ fn configured() -> Criterion {
         .warm_up_time(Duration::from_millis(500))
 }
 
+/// The checksum calls take under a millisecond, so 100 samples fit the
+/// same budget and give the gated p99 a real tail.
+fn configured_crc32() -> Criterion {
+    configured().sample_size(100)
+}
+
 criterion_group! {
     name = fleet_store;
     config = configured();
@@ -137,6 +150,10 @@ criterion_group! {
         bench_write,
         bench_load,
         bench_stream_detect,
-        bench_crc32,
 }
-criterion_main!(fleet_store);
+criterion_group! {
+    name = fleet_store_crc32;
+    config = configured_crc32();
+    targets = bench_crc32,
+}
+criterion_main!(fleet_store, fleet_store_crc32);

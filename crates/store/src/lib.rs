@@ -42,9 +42,14 @@ mod tests {
     use super::*;
     use chaff_markov::CellId;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A temp path unique per call: tests run on parallel threads of one
+    /// process, so the pid alone would let one test delete another's file.
     fn temp_path(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("chaff_store_{}_{name}", std::process::id()))
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let call = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("chaff_store_{}_{call}_{name}", std::process::id()))
     }
 
     fn tiny_meta() -> StoreMeta {

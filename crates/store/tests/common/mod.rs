@@ -17,6 +17,7 @@ pub fn temp_path(tag: &str) -> PathBuf {
 
 /// Decodes a valid store's footer index: the byte offset where the index
 /// starts, and its entries in file order.
+#[allow(dead_code)] // the round-trip battery never decodes the footer
 pub fn footer_index(bytes: &[u8]) -> (usize, Vec<PageEntry>) {
     let tail: &[u8; FOOTER_TAIL_LEN] = bytes[bytes.len() - FOOTER_TAIL_LEN..]
         .try_into()

@@ -1,10 +1,12 @@
 //! Property battery: write → load / stream round-trips are bit-for-bit
 //! across population shapes, shard layouts and page boundaries.
 
+mod common;
+
 use chaff_markov::CellId;
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreMeta, StoreStats};
+use common::temp_path;
 use proptest::prelude::*;
-use std::path::PathBuf;
 
 /// SplitMix64 — deterministic per-case cell material without touching
 /// the vendored RNG.
@@ -18,10 +20,6 @@ fn mix(mut x: u64) -> u64 {
 
 fn cell(seed: u64, t: usize, i: usize, num_cells: usize) -> CellId {
     CellId::new((mix(seed ^ ((t as u64) << 32) ^ i as u64) % num_cells as u64) as usize)
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("chaff_store_prop_{}_{tag}", std::process::id()))
 }
 
 /// Builds a meta with `shards` roughly balanced shard ranges.
