@@ -1,7 +1,8 @@
 //! Chaffed-fleet benchmarks: the budgeted multi-user game end to end.
 //!
 //! Tracks the cost of (a) simulating a fleet under a uniform IM chaff
-//! policy, (b) batched detection over the enlarged `N · (1 + B)`
+//! policy, per strategy over a 3-class registry, and with a capacity
+//! limit that spills, (b) batched detection over the enlarged `N · (1 + B)`
 //! candidate set, (c) the multi-class (mixture) detection kernel over a
 //! heterogeneous registry, and (d) the full simulate + detect pipeline.
 //! CI archives the results in the `BENCH_fleet` baseline and fails on
@@ -32,7 +33,20 @@ fn chaffed_observations(budget: usize) -> (chaff_markov::MarkovChain, Vec<Trajec
     (chain, outcome.observed.to_trajectories())
 }
 
-/// Chaffed fleet simulation at per-user budgets 1 and 2.
+/// The heterogeneous fleet of the multi-class benches: non-skewed,
+/// spatially and temporally skewed classes over one 10-cell space.
+fn three_class_registry() -> MobilityRegistry {
+    MobilityRegistry::new(vec![
+        fixture_chain(ModelKind::NonSkewed, 10, 37),
+        fixture_chain(ModelKind::SpatiallySkewed, 10, 38),
+        fixture_chain(ModelKind::TemporallySkewed, 10, 39),
+    ])
+    .expect("shared cell space")
+}
+
+/// Chaffed fleet simulation: IM at per-user budgets 1 and 2, each
+/// online strategy at B = 2 over the 3-class registry, and IM at B = 2
+/// under a per-node capacity tight enough to spill.
 fn bench_simulate(c: &mut Criterion) {
     let chain = fixture_chain(ModelKind::NonSkewed, 10, 35);
     let mut group = c.benchmark_group("fleet_chaff/simulate");
@@ -52,6 +66,39 @@ fn bench_simulate(c: &mut Criterion) {
             },
         );
     }
+    let registry = three_class_registry();
+    for strategy in [
+        FleetChaffStrategy::Im,
+        FleetChaffStrategy::Cml,
+        FleetChaffStrategy::Mo,
+    ] {
+        let policy = FleetChaffPolicy::uniform(strategy, 2);
+        let id = strategy.to_string().to_lowercase();
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                FleetSimulation::with_registry(
+                    &registry,
+                    FleetConfig::new(USERS, HORIZON).with_seed(black_box(36)),
+                )
+                .run_chaffed(&policy)
+                .unwrap()
+            })
+        });
+    }
+    // 3,000 services over 10 nodes of 320 instances: placements crowd
+    // the popular cells, so the capacity replay spills every run.
+    let capped = || {
+        FleetSimulation::new(
+            &chain,
+            FleetConfig::new(USERS, HORIZON)
+                .with_seed(black_box(36))
+                .with_capacity(320),
+        )
+        .run_chaffed(&policy(2))
+        .unwrap()
+    };
+    assert!(capped().stats.spills > 0, "the capped case must spill");
+    group.bench_function("capped", |b| b.iter(capped));
     group.finish();
 }
 
@@ -76,12 +123,7 @@ fn bench_detect(c: &mut Criterion) {
 /// The multi-class mixture kernel: detection over a heterogeneous
 /// 3-class fleet (max-over-class scoring).
 fn bench_detect_multi_class(c: &mut Criterion) {
-    let registry = MobilityRegistry::new(vec![
-        fixture_chain(ModelKind::NonSkewed, 10, 37),
-        fixture_chain(ModelKind::SpatiallySkewed, 10, 38),
-        fixture_chain(ModelKind::TemporallySkewed, 10, 39),
-    ])
-    .expect("shared cell space");
+    let registry = three_class_registry();
     let outcome =
         FleetSimulation::with_registry(&registry, FleetConfig::new(USERS, HORIZON).with_seed(40))
             .run_chaffed(&policy(1))

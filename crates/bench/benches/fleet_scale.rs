@@ -1,7 +1,7 @@
 //! Columnar fleet-store benchmarks: the `N = 10⁵` scaling rung.
 //!
-//! Tracks (a) columnar fleet generation straight into the sharded
-//! arena, (b) the streaming columnar detection kernel over the grid,
+//! Tracks (a) columnar fleet generation straight into the observed
+//! grid and the user arena, (b) the streaming columnar detection kernel over the grid,
 //! and (c) the end-to-end chaffed pipeline at `N = 50,000`. Joins the
 //! CI `BENCH_fleet` baseline: `ci/compare_bench.py` gates both
 //! `mean_ns` and — via the criterion shim's per-benchmark `VmHWM`
@@ -24,8 +24,8 @@ fn policy(budget: usize) -> FleetChaffPolicy {
     FleetChaffPolicy::uniform(FleetChaffStrategy::Im, budget)
 }
 
-/// Columnar fleet generation (no chaffs): N users into one sharded
-/// arena, no per-trajectory allocations.
+/// Columnar fleet generation (no chaffs): N users into one slot-major
+/// observed grid and one user arena, no per-trajectory allocations.
 fn bench_simulate(c: &mut Criterion) {
     let chain = fixture_chain(ModelKind::NonSkewed, 10, 51);
     let mut group = c.benchmark_group("fleet_scale/simulate");
