@@ -34,32 +34,52 @@
 //!
 //! # Execution plan
 //!
+//! There is one fleet engine. [`FleetSimulation::run_chaffed`] and the
+//! slot-at-a-time [`StreamingFleetEngine`](crate::streaming::StreamingFleetEngine)
+//! drive the same crate-private stepper; a batch run steps it to the
+//! horizon in tiles of a fixed number of slots, writing each tile's rows
+//! straight into the observed [`CellGrid`], while the streaming engine
+//! steps one-slot tiles and detects as it goes. Each step keeps its
+//! bit-for-bit argument:
+//!
 //! 1. **Layout.** Per-user budgets are pure functions of `(user, class,
 //!    N)`, so the per-user service offset table is computed up front —
 //!    with checked arithmetic, so a large budget × large `N` fails
-//!    loudly ([`SimError::BudgetOverflow`]) instead of wrapping.
-//! 2. **Generate (parallel, columnar).** Users are split into contiguous
-//!    shards; each shard thread simulates its users slot by slot
-//!    (always-follow placement, per-user chaff controllers) directly
-//!    into its own columnar arena of the [`ShardedObservationLog`] and
-//!    its row range of the ground-truth [`TrajectoryArena`] — one
-//!    contiguous 4-byte-per-cell allocation per shard, no
-//!    per-trajectory `Vec`s. Every user draws from an RNG seeded by
-//!    SplitMix64 over `(fleet seed, user index)`, and every chaff from
-//!    its own stream over `(fleet seed, user, chaff)` — so results are
-//!    bit-identical for every shard count, growing the fleet never
-//!    perturbs existing users' streams, and growing a user's chaff
-//!    budget never perturbs the user's own trajectory.
-//! 3. **Capacity replay (sequential, only when a capacity is set).** The
-//!    planned rows are replayed through one shared [`MecNetwork`]'s slot
-//!    kernel ([`MecNetwork::launch_slot`], then
-//!    [`MecNetwork::replay_slot`] per slot) in global service order,
-//!    spilling to the nearest free node exactly like the single-user
-//!    simulator. A fleet with more services than the network has slots
-//!    is rejected before generation, so the replay cannot fail.
-//! 4. **Anonymize.** One Fisher–Yates permutation across all services,
-//!    driven by the fleet seed, scattered into one slot-major
-//!    [`CellGrid`].
+//!    loudly ([`SimError::BudgetOverflow`]) instead of wrapping. A
+//!    capacity-limited fleet with more services than the network has
+//!    slots is rejected here, so placement can never fail later.
+//! 2. **Seed.** Every user draws from an RNG seeded by SplitMix64 over
+//!    `(fleet seed, user index)`, and every chaff from its own stream
+//!    over `(fleet seed, user, chaff)`. Users are cut into contiguous
+//!    bands (one per shard), and each band seeds its users and builds
+//!    their chaff lanes as one job on the worker pool. Streams depend on
+//!    indices only, so results are bit-identical for every shard count,
+//!    growing the fleet never perturbs existing users' streams, and
+//!    growing a user's chaff budget never perturbs the user's own
+//!    trajectory.
+//! 3. **Draw and chaff, one tile at a time (parallel).** Each band job
+//!    advances its users tile slot by tile slot: the user's cells from
+//!    that slot's epoch-active chain (always-follow placement, so the
+//!    real service takes them too), then each chaff lane's cells against
+//!    them. The tile is service-major, so a user's RNG and a lane's
+//!    controller stay hot for the whole tile. Every draw reads only its
+//!    own stream and its own user's cells, so neither the band count nor
+//!    the tile length changes a draw. Without a capacity, migrations are
+//!    counted as cells are written.
+//! 4. **Capacity replay (only when a capacity is set).** Each tile slot,
+//!    in slot order, goes through one shared
+//!    [`MecNetwork`](crate::network::MecNetwork)'s slot kernel
+//!    (`launch_slot` on slot 0, then `replay_slot`) in global service
+//!    order, spilling to
+//!    the nearest free node exactly like the single-user simulator. The
+//!    calls are the same whatever the tile length.
+//! 5. **Anonymize, by gather.** One Fisher–Yates permutation across all
+//!    services, driven by the fleet seed, is drawn up front and kept as
+//!    its inverse; each observed row is gathered through it over
+//!    destination bands on the pool. The permutation is a bijection, so
+//!    every output cell is written exactly once.
+//!
+//! `tests/fleet_goldens.rs` pins whole outcomes of this pipeline.
 //!
 //! The outcome pairs with the streaming columnar detection core
 //! (`chaff_core::detector::BatchPrefixDetector`, whose unified
@@ -68,8 +88,7 @@
 //! and persists through `chaff-store` (see [`crate::persist`]) for
 //! checkpoint/resume at `N = 10⁶–10⁷`.
 
-use crate::network::MecNetwork;
-use crate::observer::ShardedObservationLog;
+use crate::stepper::{FleetStepper, BATCH_TILE_SLOTS};
 use crate::{Result, SimError};
 use chaff_core::strategy::{
     CmlController, EpochChains, ImController, MoController, OnlineChaffController,
@@ -661,9 +680,8 @@ pub struct FleetOutcome {
 }
 
 /// The mobility substrate a fleet runs on: one shared chain, or a
-/// registry of model classes. Shared with the slot-at-a-time engine in
-/// [`crate::streaming`], which must mirror the batch engine's class
-/// lookups exactly.
+/// registry of model classes. Both fleet drivers hand it to the one
+/// fleet stepper, so every class and chain lookup is the same code.
 #[derive(Clone, Copy)]
 pub(crate) enum FleetModel<'a> {
     /// Every user moves by the same chain.
@@ -709,9 +727,7 @@ impl<'a> FleetModel<'a> {
 
     /// The `budget` chaff lanes of `user`, in lane order: the policy's
     /// strategy for the user's class over the user's per-slot chain
-    /// source, each with its own seed stream. The batch and streaming
-    /// engines both build their lanes here, so they replay the same
-    /// streams.
+    /// source, each with its own seed stream.
     pub(crate) fn chaff_lanes(
         &self,
         policy: &FleetChaffPolicy,
@@ -725,6 +741,16 @@ impl<'a> FleetModel<'a> {
             let seed = chaff_seed(fleet_seed, user as u64, c as u64);
             (strategy.lane(chains.clone()), StdRng::seed_from_u64(seed))
         })
+    }
+
+    /// The one chain governing all of user `user`'s arrivals, unless
+    /// the model is a multi-epoch registry (`None`: look the chain up per
+    /// slot with [`chain_at_slot`](Self::chain_at_slot)).
+    pub(crate) fn stationary_chain(&self, user: usize) -> Option<&'a MarkovChain> {
+        match *self {
+            FleetModel::Heterogeneous(r) if !r.is_stationary() => None,
+            _ => Some(self.chain_of(user)),
+        }
     }
 
     /// The chain governing user `user`'s arrival at slot `slot` — the
@@ -827,221 +853,22 @@ impl<'a> FleetSimulation<'a> {
     /// slots ([`SimError::InvalidConfig`] on `node_capacity`), before
     /// any simulation work.
     pub fn run_chaffed(self, policy: &FleetChaffPolicy) -> Result<FleetOutcome> {
-        policy.validate(self.model.num_classes(), self.config.num_users)?;
-        self.config.validate()?;
-        let n = self.config.num_users;
-        let model = self.model;
-        // Phase 1 (layout): budgets are pure functions of the user index,
-        // so the whole layout exists before any worker starts.
-        let service_starts = service_layout(n, self.config.horizon, |user| {
-            policy.budget_of(user, model.class_of(user), n)
-        })?;
-        check_fleet_fits(&self.config, model.num_states(), service_starts[n])?;
-        let (user_cells, planned) = self.generate(&service_starts, policy)?;
-        self.assemble(user_cells, planned, &service_starts)
-    }
-
-    /// Phase 2: per-user trajectory generation, sharded over users.
-    /// Each worker fills one columnar arena of the planned observation
-    /// log plus its row range of the ground-truth arena — zero
-    /// per-trajectory allocations.
-    fn generate(
-        &self,
-        service_starts: &[usize],
-        policy: &FleetChaffPolicy,
-    ) -> Result<(TrajectoryArena, ShardedObservationLog)> {
-        let n = self.config.num_users;
-        let horizon = self.config.horizon;
-        let shards = self.config.effective_shards();
-        let chunk = n.div_ceil(shards);
-        // Worker `w` owns users `w * chunk..` and, through the offset
-        // table, their contiguous service range.
-        let user_ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let mut shard_starts: Vec<usize> = user_ranges
-            .iter()
-            .map(|&(lo, _)| service_starts[lo])
-            .collect();
-        shard_starts.push(service_starts[n]);
-        let mut planned = ShardedObservationLog::with_shard_starts(shard_starts, horizon)?;
+        let mut stepper = FleetStepper::new(self.model, &self.config, policy, BATCH_TILE_SLOTS)?;
+        let (n, horizon) = (self.config.num_users, self.config.horizon);
+        let mut observed = CellGrid::with_horizon(stepper.num_services(), horizon);
         let mut user_cells = TrajectoryArena::new(n, horizon);
-        let arenas = planned.arenas_mut();
-        let chunks = user_cells.chunks_of_rows_mut(chunk);
-        let workers = user_ranges.iter().zip(chunks).zip(arenas);
-        if user_ranges.len() <= 1 {
-            for ((&range, mut rows), (service_lo, arena)) in workers {
-                self.fill_shard(range, &mut rows, arena, service_lo, service_starts, policy);
-            }
-        } else {
-            // Generation shards run on the process-wide worker pool (no
-            // per-run thread spawns); the pool re-raises worker panics
-            // lowest shard first.
-            chaff_core::pool::global().scope(|scope| {
-                for ((&range, mut rows), (service_lo, arena)) in workers {
-                    scope.spawn(move || {
-                        self.fill_shard(
-                            range,
-                            &mut rows,
-                            arena,
-                            service_lo,
-                            service_starts,
-                            policy,
-                        );
-                    });
-                }
-            });
+        // One tile of slots per band of grid rows; only the last tile can
+        // be short.
+        for rows in observed.row_bands_mut(BATCH_TILE_SLOTS) {
+            let len = rows.len() / stepper.num_services();
+            stepper.step_into(len, true, rows, Some(&mut user_cells))?;
         }
-        Ok((user_cells, planned))
-    }
-
-    /// One worker's generation pass over users `ulo..uhi`, reusing one
-    /// chaff-lane buffer for all of them.
-    fn fill_shard(
-        &self,
-        (ulo, uhi): (usize, usize),
-        rows: &mut chaff_markov::ArenaRowsMut<'_>,
-        arena: &mut CellGrid,
-        service_lo: usize,
-        service_starts: &[usize],
-        policy: &FleetChaffPolicy,
-    ) {
-        let mut lanes: Vec<(ChaffLane<'a>, StdRng)> = Vec::new();
-        for (j, user) in (ulo..uhi).enumerate() {
-            let budget = service_starts[user + 1] - service_starts[user] - 1;
-            lanes.clear();
-            lanes.extend(
-                self.model
-                    .chaff_lanes(policy, self.config.seed, user, budget),
-            );
-            let col = service_starts[user] - service_lo;
-            self.simulate_user_into(user, &mut lanes, rows.row_mut(j), arena, col);
-        }
-    }
-
-    /// Simulates one user: strictly causal per-slot moves with
-    /// always-follow placement, mirroring `Simulation::run_online`,
-    /// written straight into the columnar arenas (the user at column
-    /// `col`, its chaff lanes right after). The user and each chaff draw
-    /// from separate deterministic streams, so the chaff budget never
-    /// perturbs the user's own trajectory.
-    fn simulate_user_into(
-        &self,
-        user: usize,
-        lanes: &mut [(ChaffLane<'a>, StdRng)],
-        user_row: &mut [CellId],
-        services: &mut CellGrid,
-        col: usize,
-    ) {
-        let mut rng = StdRng::seed_from_u64(user_seed(self.config.seed, user as u64));
-        // The arrival at each slot is drawn from that slot's epoch-active
-        // chain. Every chain consumes exactly one draw per step, so a
-        // one-epoch model replays the stationary stream bit-for-bit.
-        let mut chains = self.model.epoch_chains(user);
-        let mut user_now: Option<CellId> = None;
-        for (slot, user_slot) in user_row.iter_mut().enumerate() {
-            let chain = chains.advance();
-            let cell = match user_now {
-                None => chain.initial().sample(&mut rng),
-                Some(prev) => chain.step(prev, &mut rng),
-            };
-            user_now = Some(cell);
-            *user_slot = cell;
-            // Always-follow: the real service co-locates with the user,
-            // then each chaff lane takes its next cell.
-            let (real, chaffs) = services.row_mut(slot)[col..=col + lanes.len()]
-                .split_first_mut()
-                .expect("the user's column range holds its real service");
-            *real = cell;
-            for (out, (lane, chaff_rng)) in chaffs.iter_mut().zip(lanes.iter_mut()) {
-                *out = lane.advance(cell, &[], chaff_rng);
-            }
-        }
-    }
-
-    /// Phases 3–4: optional shared-capacity replay, then one global
-    /// anonymization shuffle.
-    fn assemble(
-        &self,
-        user_cells: TrajectoryArena,
-        planned: ShardedObservationLog,
-        service_starts: &[usize],
-    ) -> Result<FleetOutcome> {
-        let n = self.config.num_users;
-        let horizon = self.config.horizon;
-        let num_services = planned.num_services();
-        let mut stats = FleetStats {
-            migrations: 0,
-            spills: 0,
-            user_slots: n * horizon,
-            chaff_services: num_services - n,
-        };
-        let log = if let Some(capacity) = self.config.node_capacity {
-            self.replay_with_capacity(&planned, service_starts, capacity, &mut stats)?
-        } else {
-            // Fast path: without capacity limits the planned placement is
-            // the actual placement; count migrations row against row
-            // (contiguous columnar compares, no per-trajectory walk).
-            for arena in planned.shard_grids() {
-                for t in 1..arena.horizon() {
-                    stats.migrations += arena
-                        .row(t)
-                        .iter()
-                        .zip(arena.row(t - 1))
-                        .filter(|(now, prev)| now != prev)
-                        .count();
-                }
-            }
-            planned
-        };
-        let (observed, user_observed_indices) = if self.config.anonymize {
-            let mut rng = StdRng::seed_from_u64(shuffle_seed(self.config.seed));
-            let (observed, perm) = log.into_anonymized(&mut rng);
-            let indices = (0..n).map(|u| perm[service_starts[u]]).collect();
-            (observed, indices)
-        } else {
-            let observed = log.into_ordered()?;
-            let indices = service_starts[..n].to_vec();
-            (observed, indices)
-        };
         Ok(FleetOutcome {
             observed,
-            user_observed_indices,
+            user_observed_indices: stepper.user_observed_indices().to_vec(),
             user_cells,
-            stats,
+            stats: stepper.stats(),
         })
-    }
-
-    /// Sequential replay through one shared MEC network: services are
-    /// visited in global index order per slot, so spills are deterministic
-    /// and identical for every shard count.
-    fn replay_with_capacity(
-        &self,
-        planned: &ShardedObservationLog,
-        service_starts: &[usize],
-        capacity: usize,
-        stats: &mut FleetStats,
-    ) -> Result<ShardedObservationLog> {
-        let horizon = self.config.horizon;
-        let num_services = planned.num_services();
-        let mut network = MecNetwork::new(self.model.num_states(), Some(capacity))?;
-        let mut log = ShardedObservationLog::new(num_services, self.config.effective_shards())
-            .with_user_layout(service_starts.to_vec());
-        let mut actual = vec![CellId::new(0); num_services];
-        let mut desired_row: Vec<CellId> = Vec::with_capacity(num_services);
-        for slot in 0..horizon {
-            planned.copy_slot_into(slot, &mut desired_row);
-            let counts = if slot == 0 {
-                network.launch_slot(&desired_row, &mut actual)?
-            } else {
-                network.replay_slot(&desired_row, &mut actual)?
-            };
-            stats.migrations += counts.migrations;
-            stats.spills += counts.spills;
-            log.record_slot(&actual)?;
-        }
-        Ok(log)
     }
 }
 
@@ -1061,66 +888,6 @@ pub fn user_seed(base: u64, user: u64) -> u64 {
 /// never perturbs the user's trajectory) and of each other.
 pub fn chaff_seed(base: u64, user: u64, chaff: u64) -> u64 {
     user_seed(user_seed(base, user) ^ 0xC4AF_F000_0000_0000, chaff)
-}
-
-/// Seed stream for the anonymization shuffle (kept separate from user
-/// streams so adding users never perturbs the permutation draw). Shared
-/// with [`crate::streaming`], whose up-front permutation must be the
-/// batch engine's draw bit-for-bit.
-pub(crate) fn shuffle_seed(base: u64) -> u64 {
-    user_seed(base, 0xF1EE_7000_0000_0001)
-}
-
-/// The per-user service offset table: user `u` owns global services
-/// `starts[u]..starts[u + 1]` (real service first, then its chaffs).
-/// Checked arithmetic throughout — oversized budgets fail typed
-/// ([`SimError::BudgetOverflow`]) before any allocation, including the
-/// `total × horizon` cell count the columnar stores would need. Shared by
-/// the batch engine and [`crate::streaming`], so both lay services out
-/// identically.
-pub(crate) fn service_layout<B>(
-    num_users: usize,
-    horizon: usize,
-    budget_of: B,
-) -> Result<Vec<usize>>
-where
-    B: Fn(usize) -> usize,
-{
-    let overflow = || SimError::BudgetOverflow { users: num_users };
-    let mut service_starts = Vec::with_capacity(num_users + 1);
-    let mut total = 0usize;
-    service_starts.push(0);
-    for user in 0..num_users {
-        let services = budget_of(user).checked_add(1).ok_or_else(overflow)?;
-        total = total.checked_add(services).ok_or_else(overflow)?;
-        service_starts.push(total);
-    }
-    total.checked_mul(horizon).ok_or_else(overflow)?;
-    Ok(service_starts)
-}
-
-/// Rejects a capacity-limited fleet with more services than the network
-/// has slots (`num_cells × capacity`), before any engine state exists.
-/// A fleet that fits can never run out of capacity: the launch finds a
-/// node for every service, and a replay always has the node a service
-/// just released. Shared by the batch engine and [`crate::streaming`].
-pub(crate) fn check_fleet_fits(
-    config: &FleetConfig,
-    num_cells: usize,
-    num_services: usize,
-) -> Result<()> {
-    let Some(capacity) = config.node_capacity else {
-        return Ok(());
-    };
-    match num_cells.checked_mul(capacity) {
-        Some(slots) if slots < num_services => Err(SimError::InvalidConfig {
-            parameter: "node_capacity",
-            reason: format!(
-                "{num_services} services exceed {num_cells} nodes × {capacity} instances"
-            ),
-        }),
-        _ => Ok(()),
-    }
 }
 
 #[cfg(test)]

@@ -18,12 +18,14 @@
 //! * [`sim`] — the single-user driver, in two modes: fully online
 //!   (per-slot chaff controllers) and planned (offline strategies like OO
 //!   that need the user's whole trajectory);
-//! * [`fleet`] — the fleet engine: sharded simulation of thousands to
-//!   hundreds of thousands of concurrent users through one shared MEC
-//!   world, paired with the batched detection core in `chaff-core`;
-//! * [`streaming`] — the online counterpart: the same fleet advanced one
-//!   slot at a time with incremental detection and a horizon-independent
-//!   memory bound, bit-for-bit equal to the batch pipeline;
+//! * [`fleet`] — the fleet engine: banded simulation of thousands to
+//!   millions of concurrent users through one shared MEC world, stepped
+//!   to the horizon in slot tiles and paired with the batched detection
+//!   core in `chaff-core`;
+//! * [`streaming`] — the online driver of the same engine: the fleet
+//!   advanced one slot at a time with incremental detection and a
+//!   horizon-independent memory bound, bit-for-bit equal to the batch
+//!   pipeline;
 //! * [`persist`] — checkpoint / restore through the paged on-disk store
 //!   (`chaff-store`): batch outcomes persist slot by slot, the streaming
 //!   engine appends as it runs, and either file restores bit-for-bit.
@@ -59,6 +61,7 @@ pub mod network;
 pub mod observer;
 pub mod persist;
 pub mod sim;
+mod stepper;
 pub mod streaming;
 pub mod test_support;
 

@@ -1,7 +1,8 @@
-//! Checkpoint / resume bridge between the fleet engines and the
-//! persistent paged store (`chaff-store`, ISSUE 8).
+//! Checkpoint / resume bridge between the fleet engine and the
+//! persistent paged store (`chaff-store`).
 //!
-//! Two write paths mirror the two fleet engines:
+//! Two write paths, one for a finished outcome and one for a run in
+//! progress:
 //!
 //! * [`FleetOutcome::checkpoint`] — persist a finished batch run; the
 //!   in-memory arenas are walked slot by slot, and the trajectory-major
@@ -13,8 +14,8 @@
 //!   at most one partial page per section, the engine one ring of
 //!   recent rows.
 //!
-//! [`FleetOutcome::restore`] is the inverse of both: because the
-//! streamed engine is bit-for-bit equal to the batch engine, a store
+//! [`FleetOutcome::restore`] is the inverse of both: the streaming
+//! engine and the batch run step the same fleet stepper, so a store
 //! written by either path restores to the same [`FleetOutcome`].
 //!
 //! A run killed before `finish` leaves a footer-less file that
@@ -122,7 +123,8 @@ impl StreamingFleetEngine<'_> {
     ///
     /// Memory stays horizon-independent: the engine's ring plus at most
     /// one partial page per store section. The resulting file restores
-    /// ([`FleetOutcome::restore`]) to exactly the batch engine's outcome
+    /// ([`FleetOutcome::restore`]) to exactly the outcome of
+    /// [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed)
     /// for the same configuration and policy.
     ///
     /// # Errors

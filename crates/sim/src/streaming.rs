@@ -1,19 +1,17 @@
 //! The slot-at-a-time fleet engine: simulation, chaff injection,
 //! anonymization and online detection fused into one causal loop.
 //!
-//! [`crate::fleet::FleetSimulation`] is batch-shaped: simulate the whole
-//! horizon, then hand the finished [`chaff_markov::CellGrid`]
-//! to the detector. The
-//! paper's eavesdropper (eq. 11) is *online* — it observes one service
-//! row per slot — and a real deployment never has the future.
-//! [`StreamingFleetEngine`] advances one slot at a time:
+//! The paper's eavesdropper (eq. 11) is *online* — it observes one
+//! service row per slot — and a real deployment never has the future.
+//! [`StreamingFleetEngine`] advances one slot at a time on the same
+//! simulation stepper as [`crate::fleet::FleetSimulation`], with tiles of
+//! one slot, and puts detection on top:
 //!
 //! 1. **Draw / ingest and chaff, one banded pass.** Users are cut into
 //!    at most as many contiguous bands as the detector has shards
 //!    ([`FleetConfig::with_shards`]), and every band runs as one job on
-//!    [`chaff_core::pool::global`]. A band owns disjoint slices of the
-//!    user row, the user RNGs, the planned row and the chaff lanes. Per
-//!    user, in turn: the next cell comes from its mobility chain
+//!    [`chaff_core::pool::global`]. Per user, in turn: the next cell
+//!    comes from its mobility chain
 //!    ([`step`](StreamingFleetEngine::step)), or was already written by
 //!    an external per-slot feed
 //!    ([`step_ingested`](StreamingFleetEngine::step_ingested), e.g. a
@@ -25,25 +23,23 @@
 //!    capacity, migrations are counted as the planned row is
 //!    overwritten in place: an integer sum of per-band counts.
 //! 2. **Place.** Optional shared-capacity replay through one
-//!    [`MecNetwork`]'s slot kernel, serial, the same calls the batch
-//!    engine makes per slot: [`MecNetwork::launch_slot`] on slot 0, then
-//!    [`MecNetwork::replay_slot`]. Per service the kernel releases the
-//!    previous node and retakes the wanted one when it has room; a
-//!    service that stays put releases a node holding at most `capacity`
-//!    instances, so it always gets it straight back, and `from == to`
-//!    needs no branch of its own. Only placements that spill take a
-//!    branch, into the nearest-free-node search. A fleet with more
-//!    services than the network has slots is rejected at construction,
-//!    so placement never fails mid-stream.
+//!    [`MecNetwork`](crate::network::MecNetwork)'s slot kernel, serial:
+//!    `launch_slot` on slot 0, then `replay_slot`. Per service the kernel
+//!    releases the previous node and retakes the wanted one when it has
+//!    room; a service that stays put releases a node holding at most
+//!    `capacity` instances, so it always gets it straight back, and
+//!    `from == to` needs no branch of its own. Only placements that
+//!    spill take a branch, into the nearest-free-node search. A fleet
+//!    with more services than the network has slots is rejected at
+//!    construction, so placement never fails mid-stream.
 //! 3. **Anonymize, by gather.** The fleet's Fisher–Yates permutation
-//!    (drawn once, up front, from the same seed stream as the batch
-//!    engine) is kept as its inverse `inv`, and the observed row is
-//!    filled over destination bands on the pool:
-//!    `observed[p] = placed[inv[p]]`. The permutation is a bijection, so
-//!    this writes exactly the scatter `observed[perm[s]] = placed[s]`,
-//!    each output cell once, by one band. In the same pool scope each
-//!    user band counts the cells its users' real services were placed
-//!    in (`user_hist`).
+//!    (drawn once, up front, from the fleet's shuffle seed stream) is
+//!    kept as its inverse `inv`, and the observed row is filled over
+//!    destination bands on the pool: `observed[p] = placed[inv[p]]`.
+//!    The permutation is a bijection, so this writes exactly the scatter
+//!    `observed[perm[s]] = placed[s]`, each output cell once, by one
+//!    band. A second banded pass counts, per user band, the cells its
+//!    users' real services were placed in (`user_hist`).
 //! 4. **Detect.** The row feeds a
 //!    [`StreamingPrefixDetector`], which shares the batch detector's
 //!    per-slot kernel.
@@ -53,12 +49,13 @@
 //!    `Σ_u tie_hist[cell(u)]` regrouped by cell, an exact integer
 //!    identity, so the accuracy is bit-for-bit the per-user loop's.
 //!
-//! Because every random draw comes from the same per-user / per-chaff /
-//! shuffle seed streams as the batch engine, and the detector shares the
-//! batch per-slot kernel, a streamed run is **bit-for-bit** the batch
-//! `run_chaffed` + unified `detect_prefixes` pipeline, for every band
-//! count — proptested across shard counts, budgets and mobility classes
-//! in `tests/streaming_equivalence.rs`.
+//! Steps 1–3 are the batch engine's own code, and the tile length
+//! changes no draw, placement or gathered cell, so a streamed run's rows,
+//! indices and stats are the batch outcome's. The detector shares the
+//! batch per-slot kernel, so its detections are the unified
+//! `detect_prefixes` pipeline's, for every band count —
+//! `tests/streaming_equivalence.rs` holds the two drivers together, and
+//! `tests/fleet_goldens.rs` pins the outcomes both produce.
 //!
 //! # Memory bound
 //!
@@ -74,19 +71,12 @@
 //! any engine state advances, so a broken or truncated stream leaves a
 //! clean partial result — never a poisoned engine.
 
-use crate::fleet::{
-    check_fleet_fits, service_layout, shuffle_seed, user_seed, BudgetAllocation, ChaffLane,
-    FleetChaffPolicy, FleetConfig, FleetModel, FleetStats,
-};
-use crate::network::MecNetwork;
-use crate::observer::fisher_yates;
+use crate::fleet::{BudgetAllocation, FleetChaffPolicy, FleetConfig, FleetModel, FleetStats};
+use crate::stepper::{run_bands, take_front, FleetStepper};
 use crate::{Result, SimError};
 use chaff_core::detector::{Detection, StreamingPrefixDetector};
 use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default depth of the trailing observed-row ring.
 pub const DEFAULT_RING_DEPTH: usize = 8;
@@ -148,48 +138,6 @@ impl SlotRing {
     }
 }
 
-/// One band of the fused draw+chaff pass: users
-/// `first..first + cells.len()` with their disjoint slices of the user
-/// row, the user RNGs, the planned row (their `service_starts` range)
-/// and the chaff lanes.
-struct UserBand<'s, 'a> {
-    first: usize,
-    cells: &'s mut [CellId],
-    rngs: &'s mut [StdRng],
-    planned: &'s mut [CellId],
-    chaffs: &'s mut [(ChaffLane<'a>, StdRng)],
-}
-
-/// One band of the anonymizing gather: a destination range of the
-/// observed row with its `inv` entries, plus one user band's real
-/// services and the cell counts it fills.
-struct GatherBand<'s> {
-    out: &'s mut [CellId],
-    inv: &'s [u32],
-    user_services: &'s [usize],
-    user_hist: &'s mut [usize],
-}
-
-/// Cuts the front `len` elements off `rest` and returns them, leaving
-/// the remainder in `rest`.
-fn take_front<'s, T>(rest: &mut &'s mut [T], len: usize) -> &'s mut [T] {
-    let (front, back) = std::mem::take(rest).split_at_mut(len);
-    *rest = back;
-    front
-}
-
-/// Runs `work` on every band, one job per band on the process-wide
-/// pool. Bands own disjoint data, so the result never depends on which
-/// band runs first.
-fn run_bands<B: Send>(bands: impl Iterator<Item = B>, work: impl Fn(B) + Sync) {
-    let work = &work;
-    chaff_core::pool::global().scope(|scope| {
-        for band in bands {
-            scope.spawn(move || work(band));
-        }
-    });
-}
-
 /// The streaming fleet engine. Construct with
 /// [`new`](StreamingFleetEngine::new) (homogeneous) or
 /// [`with_registry`](StreamingFleetEngine::with_registry)
@@ -223,44 +171,19 @@ fn run_bands<B: Send>(bands: impl Iterator<Item = B>, work: impl Fn(B) + Sync) {
 /// # }
 /// ```
 pub struct StreamingFleetEngine<'a> {
-    model: FleetModel<'a>,
-    config: FleetConfig,
-    service_starts: Vec<usize>,
-    num_services: usize,
-    /// `inv[position]` = the service observed at that post-shuffle
-    /// position: the inverse of the anonymization permutation (identity
-    /// when anonymization is off).
-    inv: Vec<u32>,
-    user_observed_indices: Vec<usize>,
+    /// The simulation half: layout, RNG and lane state, permutation and
+    /// placement, stepped one slot per tile.
+    stepper: FleetStepper<'a>,
     /// `is_user[observed index]`: does this column carry a real user?
     is_user: Vec<bool>,
-    /// Each user's own mobility stream (unused on the ingest path). The
-    /// user's current cell is `user_row[u]`.
-    user_rngs: Vec<StdRng>,
-    /// Every chaff's controller with its independent RNG stream, flat in
-    /// chaff-service order: user `u`'s lanes are
-    /// `service_starts[u] - u..service_starts[u + 1] - u - 1`.
-    chaffs: Vec<(ChaffLane<'a>, StdRng)>,
-    /// Users per band of the fused draw+chaff pass and of the gather.
-    band_users: usize,
     detector: StreamingPrefixDetector,
     ring: SlotRing,
-    /// This slot's planned (pre-shuffle) row. The draw+chaff pass
-    /// overwrites last slot's row in place, counting changed cells as
-    /// migrations when there is no capacity replay.
-    planned_row: Vec<CellId>,
     observed_row: Vec<CellId>,
-    user_row: Vec<CellId>,
-    /// Capacity replay state: the shared network plus each service's
-    /// current actual cell.
-    network: Option<(MecNetwork, Vec<CellId>)>,
-    /// Per band, how many users' real services were placed in each
+    /// Per user band, how many users' real services were placed in each
     /// cell this slot (`bands × cells`).
     user_hist: Vec<usize>,
     /// How many tie-set services sit in each cell (zero between slots).
     tie_hist: Vec<usize>,
-    stats: FleetStats,
-    slot: usize,
 }
 
 impl<'a> StreamingFleetEngine<'a> {
@@ -305,45 +228,10 @@ impl<'a> StreamingFleetEngine<'a> {
         config: FleetConfig,
         policy: &FleetChaffPolicy,
     ) -> Result<Self> {
-        config.validate()?;
-        policy.validate(model.num_classes(), config.num_users)?;
-        let n = config.num_users;
-        let service_starts = service_layout(n, config.horizon, |user| {
-            policy.budget_of(user, model.class_of(user), n)
-        })?;
-        let num_services = *service_starts.last().expect("layout has n + 1 entries");
-        let width = u32::try_from(num_services).map_err(|_| SimError::InvalidConfig {
-            parameter: "num_services",
-            reason: format!("{num_services} services exceed the u32 service index"),
-        })?;
-        check_fleet_fits(&config, model.num_states(), num_services)?;
-        // Per-user persistent state: the same seed streams and chaff
-        // lanes as the batch engine's `simulate_user_into`.
-        let user_rngs: Vec<StdRng> = (0..n)
-            .map(|user| StdRng::seed_from_u64(user_seed(config.seed, user as u64)))
-            .collect();
-        let mut chaffs = Vec::with_capacity(num_services - n);
-        for user in 0..n {
-            let budget = service_starts[user + 1] - service_starts[user] - 1;
-            chaffs.extend(model.chaff_lanes(policy, config.seed, user, budget));
-        }
-        // The batch engine shuffles once, at assembly; the same
-        // permutation (same seed stream), inverted, gathers every slot
-        // row here.
-        let (inv, user_observed_indices) = if config.anonymize {
-            let mut rng = StdRng::seed_from_u64(shuffle_seed(config.seed));
-            let perm = fisher_yates(num_services, &mut rng);
-            let mut inv = vec![0u32; num_services];
-            for (service, &position) in (0..width).zip(&perm) {
-                inv[position] = service;
-            }
-            let indices = (0..n).map(|u| perm[service_starts[u]]).collect();
-            (inv, indices)
-        } else {
-            ((0..width).collect(), service_starts[..n].to_vec())
-        };
+        let stepper = FleetStepper::new(model, &config, policy, 1)?;
+        let num_services = stepper.num_services();
         let mut is_user = vec![false; num_services];
-        for &idx in &user_observed_indices {
+        for &idx in stepper.user_observed_indices() {
             is_user[idx] = true;
         }
         let shards = config.effective_shards();
@@ -375,42 +263,15 @@ impl<'a> StreamingFleetEngine<'a> {
         if matches!(policy.allocation(), BudgetAllocation::Adaptive(_)) {
             detector = detector.with_feedback();
         }
-        let network = match config.node_capacity {
-            Some(capacity) => Some((
-                MecNetwork::new(model.num_states(), Some(capacity))?,
-                vec![CellId::new(0); num_services],
-            )),
-            None => None,
-        };
-        // The simulation bands are the detector's shards: one knob.
-        let band_users = n.div_ceil(shards);
-        let stats = FleetStats {
-            migrations: 0,
-            spills: 0,
-            user_slots: 0,
-            chaff_services: num_services - n,
-        };
+        let bands = config.num_users.div_ceil(stepper.band_users());
         Ok(StreamingFleetEngine {
-            model,
-            config,
-            service_starts,
-            num_services,
-            inv,
-            user_observed_indices,
+            stepper,
             is_user,
-            user_rngs,
-            chaffs,
-            band_users,
             detector,
             ring: SlotRing::new(DEFAULT_RING_DEPTH, 0),
-            planned_row: vec![CellId::new(0); num_services],
             observed_row: vec![CellId::new(0); num_services],
-            user_row: vec![CellId::new(0); n],
-            network,
-            user_hist: vec![0; n.div_ceil(band_users) * model.num_states()],
+            user_hist: vec![0; bands * model.num_states()],
             tie_hist: vec![0; model.num_states()],
-            stats,
-            slot: 0,
         })
     }
 
@@ -419,7 +280,7 @@ impl<'a> StreamingFleetEngine<'a> {
     /// buffered so far are dropped and the new ring starts at the next
     /// slot.
     pub fn with_ring_depth(mut self, depth: usize) -> Self {
-        self.ring = SlotRing::new(depth, self.slot);
+        self.ring = SlotRing::new(depth, self.stepper.slot());
         self
     }
 
@@ -440,7 +301,8 @@ impl<'a> StreamingFleetEngine<'a> {
     /// feedback is not enabled.
     pub fn user_feedback(&self) -> Option<Vec<f64>> {
         self.detector.feedback().map(|feedback| {
-            self.user_observed_indices
+            self.stepper
+                .user_observed_indices()
                 .iter()
                 .map(|&column| feedback.accuracy(column))
                 .collect()
@@ -449,22 +311,22 @@ impl<'a> StreamingFleetEngine<'a> {
 
     /// Number of users `N`.
     pub fn num_users(&self) -> usize {
-        self.config.num_users
+        self.stepper.num_users()
     }
 
     /// Total services (users plus chaffs) per slot row.
     pub fn num_services(&self) -> usize {
-        self.num_services
+        self.stepper.num_services()
     }
 
     /// The configured horizon (the engine stops after this many slots).
     pub fn horizon(&self) -> usize {
-        self.config.horizon
+        self.stepper.horizon()
     }
 
     /// Slots completed so far.
     pub fn slots_run(&self) -> usize {
-        self.slot
+        self.stepper.slot()
     }
 
     /// Depth of the trailing observed-row ring.
@@ -493,25 +355,24 @@ impl<'a> StreamingFleetEngine<'a> {
     /// The ground-truth user cells of the most recent slot (empty before
     /// the first step).
     pub fn last_user_row(&self) -> &[CellId] {
-        if self.slot == 0 {
+        if self.stepper.slot() == 0 {
             &[]
         } else {
-            &self.user_row
+            self.stepper.user_row()
         }
     }
 
     /// `user_observed_indices[u]`: where user `u`'s real service sits in
     /// every observed row.
     pub fn user_observed_indices(&self) -> &[usize] {
-        &self.user_observed_indices
+        self.stepper.user_observed_indices()
     }
 
     /// Aggregate counters over the slots run so far. On a completed run
-    /// these equal the batch engine's
-    /// [`FleetStats`] bit-for-bit; on a
+    /// these equal a batch run's [`FleetStats`] bit-for-bit; on a
     /// truncated run they describe the clean partial prefix.
     pub fn stats(&self) -> FleetStats {
-        self.stats
+        self.stepper.stats()
     }
 
     /// Bytes of horizon-independent engine state: the observed-row ring,
@@ -521,19 +382,10 @@ impl<'a> StreamingFleetEngine<'a> {
     /// figure is the engine's `O(width · ring_depth + N)` columnar
     /// footprint, the quantity the memory-bound tests pin down.
     pub fn state_bytes(&self) -> usize {
-        let rows = self.planned_row.capacity() * 4
-            + self.observed_row.capacity() * 4
-            + self.user_row.capacity() * 4;
-        let tables = self.inv.capacity() * 4
-            + self.service_starts.capacity() * 8
-            + self.user_observed_indices.capacity() * 8
-            + self.is_user.capacity()
-            + (self.user_hist.capacity() + self.tie_hist.capacity()) * 8;
-        let actual = self
-            .network
-            .as_ref()
-            .map_or(0, |(_, actual)| actual.capacity() * 4);
-        self.ring.bytes() + self.detector.state_bytes() + rows + tables + actual
+        let rows = self.observed_row.capacity() * 4;
+        let tables =
+            self.is_user.capacity() + (self.user_hist.capacity() + self.tie_hist.capacity()) * 8;
+        self.ring.bytes() + self.detector.state_bytes() + self.stepper.state_bytes() + rows + tables
     }
 
     /// Advances one slot, drawing every user's move from its mobility
@@ -546,7 +398,7 @@ impl<'a> StreamingFleetEngine<'a> {
     /// detection error propagates typed only if an internal invariant
     /// breaks.
     pub fn step(&mut self) -> Result<Option<SlotStep>> {
-        if self.slot >= self.config.horizon {
+        if self.slots_run() >= self.horizon() {
             return Ok(None);
         }
         self.advance_slot(true)
@@ -569,23 +421,24 @@ impl<'a> StreamingFleetEngine<'a> {
     /// space. Capacity is checked at construction, so placement never
     /// fails.
     pub fn step_ingested(&mut self, user_cells: &[CellId]) -> Result<Option<SlotStep>> {
-        if self.slot >= self.config.horizon {
+        let slot = self.slots_run();
+        if slot >= self.horizon() {
             return Ok(None);
         }
-        let n = self.config.num_users;
+        let n = self.num_users();
         if user_cells.len() != n {
             return Err(SimError::StreamFault {
                 user: user_cells.len().min(n.saturating_sub(1)),
-                slot: self.slot,
+                slot,
                 reason: format!("slot row supplies {} cells for {n} users", user_cells.len()),
             });
         }
-        let states = self.model.num_states();
+        let states = self.stepper.model().num_states();
         for (user, &cell) in user_cells.iter().enumerate() {
             if cell.index() >= states {
                 return Err(SimError::StreamFault {
                     user,
-                    slot: self.slot,
+                    slot,
                     reason: format!(
                         "cell {} outside the {states}-cell state space",
                         cell.index()
@@ -593,63 +446,35 @@ impl<'a> StreamingFleetEngine<'a> {
                 });
             }
         }
-        self.user_row.copy_from_slice(user_cells);
+        self.stepper.user_row_mut().copy_from_slice(user_cells);
         self.advance_slot(false)
     }
 
-    /// One slot: the banded draw+chaff pass (drawing user cells when
-    /// `draw`, else reading the ingested `user_row`), optional capacity
-    /// replay, the banded anonymizing gather, ring append, online
-    /// detection and accuracy by cell counts.
+    /// One slot: the stepper's one-slot tile (draw+chaff, placement and
+    /// anonymizing gather), drawing user cells when `draw`, else reading
+    /// the ingested user row; then the banded user-cell counts, ring
+    /// append, online detection and accuracy by cell counts.
     fn advance_slot(&mut self, draw: bool) -> Result<Option<SlotStep>> {
-        let n = self.config.num_users;
-        let slot = self.slot;
-        let planned_moves = self.draw_and_chaff(draw);
-        // Placement phase: the shared slot kernel with capacity, the
-        // planned row itself without.
-        let placed: &[CellId] = if let Some((network, actual)) = &mut self.network {
-            let counts = if slot == 0 {
-                network.launch_slot(&self.planned_row, actual)?
-            } else {
-                network.replay_slot(&self.planned_row, actual)?
-            };
-            self.stats.migrations += counts.migrations;
-            self.stats.spills += counts.spills;
-            actual
-        } else {
-            if slot > 0 {
-                self.stats.migrations += planned_moves;
-            }
-            &self.planned_row
-        };
-        // Anonymize phase: gather through `inv` over destination bands;
-        // the same jobs count where each user band's real services went.
+        let slot = self.stepper.slot();
+        let n = self.stepper.num_users();
+        self.stepper
+            .step_into(1, draw, &mut self.observed_row, None)?;
+        // Count, per user band, the cells its users' real services were
+        // placed in.
+        let placed = self.stepper.placed_row();
+        let band_users = self.stepper.band_users();
         let states = self.tie_hist.len();
-        let bands = n.div_ceil(self.band_users);
-        let dest_len = self.num_services.div_ceil(bands);
-        let mut out = &mut self.observed_row[..];
-        let mut inv = &self.inv[..];
-        let mut users = &self.service_starts[..n];
+        let mut users = &self.stepper.service_starts()[..n];
         let mut hists = &mut self.user_hist[..];
-        let bands = (0..bands).map(|_| {
-            let (inv_band, inv_rest) = inv.split_at(dest_len.min(inv.len()));
-            inv = inv_rest;
-            let (user_band, user_rest) = users.split_at(self.band_users.min(users.len()));
-            users = user_rest;
-            GatherBand {
-                out: take_front(&mut out, inv_band.len()),
-                inv: inv_band,
-                user_services: user_band,
-                user_hist: take_front(&mut hists, states),
-            }
+        let bands = (0..n).step_by(band_users).map(|_| {
+            let (band, rest) = users.split_at(band_users.min(users.len()));
+            users = rest;
+            (band, take_front(&mut hists, states))
         });
-        run_bands(bands, |band| {
-            for (cell, &service) in band.out.iter_mut().zip(band.inv) {
-                *cell = placed[service as usize];
-            }
-            band.user_hist.fill(0);
-            for &service in band.user_services {
-                band.user_hist[placed[service].index()] += 1;
+        run_bands(bands, |(services, hist)| {
+            hist.fill(0);
+            for &service in services {
+                hist[placed[service].index()] += 1;
             }
         });
         self.ring.push(&self.observed_row);
@@ -677,87 +502,12 @@ impl<'a> StreamingFleetEngine<'a> {
         }
         let named = tie.iter().filter(|&&i| self.is_user[i]).count();
         let detection_accuracy = named as f64 / tie.len() as f64 / n as f64;
-        self.stats.user_slots += n;
-        self.slot += 1;
         Ok(Some(SlotStep {
             slot,
             detection,
             tracking_accuracy,
             detection_accuracy,
         }))
-    }
-
-    /// The fused draw+chaff pass over user bands. Each user in turn
-    /// draws its cell (when `draw`; the ingest path has already written
-    /// it to `user_row`), writes its real service, then advances its
-    /// chaff lanes, all into the planned row in place. Returns how many
-    /// planned cells changed from last slot's row: the uncapped
-    /// migration count once `slot > 0`.
-    fn draw_and_chaff(&mut self, draw: bool) -> usize {
-        let StreamingFleetEngine {
-            model,
-            service_starts,
-            user_rngs,
-            chaffs,
-            band_users,
-            planned_row,
-            user_row,
-            slot,
-            ..
-        } = self;
-        let (model, slot, band_users, starts) = (*model, *slot, *band_users, &service_starts[..]);
-        let n = user_row.len();
-        let mut cells = &mut user_row[..];
-        let mut rngs = &mut user_rngs[..];
-        let mut planned = &mut planned_row[..];
-        let mut lanes = &mut chaffs[..];
-        let bands = (0..n).step_by(band_users).map(|first| {
-            let last = (first + band_users).min(n);
-            let services = starts[last] - starts[first];
-            UserBand {
-                first,
-                cells: take_front(&mut cells, last - first),
-                rngs: take_front(&mut rngs, last - first),
-                planned: take_front(&mut planned, services),
-                chaffs: take_front(&mut lanes, services - (last - first)),
-            }
-        });
-        let moves = AtomicUsize::new(0);
-        run_bands(bands, |band| {
-            let base = starts[band.first];
-            let mut band_moves = 0usize;
-            for (j, (now, rng)) in band.cells.iter_mut().zip(band.rngs).enumerate() {
-                let user = band.first + j;
-                if draw {
-                    // Each user's arrival is drawn from that slot's
-                    // epoch-active chain, from its own stream.
-                    let chain = model.chain_at_slot(user, slot);
-                    *now = if slot == 0 {
-                        chain.initial().sample(rng)
-                    } else {
-                        chain.step(*now, rng)
-                    };
-                }
-                let cell = *now;
-                // Always-follow for the real service, then one
-                // controller step per chaff lane (lane order, like the
-                // batch engine).
-                let (lo, hi) = (starts[user] - base, starts[user + 1] - base);
-                let (real, planned) = band.planned[lo..hi]
-                    .split_first_mut()
-                    .expect("every user owns its real service");
-                band_moves += usize::from(*real != cell);
-                *real = cell;
-                let lanes = &mut band.chaffs[lo - j..hi - j - 1];
-                for (out, (lane, chaff_rng)) in planned.iter_mut().zip(lanes) {
-                    let next = lane.advance(cell, &[], chaff_rng);
-                    band_moves += usize::from(*out != next);
-                    *out = next;
-                }
-            }
-            moves.fetch_add(band_moves, Ordering::Relaxed);
-        });
-        moves.into_inner()
     }
 }
 
