@@ -34,6 +34,7 @@ use chaff_sim::streaming::StreamingFleetEngine;
 use chaff_sim::test_support::{mixed_registry, strategy_from};
 use chaff_store::FleetStoreReader;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Populations swept by the full experiment.
@@ -119,10 +120,15 @@ pub fn measure(
 ) -> crate::Result<PersistPoint> {
     let policy = FleetChaffPolicy::uniform(strategy_from(1), BUDGET);
     let config = FleetConfig::new(num_users, horizon).with_seed(seed);
-    let path = dir.join(format!(
-        "fleet_persist_{num_users}_{}.store",
-        std::process::id()
-    ));
+    // Keyed by pid and a per-call counter, so concurrent calls (threads
+    // of one process, or processes sharing `dir`) never share a file.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let stem = format!(
+        "fleet_persist_{num_users}_{}_{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    );
+    let path = dir.join(format!("{stem}.store"));
 
     // 1. Write: stream the fleet to disk.
     let mut engine = StreamingFleetEngine::with_registry(registry, config.clone(), &policy)?;
@@ -132,10 +138,7 @@ pub fn measure(
     let file_bytes = std::fs::metadata(&path)?.len();
 
     // 2. Kill: a copy truncated mid-write must be rejected typed.
-    let kill_path = dir.join(format!(
-        "fleet_persist_{num_users}_{}.killed",
-        std::process::id()
-    ));
+    let kill_path = dir.join(format!("{stem}.killed"));
     let bytes = std::fs::read(&path)?;
     std::fs::write(&kill_path, &bytes[..bytes.len() * 2 / 3])?;
     let kill_detected = FleetStoreReader::open(&kill_path).is_err();
@@ -228,6 +231,24 @@ mod tests {
         assert!(point.kill_detected);
         assert_eq!(point.services, 240);
         assert!(point.file_bytes > 0);
+    }
+
+    #[test]
+    fn concurrent_same_size_calls_keep_their_own_files() {
+        let registry = &persist_registry(1709, 8);
+        let dir = &std::env::temp_dir();
+        let points: Vec<PersistPoint> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|seed| scope.spawn(move || measure(registry, 150, 5, seed, dir)))
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("no panic").expect("measured"))
+                .collect()
+        });
+        for point in points {
+            assert!(point.bit_equal);
+            assert!(point.kill_detected);
+        }
     }
 
     #[test]
