@@ -1,12 +1,11 @@
 //! Report artifacts: figures (line charts), tables, ASCII rendering and
 //! CSV export.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// One line/series of a figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label (e.g. `"OO (N = 2)"`).
     pub label: String,
@@ -48,7 +47,7 @@ impl Series {
 }
 
 /// A reproduced figure: a set of series plus axis metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Identifier matching the paper (e.g. `"fig5a"`).
     pub id: String,
@@ -198,7 +197,7 @@ impl Figure {
 }
 
 /// A reproduced table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Identifier (e.g. `"table1"`).
     pub id: String,

@@ -2,7 +2,6 @@
 //! substrate types index into.
 
 use crate::MarkovError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one MEC coverage cell.
@@ -33,8 +32,7 @@ use std::fmt;
 /// assert_eq!(format!("{cell}"), "c3");
 /// assert_eq!(std::mem::size_of::<CellId>(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(u32);
 
 impl CellId {

@@ -3,7 +3,6 @@
 
 use crate::{CellId, Result, StateDistribution, Trajectory, TransitionMatrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Markov mobility model: a transition matrix bundled with the initial
 /// distribution used for the first slot.
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovChain {
     matrix: TransitionMatrix,
     initial: StateDistribution,

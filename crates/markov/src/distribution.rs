@@ -3,7 +3,6 @@
 
 use crate::{CellId, MarkovError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Tolerance used when checking that a distribution sums to one.
 const SUM_TOLERANCE: f64 = 1e-6;
@@ -28,7 +27,7 @@ const SUM_TOLERANCE: f64 = 1e-6;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateDistribution {
     probs: Vec<f64>,
     /// Sequential prefix sums of `probs`, for inverse-CDF sampling.

@@ -1,7 +1,6 @@
 //! Row-stochastic transition matrices with cached sparsity support.
 
 use crate::{CellId, MarkovError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Tolerance used when checking that a row sums to one.
 const ROW_SUM_TOLERANCE: f64 = 1e-6;
@@ -35,7 +34,7 @@ const ROW_SUM_TOLERANCE: f64 = 1e-6;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionMatrix {
     n: usize,
     /// Row-major dense probabilities, length `n * n`.

@@ -21,7 +21,6 @@
 
 use crate::{Result, TransitionMatrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -167,7 +166,7 @@ fn walk_weights(l: usize, p: f64, q: f64, epsilon: f64, wrap: bool) -> Result<Ve
 
 /// The four synthetic mobility models of Sec. VII-A1, with the paper's
 /// default parameters baked in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Model (a): neither spatially nor temporally skewed.
     NonSkewed,

@@ -2,7 +2,6 @@
 //! coincidence (co-location) count used throughout the paper.
 
 use crate::CellId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A sequence of cells occupied over consecutive time slots.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(a.len(), 3);
 /// assert_eq!(a.coincidences(&b), 2); // slots 0 and 2
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Trajectory {
     cells: Vec<CellId>,
 }

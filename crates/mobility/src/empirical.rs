@@ -12,10 +12,9 @@ use crate::Result;
 use chaff_markov::{
     CellId, EpochSchedule, MarkovChain, StateDistribution, Trajectory, TransitionMatrix,
 };
-use serde::{Deserialize, Serialize};
 
 /// An empirical mobility model estimated from trajectories.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EmpiricalModel {
     chain: MarkovChain,
     /// Per-cell visit counts over all trajectories and slots.

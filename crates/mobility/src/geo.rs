@@ -9,13 +9,12 @@
 
 use crate::{MobilityError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mean Earth radius in meters.
 pub const EARTH_RADIUS_M: f64 = 6_371_000.0;
 
 /// A WGS-84 coordinate (degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north.
     pub lat: f64,
@@ -59,7 +58,7 @@ impl GeoPoint {
 }
 
 /// An axis-aligned latitude/longitude box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Southern edge (degrees).
     pub min_lat: f64,

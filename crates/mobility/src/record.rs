@@ -1,10 +1,9 @@
 //! Raw GPS trace records.
 
 use crate::geo::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// One GPS update of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// Position at the update.
     pub point: GeoPoint,
@@ -16,7 +15,7 @@ pub struct TraceRecord {
 }
 
 /// The full update history of one node, sorted by ascending timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeTrace {
     /// Stable identifier (file stem for CRAWDAD data, generated for
     /// synthetic fleets).

@@ -22,10 +22,9 @@ use crate::geo::{BoundingBox, GeoPoint};
 use crate::record::{NodeTrace, TraceRecord};
 use crate::{MobilityError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`generate_fleet`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaxiFleetConfig {
     /// Number of taxis (the paper extracts 174 usable nodes).
     pub num_nodes: usize,

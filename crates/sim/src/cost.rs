@@ -8,10 +8,9 @@
 //! harness can put next to tracking accuracy.
 
 use chaff_markov::CellId;
-use serde::{Deserialize, Serialize};
 
 /// Unit costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost of migrating one service instance between MECs.
     pub migration: f64,
@@ -42,7 +41,7 @@ impl CostModel {
 }
 
 /// Accumulated costs of one service instance.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServiceCosts {
     /// Number of migrations performed.
     pub migrations: usize,
@@ -63,7 +62,7 @@ impl ServiceCosts {
 
 /// Ledger for a whole simulation: index 0 is the real service, the rest
 /// are chaffs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostLedger {
     services: Vec<ServiceCosts>,
 }
