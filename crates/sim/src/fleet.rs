@@ -58,14 +58,16 @@
 //!    growing a user's chaff budget never perturbs the user's own
 //!    trajectory.
 //! 3. **Draw and chaff, one tile at a time (parallel).** Each band job
-//!    advances its users tile slot by tile slot: the user's cells from
-//!    that slot's epoch-active chain (always-follow placement, so the
-//!    real service takes them too), then each chaff lane's cells against
-//!    them. The tile is service-major, so a user's RNG and a lane's
-//!    controller stay hot for the whole tile. Every draw reads only its
-//!    own stream and its own user's cells, so neither the band count nor
-//!    the tile length changes a draw. Without a capacity, migrations are
-//!    counted as cells are written.
+//!    advances its users through the tile, slot by slot: the user's cell
+//!    from that slot's epoch-active chain (always-follow placement, so
+//!    the real service takes it too), then each chaff lane's cell
+//!    against it. The tile is service-major, so a user's RNG and lanes
+//!    stay hot for the whole tile. Every draw reads only its own stream
+//!    and its own user's cells, so neither the band count nor the tile
+//!    length changes a draw. Without a capacity, migrations are counted
+//!    as cells are written, each against its service's previous slot —
+//!    at a tile's first slot, the last slot of the previous tile, which
+//!    is always full (only the last tile can be short).
 //! 4. **Capacity replay (only when a capacity is set).** Each tile slot,
 //!    in slot order, goes through one shared
 //!    [`MecNetwork`](crate::network::MecNetwork)'s slot kernel
@@ -112,8 +114,8 @@ pub struct FleetConfig {
     /// Master seed: drives every user's RNG, every chaff's RNG and the
     /// anonymization shuffle.
     pub seed: u64,
-    /// Number of generation shards; `None` sizes from available
-    /// parallelism. Results never depend on this.
+    /// Number of simulation bands (and detector shards); `None` sizes
+    /// from available parallelism. Results never depend on this.
     pub shards: Option<usize>,
 }
 

@@ -3,7 +3,7 @@
 //!
 //! # The slot kernel
 //!
-//! Both fleet engines place a whole slot row at once through
+//! The fleet stepper places a whole slot row at once through
 //! [`MecNetwork::launch_slot`] (slot 0) and [`MecNetwork::replay_slot`]
 //! (every later slot). The replay visits services in index order and,
 //! per service, releases the node it held, then takes the wanted node if
@@ -21,8 +21,7 @@
 //! A replay cannot fail: a released node always has room, so the spill
 //! search always finds a node. Only the launch can run out of capacity,
 //! and only when the row holds more services than the network has slots;
-//! both fleet engines reject such fleets before any of their state
-//! exists.
+//! the fleet stepper rejects such fleets before any of its state exists.
 
 use crate::{Result, SimError};
 use chaff_markov::CellId;

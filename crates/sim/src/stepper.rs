@@ -4,35 +4,15 @@
 //! layout, each user's RNG, every chaff lane, the inverse anonymization
 //! permutation, the optional shared [`MecNetwork`] and the running
 //! [`FleetStats`]. It advances the fleet one *tile* of `len ≤ stride`
-//! slots at a time:
-//!
-//! 1. **Draw and chaff** ([`draw_tile`](FleetStepper::draw_tile)). Users
-//!    are cut into contiguous bands, one pool job each. A band walks its
-//!    users in turn, and each user slot by slot through the tile: the
-//!    user's next cell (drawn from its chain, or already ingested),
-//!    written as the real service's cell, then each chaff lane's cell
-//!    against it. The tile is service-major (`tile[service · stride +
-//!    j]`), so a band writes one contiguous range, and a user's RNG and
-//!    lanes stay hot for the whole tile. Every draw reads only its own
-//!    stream and its own user's cells, so neither the band count nor the
-//!    tile length changes a single draw. Migrations are counted as cells
-//!    are written: each cell against the service's previous slot, which
-//!    for `j = 0` is the last slot of the previous (always full) tile, at
-//!    `stride - 1`.
-//! 2. **Place**, only with a capacity: each tile slot, in slot order,
-//!    goes through [`MecNetwork::launch_slot`] (slot 0) or
-//!    [`MecNetwork::replay_slot`] in global service order, exactly one
-//!    call per slot as if the fleet advanced one slot at a time.
-//! 3. **Anonymize, by gather** ([`gather`]). `inv` is the inverse of the
-//!    fleet's Fisher–Yates permutation, so
-//!    `rows[j][p] = placed[inv[p]][j]` writes the scatter
-//!    `rows[j][perm[s]] = placed[s][j]`, each output cell once, over
-//!    destination bands on the pool.
-//!
-//! The streaming engine steps tiles of one slot (`stride = 1`, where the
-//! tile *is* the planned row) and adds detection on top; the batch
-//! engine steps [`BATCH_TILE_SLOTS`]-slot tiles straight into the
-//! observed grid. Both therefore produce the same rows bit for bit.
+//! slots at a time: the draw+chaff band kernel
+//! ([`draw_tile`](FleetStepper::draw_tile)) writes a service-major tile
+//! (`tile[service · stride + j]`), each tile slot goes through the
+//! network's slot kernel in slot order when a capacity is set, and
+//! [`gather`] writes the observed rows through `inv`. The steps and
+//! their bit-for-bit arguments are the execution plan in
+//! [`crate::fleet`]. The streaming engine steps tiles of one slot (the
+//! tile *is* the planned row); the batch engine steps
+//! [`BATCH_TILE_SLOTS`]-slot tiles straight into the observed grid.
 
 use crate::fleet::{user_seed, ChaffLane, FleetChaffPolicy, FleetConfig, FleetModel, FleetStats};
 use crate::network::MecNetwork;
@@ -71,8 +51,7 @@ pub(crate) struct FleetStepper<'a> {
     bands: Vec<Band<'a>>,
     /// Users per band (the last band may hold fewer).
     band_users: usize,
-    /// Each user's cell at the last slot stepped (the ingest path writes
-    /// it before stepping).
+    /// Each user's cell at the last slot stepped.
     user_row: Vec<CellId>,
     /// Slots per tile: the tile's column length per service.
     stride: usize,
@@ -83,6 +62,7 @@ pub(crate) struct FleetStepper<'a> {
     network: Option<(MecNetwork, Vec<CellId>, Vec<CellId>)>,
     stats: FleetStats,
     horizon: usize,
+    /// Slots stepped so far.
     slot: usize,
 }
 

@@ -3,59 +3,32 @@
 //!
 //! The paper's eavesdropper (eq. 11) is *online* — it observes one
 //! service row per slot — and a real deployment never has the future.
-//! [`StreamingFleetEngine`] advances one slot at a time on the same
-//! simulation stepper as [`crate::fleet::FleetSimulation`], with tiles of
-//! one slot, and puts detection on top:
+//! [`StreamingFleetEngine`] advances one slot at a time:
 //!
-//! 1. **Draw / ingest and chaff, one banded pass.** Users are cut into
-//!    at most as many contiguous bands as the detector has shards
-//!    ([`FleetConfig::with_shards`]), and every band runs as one job on
-//!    [`chaff_core::pool::global`]. Per user, in turn: the next cell
-//!    comes from its mobility chain
-//!    ([`step`](StreamingFleetEngine::step)), or was already written by
-//!    an external per-slot feed
-//!    ([`step_ingested`](StreamingFleetEngine::step_ingested), e.g. a
-//!    quantized trace stream); the real service follows it; then each
-//!    chaff lane advances its controller (the IM, CML or MO arm of one
-//!    enum, held by value) with its own RNG stream. Every draw reads
-//!    only its own stream and its own user's cell, so neither the band
-//!    count nor the order bands run in changes a single draw. Without
-//!    capacity, migrations are counted as the planned row is
-//!    overwritten in place: an integer sum of per-band counts.
-//! 2. **Place.** Optional shared-capacity replay through one
-//!    [`MecNetwork`](crate::network::MecNetwork)'s slot kernel, serial:
-//!    `launch_slot` on slot 0, then `replay_slot`. Per service the kernel
-//!    releases the previous node and retakes the wanted one when it has
-//!    room; a service that stays put releases a node holding at most
-//!    `capacity` instances, so it always gets it straight back, and
-//!    `from == to` needs no branch of its own. Only placements that
-//!    spill take a branch, into the nearest-free-node search. A fleet
-//!    with more services than the network has slots is rejected at
-//!    construction, so placement never fails mid-stream.
-//! 3. **Anonymize, by gather.** The fleet's Fisher–Yates permutation
-//!    (drawn once, up front, from the fleet's shuffle seed stream) is
-//!    kept as its inverse `inv`, and the observed row is filled over
-//!    destination bands on the pool: `observed[p] = placed[inv[p]]`.
-//!    The permutation is a bijection, so this writes exactly the scatter
-//!    `observed[perm[s]] = placed[s]`, each output cell once, by one
-//!    band. A second banded pass counts, per user band, the cells its
-//!    users' real services were placed in (`user_hist`).
-//! 4. **Detect.** The row feeds a
-//!    [`StreamingPrefixDetector`], which shares the batch detector's
-//!    per-slot kernel.
-//! 5. **Accuracy, by cell counts.** The tie set's cells are counted
+//! 1. **Simulate.** The fleet engine's own stepper (see the execution
+//!    plan in [`crate::fleet`]) runs one-slot tiles: the banded
+//!    draw+chaff pass, where each user's cell comes from its mobility
+//!    chain ([`step`](StreamingFleetEngine::step)) or from an external
+//!    per-slot feed ([`step_ingested`](StreamingFleetEngine::step_ingested),
+//!    e.g. a quantized trace stream), the optional capacity placement
+//!    and the anonymizing gather. The bands are the detector's shards
+//!    ([`FleetConfig::with_shards`]), so there is one knob. A second
+//!    banded pass counts, per user band, the cells its users' real
+//!    services were placed in (`user_hist`).
+//! 2. **Detect.** The row feeds a [`StreamingPrefixDetector`], which
+//!    shares the batch detector's per-slot kernel.
+//! 3. **Accuracy, by cell counts.** The tie set's cells are counted
 //!    into `tie_hist`, and tracking hits are
 //!    `Σ_c tie_hist[c] · user_hist[c]`: the per-user sum
 //!    `Σ_u tie_hist[cell(u)]` regrouped by cell, an exact integer
 //!    identity, so the accuracy is bit-for-bit the per-user loop's.
 //!
-//! Steps 1–3 are the batch engine's own code, and the tile length
-//! changes no draw, placement or gathered cell, so a streamed run's rows,
-//! indices and stats are the batch outcome's. The detector shares the
-//! batch per-slot kernel, so its detections are the unified
-//! `detect_prefixes` pipeline's, for every band count —
-//! `tests/streaming_equivalence.rs` holds the two drivers together, and
-//! `tests/fleet_goldens.rs` pins the outcomes both produce.
+//! The tile length changes no draw, placement or gathered cell, so a
+//! streamed run's rows, indices and stats are the batch outcome's, and
+//! its detections are the unified `detect_prefixes` pipeline's, for
+//! every band count — `tests/streaming_equivalence.rs` holds the two
+//! drivers together, and `tests/fleet_goldens.rs` pins the outcomes
+//! both produce.
 //!
 //! # Memory bound
 //!
