@@ -682,8 +682,9 @@ pub struct FleetOutcome {
 }
 
 /// The mobility substrate a fleet runs on: one shared chain, or a
-/// registry of model classes. Both fleet drivers hand it to the one
-/// fleet stepper, so every class and chain lookup is the same code.
+/// registry of model classes. `FleetSimulation` and the streaming
+/// engine both hand it to the one fleet stepper, so every class and
+/// chain lookup is the same code.
 #[derive(Clone, Copy)]
 pub(crate) enum FleetModel<'a> {
     /// Every user moves by the same chain.

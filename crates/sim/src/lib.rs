@@ -22,7 +22,7 @@
 //!   millions of concurrent users through one shared MEC world, stepped
 //!   to the horizon in slot tiles and paired with the batched detection
 //!   core in `chaff-core`;
-//! * [`streaming`] — the online driver of the same engine: the fleet
+//! * [`streaming`] — the online form of the same engine: the fleet
 //!   advanced one slot at a time with incremental detection and a
 //!   horizon-independent memory bound, bit-for-bit equal to the batch
 //!   pipeline;

@@ -1,4 +1,5 @@
-//! The one fleet simulation kernel, shared by both fleet drivers.
+//! The one fleet simulation kernel, shared by `FleetSimulation` and
+//! `StreamingFleetEngine`.
 //!
 //! [`FleetStepper`] owns everything a fleet needs to move: the service
 //! layout, each user's RNG, every chaff lane, the inverse anonymization

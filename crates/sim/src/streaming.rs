@@ -27,7 +27,7 @@
 //! streamed run's rows, indices and stats are the batch outcome's, and
 //! its detections are the unified `detect_prefixes` pipeline's, for
 //! every band count — `tests/streaming_equivalence.rs` holds the two
-//! drivers together, and `tests/fleet_goldens.rs` pins the outcomes
+//! engines together, and `tests/fleet_goldens.rs` pins the outcomes
 //! both produce.
 //!
 //! # Memory bound
