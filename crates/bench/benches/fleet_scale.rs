@@ -1,8 +1,10 @@
 //! Columnar fleet-store benchmarks: the `N = 10⁵` scaling rung.
 //!
 //! Tracks (a) columnar fleet generation straight into the observed
-//! grid and the user arena, (b) the streaming columnar detection kernel over the grid,
-//! and (c) the end-to-end chaffed pipeline at `N = 50,000`. Joins the
+//! grid and the user arena, without chaffs and with `B = 2` chaffs per
+//! user under each online strategy (the fused draw+chaff kernel), (b)
+//! the streaming columnar detection kernel over the grid, and (c) the
+//! end-to-end chaffed pipeline at `N = 50,000`. Joins the
 //! CI `BENCH_fleet` baseline: `ci/compare_bench.py` gates both
 //! `mean_ns` and — via the criterion shim's per-benchmark `VmHWM`
 //! watermark — `peak_rss_bytes`, so a memory regression in the columnar
@@ -39,6 +41,31 @@ fn bench_simulate(c: &mut Criterion) {
             .unwrap()
         })
     });
+    group.finish();
+}
+
+/// Chaffed fleet generation at `B = 2` under each online strategy:
+/// the draw+chaff kernel with IM walks, CML and MO decisions.
+fn bench_simulate_chaffed(c: &mut Criterion) {
+    let chain = fixture_chain(ModelKind::NonSkewed, 10, 57);
+    let mut group = c.benchmark_group("fleet_scale/simulate_chaffed");
+    for (name, strategy) in [
+        ("im", FleetChaffStrategy::Im),
+        ("cml", FleetChaffStrategy::Cml),
+        ("mo", FleetChaffStrategy::Mo),
+    ] {
+        let policy = FleetChaffPolicy::uniform(strategy, 2);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &USERS, |b, &n| {
+            b.iter(|| {
+                FleetSimulation::new(
+                    &chain,
+                    FleetConfig::new(n, HORIZON).with_seed(black_box(58)),
+                )
+                .run_chaffed(&policy)
+                .unwrap()
+            })
+        });
+    }
     group.finish();
 }
 
@@ -98,6 +125,7 @@ criterion_group! {
     targets =
         bench_metadata,
         bench_simulate,
+        bench_simulate_chaffed,
         bench_detect_columnar,
         bench_pipeline,
 }

@@ -4,7 +4,10 @@
 //! three phases one slot is made of, so a regression report names the
 //! phase, not just the pipeline: the gather+add accumulator advance
 //! (dense and CSR storage), the two-pass running-max + tie-collection
-//! argmax, and the CSR row walk behind each sparse gather. Widths cover
+//! argmax, and the CSR row walk behind each sparse gather. A fourth
+//! group times the simulation side's successor draw (one inverse-CDF
+//! lookup per step of a walk) on a short dense row and on a long
+//! sparse chain. Widths cover
 //! the paper-scale fleet rung (`N = 10⁴`) and the million-user rung
 //! (`N = 10⁶`). Part of the CI `BENCH_fleet` baseline: the `kernels/*`
 //! records are gated by `ci/compare_bench.py` on `mean_ns` / `p99_ns` /
@@ -13,7 +16,7 @@
 use chaff_bench::{fixture_chain, record_bench_metadata};
 use chaff_core::detector::kernel::{collect_ties, row_max};
 use chaff_markov::models::ModelKind;
-use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain};
+use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, TransitionMatrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,6 +110,51 @@ fn bench_csr_row_walk(c: &mut Criterion) {
     group.finish();
 }
 
+/// Steps per iteration of the successor-draw walk.
+const WALK_STEPS: usize = 4_096;
+
+/// The successor draw behind every simulated move: a `WALK_STEPS`-step
+/// walk, one uniform and one inverse-CDF row lookup per step, over a
+/// dense 10-cell chain (rows of 10 entries) and a 1,024-cell sparse ring
+/// walk (rows of 5 entries; its 1,024-entry initial distribution keeps
+/// the binary search).
+fn bench_successor_draw(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/successor_draw");
+    for (name, chain) in [
+        ("dense_10", fixture_chain(ModelKind::NonSkewed, CELLS, 77)),
+        ("sparse_1024", sparse_ring_walk(1_024)),
+    ] {
+        let mut rng = StdRng::seed_from_u64(78);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &chain, |b, chain| {
+            b.iter(|| {
+                let mut cell = chain.initial().sample(&mut rng);
+                for _ in 0..WALK_STEPS {
+                    cell = chain.step(black_box(cell), &mut rng);
+                }
+                cell
+            })
+        });
+    }
+    group.finish();
+}
+
+/// A ring walk over `cells` cells that moves at most two cells either
+/// way: five nonzero entries per row.
+fn sparse_ring_walk(cells: usize) -> MarkovChain {
+    let weights = [0.1, 0.2, 0.4, 0.2, 0.1];
+    let rows = (0..cells)
+        .map(|i| {
+            let mut row = vec![0.0; cells];
+            for (k, w) in weights.iter().enumerate() {
+                row[(i + cells + k - 2) % cells] += w;
+            }
+            row
+        })
+        .collect();
+    MarkovChain::new(TransitionMatrix::from_rows(rows).expect("stochastic rows"))
+        .expect("ergodic walk")
+}
+
 /// Stamps pool size and lane width into the baseline before any record.
 fn bench_metadata(_c: &mut Criterion) {
     record_bench_metadata();
@@ -127,5 +175,6 @@ criterion_group! {
         bench_gather_add,
         bench_argmax,
         bench_csr_row_walk,
+        bench_successor_draw,
 }
 criterion_main!(kernels);
