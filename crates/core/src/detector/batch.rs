@@ -284,7 +284,6 @@ impl BatchPrefixDetector {
         }
         ensure_population_fits(n)?;
         let mut lanes = ShardLane::partition(n, self.shards(), epoch_tables[0].len());
-        let mut prev_row = Vec::with_capacity(n);
         // Not pre-sized: `horizon` is the source's claim, not a row count.
         let mut out = Vec::new();
         while let Some(row) = source.next_row()? {
@@ -301,11 +300,8 @@ impl BatchPrefixDetector {
                     found: row.len(),
                 });
             }
-            let prev = (slot > 0).then_some(prev_row.as_slice());
             let tables = &epoch_tables[schedule.epoch_of(slot)];
-            out.push(step_lanes(&mut lanes, tables, row, prev)?);
-            prev_row.clear();
-            prev_row.extend_from_slice(row);
+            out.push(step_lanes(&mut lanes, tables, row)?);
         }
         if out.len() != horizon {
             return Err(crate::CoreError::RowSource {

@@ -177,11 +177,9 @@ pub struct StreamingPrefixDetector {
     states: usize,
     population: usize,
     /// Contiguous index shards, each owning its slice of the running
-    /// class-major accumulator block.
+    /// class-major accumulator block and of the previous slot's row (the
+    /// only observation history the detector keeps).
     lanes: Vec<ShardLane>,
-    /// The previous slot's row (empty before the first push) — the only
-    /// observation history the detector keeps.
-    prev_row: Vec<CellId>,
     slots_seen: usize,
     /// Opt-in running per-column accuracy feedback (see
     /// [`with_feedback`](StreamingPrefixDetector::with_feedback)).
@@ -258,7 +256,6 @@ impl StreamingPrefixDetector {
             states,
             population,
             lanes,
-            prev_row: Vec::new(),
             slots_seen: 0,
             feedback: None,
         })
@@ -314,16 +311,16 @@ impl StreamingPrefixDetector {
     /// (`8 · N`). This is the detector's whole memory of the stream — it
     /// does not grow with the number of slots pushed.
     pub fn state_bytes(&self) -> usize {
-        let accs: usize = self
+        let lanes: usize = self
             .lanes
             .iter()
-            .map(|l| (l.accs.len() + l.scores.len()) * 8)
+            .map(|l| (l.accs.len() + l.scores.len()) * 8 + l.prev.capacity() * 4)
             .sum();
         let feedback = self
             .feedback
             .as_ref()
             .map_or(0, AccuracyFeedback::state_bytes);
-        accs + self.prev_row.capacity() * 4 + feedback
+        lanes + feedback
     }
 
     /// Consumes one slot row (the observed cell of every service at this
@@ -359,17 +356,14 @@ impl StreamingPrefixDetector {
                 });
             }
         }
-        let prev = (self.slots_seen > 0).then_some(self.prev_row.as_slice());
         // The epoch clock is the slot counter: the arrival at slot
         // `slots_seen` is scored under that slot's epoch tables. A
         // stationary schedule always selects epoch 0.
         let tables = &self.epoch_tables[self.schedule.epoch_of(self.slots_seen)];
-        let detection = step_lanes(&mut self.lanes, tables, row, prev)?;
+        let detection = step_lanes(&mut self.lanes, tables, row)?;
         if let Some(feedback) = &mut self.feedback {
             feedback.record(&detection);
         }
-        self.prev_row.clear();
-        self.prev_row.extend_from_slice(row);
         self.slots_seen += 1;
         Ok(detection)
     }
@@ -430,8 +424,9 @@ pub(super) fn lane_ranges(population: usize, shards: usize) -> Vec<(usize, usize
 
 /// One lane's running state: the index range it owns, the cumulative
 /// score accumulators for every `(trajectory, class)` pair in that range,
-/// and the reusable per-slot buffers [`advance_lane`] writes into —
-/// owning the buffers keeps the steady-state slot loop allocation-free.
+/// the per-slot loop's copy of the range's previous row, and the
+/// reusable per-slot buffers [`advance_lane`] writes into — owning the
+/// buffers keeps the steady-state slot loop allocation-free.
 ///
 /// Aligned to 128 bytes so that lanes stored side by side never share a
 /// cache line (or an adjacent-line prefetch pair): each pool job writes
@@ -452,6 +447,10 @@ pub(super) struct ShardLane {
     /// only; empty — and unused — for single-class layouts, where `accs`
     /// already *is* the per-trajectory score row).
     scores: Vec<f64>,
+    /// The per-slot loop's previous row over `lo..hi`, refreshed by the
+    /// lane's own job (empty before the first slot; the grid loop reads
+    /// its previous rows from the grid and leaves this empty).
+    prev: Vec<CellId>,
     /// The slot's lane-local exact maximum.
     best: f64,
     /// The slot's argmax candidates `(global index, score)`, ascending by
@@ -474,6 +473,7 @@ impl ShardLane {
                 } else {
                     Vec::new()
                 },
+                prev: Vec::new(),
                 best: f64::NEG_INFINITY,
                 candidates: Vec::new(),
             })
@@ -485,17 +485,15 @@ impl ShardLane {
 /// runs [`advance_slot_single`](kernel::advance_slot_single), several run
 /// [`advance_slot_mixture`](kernel::advance_slot_mixture). The slot's
 /// lane maximum and argmax candidates land in the lane's buffers.
-/// `row` and `prev` are full population rows; the lane reads its range.
+/// `lane_row` and `lane_prev` cover the lane's range `lo..hi`.
 pub(super) fn advance_lane<T: Borrow<LogLikelihoodTable>>(
     tables: &[T],
     lane: &mut ShardLane,
-    row: &[CellId],
-    prev: Option<&[CellId]>,
+    lane_row: &[CellId],
+    lane_prev: Option<&[CellId]>,
 ) -> Result<()> {
     lane.best = f64::NEG_INFINITY;
     lane.candidates.clear();
-    let lane_row = &row[lane.lo..lane.hi];
-    let lane_prev = prev.map(|p| &p[lane.lo..lane.hi]);
     if let [table] = tables {
         kernel::advance_slot_single(
             table.borrow(),
@@ -581,14 +579,25 @@ where
 }
 
 /// The per-slot loop: advances every lane by one slot under `tables`
-/// in one pool scope, then merges the lanes' candidates.
+/// in one pool scope, then merges the lanes' candidates. Each lane
+/// scores its range of `row` against its own copy of the previous row
+/// (none before the first slot) and then, in the same job, makes `row`
+/// that copy, so no full-row copy runs outside the pool.
 pub(super) fn step_lanes<T: Borrow<LogLikelihoodTable> + Sync>(
     lanes: &mut [ShardLane],
     tables: &[T],
     row: &[CellId],
-    prev: Option<&[CellId]>,
 ) -> Result<Detection> {
-    run_lanes(lanes, |lane| advance_lane(tables, lane, row, prev))?;
+    run_lanes(lanes, |lane| {
+        let lane_row = &row[lane.lo..lane.hi];
+        let prev = std::mem::take(&mut lane.prev);
+        let advanced = advance_lane(tables, lane, lane_row, (!prev.is_empty()).then_some(&prev));
+        lane.prev = prev;
+        advanced?;
+        lane.prev.clear();
+        lane.prev.extend_from_slice(lane_row);
+        Ok(())
+    })?;
     Ok(merge_lanes(
         lanes.iter().map(|l| (l.best, l.candidates.as_slice())),
     ))
@@ -656,10 +665,11 @@ pub(super) fn detect_grid<T: Borrow<LogLikelihoodTable> + Sync>(
     let mut lanes = ShardLane::partition(grid.num_trajectories(), shards, epoch_tables[0].len());
     let slots = run_lanes(&mut lanes, |lane| {
         let mut out = LaneSlots::with_horizon(horizon);
+        let range = lane.lo..lane.hi;
         for t in 0..horizon {
-            let prev = t.checked_sub(1).map(|p| grid.row(p));
+            let prev = t.checked_sub(1).map(|p| &grid.row(p)[range.clone()]);
             let tables = &epoch_tables[schedule.epoch_of(t)];
-            advance_lane(tables, lane, grid.row(t), prev)?;
+            advance_lane(tables, lane, &grid.row(t)[range.clone()], prev)?;
             out.push(lane.best, &lane.candidates);
         }
         Ok(out)

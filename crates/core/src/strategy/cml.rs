@@ -78,30 +78,45 @@ impl CmlController<'_> {
     /// [`OnlineChaffController::next`] body; CML draws no randomness).
     #[inline]
     pub fn decide(&mut self, user_now: CellId, avoid: &[CellId]) -> CellId {
-        let chain = self.chains.advance();
-        let choice = match self.current {
-            None => {
-                // t = 1: most probable steady-state cell other than the
-                // user's.
-                let pi = chain.initial();
-                let mut best: Option<(CellId, f64)> = None;
-                for j in 0..pi.num_states() {
-                    let cell = CellId::new(j);
-                    if cell == user_now || avoid.contains(&cell) {
-                        continue;
-                    }
-                    let p = pi.prob(cell);
-                    match best {
-                        Some((_, bp)) if bp >= p => {}
-                        _ => best = Some((cell, p)),
-                    }
-                }
-                best.map(|(c, _)| c).unwrap_or(user_now)
-            }
-            Some(prev) => pick_constrained_argmax(chain, prev, user_now, avoid),
-        };
+        let choice = cml_step(self.chains.advance(), self.current, user_now, avoid);
         self.current = Some(choice);
         choice
+    }
+}
+
+/// One CML step under the slot-active `chain`: at the launch slot
+/// (`current` is `None`) the most probable steady-state cell other than
+/// the user's, otherwise the constrained argmax successor of `current`.
+/// The body of [`CmlController::decide`], shared with the fleet's flat
+/// chaff lanes, which hold only the cell.
+#[doc(hidden)]
+#[inline]
+pub fn cml_step(
+    chain: &MarkovChain,
+    current: Option<CellId>,
+    user_now: CellId,
+    avoid: &[CellId],
+) -> CellId {
+    match current {
+        None => {
+            // t = 1: most probable steady-state cell other than the
+            // user's.
+            let pi = chain.initial();
+            let mut best: Option<(CellId, f64)> = None;
+            for j in 0..pi.num_states() {
+                let cell = CellId::new(j);
+                if cell == user_now || avoid.contains(&cell) {
+                    continue;
+                }
+                let p = pi.prob(cell);
+                match best {
+                    Some((_, bp)) if bp >= p => {}
+                    _ => best = Some((cell, p)),
+                }
+            }
+            best.map(|(c, _)| c).unwrap_or(user_now)
+        }
+        Some(prev) => pick_constrained_argmax(chain, prev, user_now, avoid),
     }
 }
 

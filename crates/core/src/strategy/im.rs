@@ -71,13 +71,27 @@ impl ImController<'_> {
     /// concrete generator is called without dynamic dispatch).
     #[inline]
     pub fn walk<R: Rng + ?Sized>(&mut self, rng: &mut R) -> CellId {
-        let chain = self.chains.advance();
-        let next = match self.current {
-            None => chain.initial().sample(rng),
-            Some(cell) => chain.step(cell, rng),
-        };
+        let next = im_step(self.chains.advance(), self.current, rng);
         self.current = Some(next);
         next
+    }
+}
+
+/// One IM step under the slot-active `chain`: a draw from the steady
+/// state at the launch slot (`current` is `None`), otherwise one
+/// transition from `current`. The body of [`ImController::walk`], shared
+/// with the fleet's flat chaff lanes, which hold only the cell and the
+/// stream.
+#[doc(hidden)]
+#[inline]
+pub fn im_step<R: Rng + ?Sized>(
+    chain: &MarkovChain,
+    current: Option<CellId>,
+    rng: &mut R,
+) -> CellId {
+    match current {
+        None => chain.initial().sample(rng),
+        Some(cell) => chain.step(cell, rng),
     }
 }
 

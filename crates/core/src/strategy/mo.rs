@@ -2,7 +2,7 @@
 
 use super::{replay_controller, validate_user, ChaffStrategy, OnlineChaffController};
 use crate::{loglik_cmp, Result};
-use chaff_markov::{CellId, MarkovChain, Trajectory, TransitionMatrix};
+use chaff_markov::{CellId, MarkovChain, StateDistribution, Trajectory, TransitionMatrix};
 use rand::RngCore;
 use std::cmp::Ordering;
 
@@ -68,8 +68,9 @@ impl ChaffStrategy for MoStrategy {
 #[derive(Debug, Clone)]
 pub struct MoController<'a> {
     chains: super::EpochChains<'a>,
-    prev_chaff: Option<CellId>,
-    prev_user: Option<CellId>,
+    /// The chaff's and the user's cells one slot ago (`None` before the
+    /// launch slot).
+    prev: Option<(CellId, CellId)>,
     /// γ_{t-1}: cumulative user-minus-chaff log-likelihood gap.
     gamma: f64,
 }
@@ -87,8 +88,7 @@ impl<'a> MoController<'a> {
     pub fn scheduled(chains: super::EpochChains<'a>) -> Self {
         MoController {
             chains,
-            prev_chaff: None,
-            prev_user: None,
+            prev: None,
             gamma: 0.0,
         }
     }
@@ -105,49 +105,68 @@ impl<'a> MoController<'a> {
     /// controller ignores the list rather than stall the chaff.
     #[inline]
     pub fn decide(&mut self, user_now: CellId, avoid: &[CellId]) -> CellId {
-        let chain = self.chains.advance();
-        let matrix = chain.matrix();
-        // The user's realized move, scored once: it feeds both the
-        // dodge test and the γ update.
-        let user_inc = match self.prev_user {
-            None => chain.initial().log_prob(user_now),
-            Some(pu) => matrix.log_prob(pu, user_now),
-        };
-        let (choice, chaff_inc) = match self.prev_chaff {
-            None => {
-                let choice = self.decide_first(chain, user_now, avoid);
-                (choice, chain.initial().log_prob(choice))
-            }
-            Some(prev) if avoid.is_empty() => {
-                step_ranked(matrix, prev, user_now, self.gamma, user_inc)
-            }
-            Some(prev) => {
-                let choice = step_scan(matrix, prev, user_now, avoid, self.gamma, user_inc);
-                (choice, matrix.log_prob(prev, choice))
-            }
-        };
-        self.gamma = add_gap(self.gamma, user_inc, chaff_inc);
-        self.prev_chaff = Some(choice);
-        self.prev_user = Some(user_now);
+        let choice = mo_step(
+            self.chains.advance(),
+            self.prev,
+            &mut self.gamma,
+            user_now,
+            avoid,
+        );
+        self.prev = Some((choice, user_now));
         choice
     }
+}
 
-    /// Slot 1 (lines 1–11 of Algorithm 2), using the steady state.
-    fn decide_first(&self, chain: &MarkovChain, user_now: CellId, avoid: &[CellId]) -> CellId {
-        let pi = chain.initial();
-        let first = argmax_dist(pi, &[], avoid);
-        let Some(first) = first else {
-            return user_now; // degenerate: no admissible cell at all
-        };
-        if first != user_now {
-            return first;
+/// One MO step under the slot-active `chain`: `prev` holds the chaff's
+/// and the user's cells one slot ago (`None` at the launch slot) and
+/// `gamma` the running gap `γ`, updated in place. Returns the chaff's
+/// cell. The body of [`MoController::decide`], shared with the fleet's
+/// flat chaff lanes, which hold only `prev` and `γ`.
+#[doc(hidden)]
+#[inline]
+pub fn mo_step(
+    chain: &MarkovChain,
+    prev: Option<(CellId, CellId)>,
+    gamma: &mut f64,
+    user_now: CellId,
+    avoid: &[CellId],
+) -> CellId {
+    let matrix = chain.matrix();
+    // The user's realized move, scored once: it feeds both the dodge
+    // test and the γ update.
+    let (choice, user_inc, chaff_inc) = match prev {
+        None => {
+            let pi = chain.initial();
+            let choice = decide_first(pi, user_now, avoid);
+            (choice, pi.log_prob(user_now), pi.log_prob(choice))
         }
-        match argmax_dist(pi, &[user_now], avoid) {
-            Some(second) if loglik_cmp(pi.prob(second), pi.prob(user_now)) != Ordering::Less => {
-                second
-            }
-            _ => first,
+        Some((chaff, user)) => {
+            let user_inc = matrix.log_prob(user, user_now);
+            let (choice, chaff_inc) = if avoid.is_empty() {
+                step_ranked(matrix, chaff, user_now, *gamma, user_inc)
+            } else {
+                let choice = step_scan(matrix, chaff, user_now, avoid, *gamma, user_inc);
+                (choice, matrix.log_prob(chaff, choice))
+            };
+            (choice, user_inc, chaff_inc)
         }
+    };
+    *gamma = add_gap(*gamma, user_inc, chaff_inc);
+    choice
+}
+
+/// Slot 1 (lines 1–11 of Algorithm 2), using the steady state.
+fn decide_first(pi: &StateDistribution, user_now: CellId, avoid: &[CellId]) -> CellId {
+    let first = argmax_dist(pi, &[], avoid);
+    let Some(first) = first else {
+        return user_now; // degenerate: no admissible cell at all
+    };
+    if first != user_now {
+        return first;
+    }
+    match argmax_dist(pi, &[user_now], avoid) {
+        Some(second) if loglik_cmp(pi.prob(second), pi.prob(user_now)) != Ordering::Less => second,
+        _ => first,
     }
 }
 
@@ -233,11 +252,7 @@ fn add_gap(gamma: f64, user_inc: f64, chaff_inc: f64) -> f64 {
 
 /// Argmax over the steady state, skipping `exclude` and (best-effort)
 /// `avoid`. Retries without `avoid` when it eliminates every candidate.
-fn argmax_dist(
-    pi: &chaff_markov::StateDistribution,
-    exclude: &[CellId],
-    avoid: &[CellId],
-) -> Option<CellId> {
+fn argmax_dist(pi: &StateDistribution, exclude: &[CellId], avoid: &[CellId]) -> Option<CellId> {
     let pick = |use_avoid: bool| -> Option<CellId> {
         let mut best: Option<(CellId, f64)> = None;
         for j in 0..pi.num_states() {

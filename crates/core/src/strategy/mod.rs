@@ -29,10 +29,16 @@ mod oo;
 mod robust;
 mod rollout;
 
+#[doc(hidden)]
+pub use cml::cml_step;
 pub(crate) use cml::pick_constrained_argmax;
 pub use cml::{CmlController, CmlStrategy};
+#[doc(hidden)]
+pub use im::im_step;
 pub use im::{ImController, ImStrategy};
 pub use ml::MlStrategy;
+#[doc(hidden)]
+pub use mo::mo_step;
 pub use mo::{MoController, MoStrategy};
 pub use oo::OoStrategy;
 pub use robust::{RmlStrategy, RmoStrategy, RooStrategy};

@@ -242,12 +242,12 @@ impl StateDistribution {
     /// floating-point slack leaves `u` at or above the final sum.
     ///
     /// The prefix sums are the running totals a linear scan accumulates
-    /// and they are monotone, so the binary search stops exactly where
-    /// the scan would; a zero-mass cell repeats its predecessor's sum and
-    /// can never be the first to exceed `u ≥ 0`.
+    /// and they are monotone, so the search ([`cdf_rank`]) stops exactly
+    /// where the scan would; a zero-mass cell repeats its predecessor's
+    /// sum and can never be the first to exceed `u ≥ 0`.
     #[inline]
     pub fn quantile(&self, u: f64) -> CellId {
-        let j = self.cdf.partition_point(|&acc| acc <= u);
+        let j = cdf_rank(&self.cdf, u);
         CellId::new(if j < self.cdf.len() {
             j
         } else {
@@ -265,11 +265,75 @@ impl StateDistribution {
     }
 }
 
+/// Prefix-sum tables of at most this many entries are searched by
+/// counting instead of by bisection: a short row fits in a few cache
+/// lines, and a count has no data-dependent branch to mispredict.
+const COUNT_SEARCH_MAX: usize = 16;
+
+/// How many prefix sums are `≤ u`: the first position whose sum exceeds
+/// `u` (`cdf.len()` when none does). Because `cdf` is non-decreasing,
+/// the entries `≤ u` are exactly a prefix, so counting them gives the
+/// same position as `partition_point`, which longer tables keep.
+#[inline]
+pub(crate) fn cdf_rank(cdf: &[f64], u: f64) -> usize {
+    if cdf.len() <= COUNT_SEARCH_MAX {
+        cdf.iter().map(|&acc| usize::from(acc <= u)).sum()
+    } else {
+        cdf.partition_point(|&acc| acc <= u)
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Weights over 1–40 cells (so tables fall on both sides of
+    /// [`COUNT_SEARCH_MAX`]), about a quarter of them zero, at least one
+    /// positive.
+    pub(crate) fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0u8..4, 0.01f64..1.0), 1usize..=40).prop_map(|cells| {
+            let mut weights: Vec<f64> = cells
+                .iter()
+                .map(|&(tag, w)| if tag == 0 { 0.0 } else { w })
+                .collect();
+            if weights.iter().all(|&w| w == 0.0) {
+                weights[0] = 1.0;
+            }
+            weights
+        })
+    }
+
+    /// Search keys over a prefix-sum table: every sum exactly, 0, the
+    /// final sum and the next float past it, 1, 2, and `u`.
+    pub(crate) fn probes(cdf: &[f64], u: f64) -> Vec<f64> {
+        let last = cdf[cdf.len() - 1];
+        let mut keys = cdf.to_vec();
+        keys.extend([0.0, last, f64::from_bits(last.to_bits() + 1), 1.0, 2.0, u]);
+        keys
+    }
+
+    proptest! {
+        #[test]
+        fn count_search_equals_bisection_and_the_old_fallback(
+            weights in arb_weights(),
+            u in 0.0f64..1.0,
+        ) {
+            let d = StateDistribution::from_weights(weights).unwrap();
+            for u in probes(&d.cdf, u) {
+                let bisected = d.cdf.partition_point(|&acc| acc <= u);
+                prop_assert_eq!(cdf_rank(&d.cdf, u), bisected);
+                let old = if bisected < d.cdf.len() {
+                    bisected
+                } else {
+                    d.last_positive
+                };
+                prop_assert_eq!(d.quantile(u), CellId::new(old));
+            }
+        }
+    }
 
     #[test]
     fn rejects_unnormalized() {

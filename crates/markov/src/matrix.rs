@@ -1,5 +1,6 @@
 //! Row-stochastic transition matrices with cached sparsity support.
 
+use crate::distribution::cdf_rank;
 use crate::{CellId, MarkovError, Result};
 
 /// Tolerance used when checking that a row sums to one.
@@ -347,8 +348,9 @@ impl TransitionMatrix {
     /// floating-point slack leaves `u` at or above the final prefix sum.
     ///
     /// The prefix sums are the running totals a linear scan of the row
-    /// accumulates, and they are monotone, so a binary search finds
-    /// exactly the successor the scan would stop at.
+    /// accumulates, and they are monotone, so the search (a count over
+    /// short rows, a binary search over long ones) finds exactly the
+    /// successor the scan would stop at.
     ///
     /// # Panics
     ///
@@ -357,7 +359,7 @@ impl TransitionMatrix {
     pub fn successor_quantile(&self, from: CellId, u: f64) -> CellId {
         let range = self.rows.range(from.index());
         let support = &self.rows.support[range.clone()];
-        let k = self.rows.cdf[range].partition_point(|&acc| acc <= u);
+        let k = cdf_rank(&self.rows.cdf[range], u);
         match support.get(k).or(support.last()) {
             Some(&j) => CellId::new(j as usize),
             // Unreachable for a validated matrix (every row has mass).
@@ -575,6 +577,34 @@ fn gcd(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::tests::{arb_weights, probes};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn successor_draw_equals_bisection_and_the_old_fallback(
+            weights in arb_weights(),
+            u in 0.0f64..1.0,
+        ) {
+            // Row `i` is the weights rotated by `i`: every row has the
+            // same support size, 1–40 entries.
+            let n = weights.len();
+            let rows = (0..n)
+                .map(|i| (0..n).map(|j| weights[(j + i) % n]).collect())
+                .collect();
+            let m = TransitionMatrix::from_weights(rows).unwrap();
+            for from in (0..n).map(CellId::new) {
+                let range = m.rows.range(from.index());
+                let (support, cdf) = (&m.rows.support[range.clone()], &m.rows.cdf[range]);
+                for u in probes(cdf, u) {
+                    let bisected = cdf.partition_point(|&acc| acc <= u);
+                    prop_assert_eq!(cdf_rank(cdf, u), bisected);
+                    let old = support.get(bisected).or(support.last()).unwrap();
+                    prop_assert_eq!(m.successor_quantile(from, u), CellId::new(*old as usize));
+                }
+            }
+        }
+    }
 
     fn two_state() -> TransitionMatrix {
         TransitionMatrix::from_rows(vec![vec![0.5, 0.5], vec![0.25, 0.75]]).unwrap()

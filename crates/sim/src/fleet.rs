@@ -95,9 +95,7 @@ use crate::{Result, SimError};
 use chaff_core::strategy::{
     CmlController, EpochChains, ImController, MoController, OnlineChaffController,
 };
-use chaff_markov::{CellGrid, CellId, MarkovChain, MobilityRegistry, TrajectoryArena};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use chaff_markov::{CellGrid, MarkovChain, MobilityRegistry, TrajectoryArena};
 
 /// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,7 +204,7 @@ pub enum FleetChaffStrategy {
 impl FleetChaffStrategy {
     /// Builds the per-slot controller for one chaff over `chain`.
     pub fn controller<'a>(self, chain: &'a MarkovChain) -> Box<dyn OnlineChaffController + 'a> {
-        Box::new(self.lane(EpochChains::stationary(chain)))
+        self.boxed(EpochChains::stationary(chain))
     }
 
     /// Builds the per-slot controller for one chaff of a class-`class`
@@ -227,54 +225,16 @@ impl FleetChaffStrategy {
         registry: &'a MobilityRegistry,
         class: usize,
     ) -> Box<dyn OnlineChaffController + 'a> {
-        Box::new(self.lane(EpochChains::registry(registry, class)))
+        self.boxed(EpochChains::registry(registry, class))
     }
 
-    /// This strategy's controller over `chains`, by value.
-    pub(crate) fn lane(self, chains: EpochChains<'_>) -> ChaffLane<'_> {
+    /// This strategy's boxed controller over `chains`.
+    fn boxed(self, chains: EpochChains<'_>) -> Box<dyn OnlineChaffController + '_> {
         match self {
-            FleetChaffStrategy::Im => ChaffLane::Im(ImController::scheduled(chains)),
-            FleetChaffStrategy::Cml => ChaffLane::Cml(CmlController::scheduled(chains)),
-            FleetChaffStrategy::Mo => ChaffLane::Mo(MoController::scheduled(chains)),
+            FleetChaffStrategy::Im => Box::new(ImController::scheduled(chains)),
+            FleetChaffStrategy::Cml => Box::new(CmlController::scheduled(chains)),
+            FleetChaffStrategy::Mo => Box::new(MoController::scheduled(chains)),
         }
-    }
-}
-
-/// One chaff's controller, held by value: the three online strategies a
-/// fleet policy can assign, behind a `match` instead of a virtual call.
-/// The fleet drivers keep these in flat vectors next to each chaff's RNG,
-/// and [`advance`](Self::advance) hands IM's walk the lane's concrete
-/// RNG, so the per-slot chaff step has no dynamic dispatch and no
-/// allocation. Each arm runs exactly the code of its boxed controller,
-/// so lanes and [`FleetChaffStrategy::controller`] agree draw for draw.
-#[derive(Debug, Clone)]
-pub(crate) enum ChaffLane<'a> {
-    Im(ImController<'a>),
-    Cml(CmlController<'a>),
-    Mo(MoController<'a>),
-}
-
-impl ChaffLane<'_> {
-    /// The chaff's cell for this slot, given the user's cell: the
-    /// [`OnlineChaffController::next`] body, generic over the RNG.
-    #[inline]
-    pub(crate) fn advance<R: Rng + ?Sized>(
-        &mut self,
-        user_now: CellId,
-        avoid: &[CellId],
-        rng: &mut R,
-    ) -> CellId {
-        match self {
-            ChaffLane::Im(c) => c.walk(rng),
-            ChaffLane::Cml(c) => c.decide(user_now, avoid),
-            ChaffLane::Mo(c) => c.decide(user_now, avoid),
-        }
-    }
-}
-
-impl OnlineChaffController for ChaffLane<'_> {
-    fn next(&mut self, user_now: CellId, avoid: &[CellId], rng: &mut dyn RngCore) -> CellId {
-        self.advance(user_now, avoid, rng)
     }
 }
 
@@ -715,37 +675,6 @@ impl<'a> FleetModel<'a> {
         }
     }
 
-    /// The per-slot chain source of `user` and of its chaffs: a
-    /// multi-epoch registry yields the epoch-active chain of the user's
-    /// class at each slot; every other model yields the user's one chain,
-    /// so the stationary draw sequence is untouched.
-    pub(crate) fn epoch_chains(&self, user: usize) -> EpochChains<'a> {
-        match *self {
-            FleetModel::Heterogeneous(r) if !r.is_stationary() => {
-                EpochChains::registry(r, r.class_of(user))
-            }
-            _ => EpochChains::stationary(self.chain_of(user)),
-        }
-    }
-
-    /// The `budget` chaff lanes of `user`, in lane order: the policy's
-    /// strategy for the user's class over the user's per-slot chain
-    /// source, each with its own seed stream.
-    pub(crate) fn chaff_lanes(
-        &self,
-        policy: &FleetChaffPolicy,
-        fleet_seed: u64,
-        user: usize,
-        budget: usize,
-    ) -> impl Iterator<Item = (ChaffLane<'a>, StdRng)> {
-        let strategy = policy.strategy_of(self.class_of(user));
-        let chains = self.epoch_chains(user);
-        (0..budget).map(move |c| {
-            let seed = chaff_seed(fleet_seed, user as u64, c as u64);
-            (strategy.lane(chains.clone()), StdRng::seed_from_u64(seed))
-        })
-    }
-
     /// The one chain governing all of user `user`'s arrivals, unless
     /// the model is a multi-epoch registry (`None`: look the chain up per
     /// slot with [`chain_at_slot`](Self::chain_at_slot)).
@@ -864,7 +793,7 @@ impl<'a> FleetSimulation<'a> {
         // be short.
         for rows in observed.row_bands_mut(BATCH_TILE_SLOTS) {
             let len = rows.len() / stepper.num_services();
-            stepper.step_into(len, true, rows, Some(&mut user_cells))?;
+            stepper.step_into(len, true, rows, Some(&mut user_cells), None)?;
         }
         Ok(FleetOutcome {
             observed,

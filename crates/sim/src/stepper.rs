@@ -15,11 +15,15 @@
 //! tile *is* the planned row); the batch engine steps
 //! [`BATCH_TILE_SLOTS`]-slot tiles straight into the observed grid.
 
-use crate::fleet::{user_seed, ChaffLane, FleetChaffPolicy, FleetConfig, FleetModel, FleetStats};
+use crate::fleet::{
+    chaff_seed, user_seed, FleetChaffPolicy, FleetChaffStrategy, FleetConfig, FleetModel,
+    FleetStats,
+};
 use crate::network::MecNetwork;
 use crate::observer::fisher_yates;
 use crate::{Result, SimError};
-use chaff_markov::{CellId, TrajectoryArena};
+use chaff_core::strategy::{cml_step, im_step, mo_step};
+use chaff_markov::{CellId, MarkovChain, TrajectoryArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,11 +35,72 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub(crate) const BATCH_TILE_SLOTS: usize = 16;
 
 /// The persistent state of one user band: users `first..first +
-/// rngs.len()`, their RNGs and their chaff lanes in lane order.
-struct Band<'a> {
+/// rngs.len()`, their RNGs and their chaff lanes.
+struct Band {
     first: usize,
     rngs: Vec<StdRng>,
-    chaffs: Vec<(ChaffLane<'a>, StdRng)>,
+    lanes: Lanes,
+}
+
+/// The chaff lanes of one band, one flat vector per strategy in user
+/// then lane order, each holding only what its strategy's step reads.
+/// A lane's chain is its user's chain at the slot (lanes advance once
+/// per slot from slot 0, in step with the user), and slot 0 is the
+/// launch slot, so neither a chain source nor a "launched" flag is
+/// stored.
+#[derive(Default)]
+struct Lanes {
+    /// IM: each walk's own `chaff_seed` stream and its cell (40 B a
+    /// lane).
+    im: Vec<(StdRng, CellId)>,
+    /// CML: each chaff's cell (4 B a lane; CML draws nothing).
+    cml_cells: Vec<CellId>,
+    /// MO: each chaff's and its user's previous cells and its gap `γ`
+    /// (16 B a lane; MO draws nothing).
+    mo: Vec<MoLane>,
+}
+
+#[derive(Clone, Copy)]
+struct MoLane {
+    chaff: CellId,
+    user: CellId,
+    gamma: f64,
+}
+
+impl Lanes {
+    /// The lanes of `users`, whose budgets and strategies are given:
+    /// each vector sized exactly, and only IM lanes seeded.
+    fn build(
+        users: impl Iterator<Item = (usize, usize, FleetChaffStrategy)> + Clone,
+        seed: u64,
+    ) -> Self {
+        let mut counts = [0usize; 3];
+        for (_, budget, strategy) in users.clone() {
+            counts[strategy as usize] += budget;
+        }
+        let origin = CellId::new(0);
+        let mut im = Vec::with_capacity(counts[FleetChaffStrategy::Im as usize]);
+        for (user, budget, strategy) in users {
+            if strategy == FleetChaffStrategy::Im {
+                im.extend((0..budget).map(|c| {
+                    let seed = chaff_seed(seed, user as u64, c as u64);
+                    (StdRng::seed_from_u64(seed), origin)
+                }));
+            }
+        }
+        Lanes {
+            im,
+            cml_cells: vec![origin; counts[FleetChaffStrategy::Cml as usize]],
+            mo: vec![
+                MoLane {
+                    chaff: origin,
+                    user: origin,
+                    gamma: 0.0,
+                };
+                counts[FleetChaffStrategy::Mo as usize]
+            ],
+        }
+    }
 }
 
 /// The simulation half of a fleet: layout, RNG and lane state, the
@@ -49,7 +114,9 @@ pub(crate) struct FleetStepper<'a> {
     /// position (identity when anonymization is off).
     inv: Vec<u32>,
     user_observed_indices: Vec<usize>,
-    bands: Vec<Band<'a>>,
+    /// The chaff strategy of each mobility class.
+    strategies: Vec<FleetChaffStrategy>,
+    bands: Vec<Band>,
     /// Users per band (the last band may hold fewer).
     band_users: usize,
     /// Each user's cell at the last slot stepped.
@@ -97,24 +164,27 @@ impl<'a> FleetStepper<'a> {
         // One band per shard; each band seeds its users' streams and
         // builds their lanes as one pool job.
         let band_users = n.div_ceil(config.effective_shards());
-        let mut bands: Vec<Band<'a>> = (0..n)
+        let strategies: Vec<FleetChaffStrategy> = (0..model.num_classes())
+            .map(|class| policy.strategy_of(class))
+            .collect();
+        let mut bands: Vec<Band> = (0..n)
             .step_by(band_users)
             .map(|first| Band {
                 first,
                 rngs: Vec::new(),
-                chaffs: Vec::new(),
+                lanes: Lanes::default(),
             })
             .collect();
-        let (starts, seed) = (&service_starts, config.seed);
+        let (starts, seed, strategies_of) = (&service_starts, config.seed, &strategies);
         run_bands(bands.iter_mut(), |band| {
             let users = band.first..(band.first + band_users).min(n);
-            band.chaffs
-                .reserve(starts[users.end] - starts[users.start] - users.len());
-            for user in users.clone() {
-                let budget = starts[user + 1] - starts[user] - 1;
-                band.chaffs
-                    .extend(model.chaff_lanes(policy, seed, user, budget));
-            }
+            band.lanes = Lanes::build(
+                users.clone().map(|user| {
+                    let budget = starts[user + 1] - starts[user] - 1;
+                    (user, budget, strategies_of[model.class_of(user)])
+                }),
+                seed,
+            );
             band.rngs = users
                 .map(|user| StdRng::seed_from_u64(user_seed(seed, user as u64)))
                 .collect();
@@ -145,6 +215,7 @@ impl<'a> FleetStepper<'a> {
             service_starts,
             inv,
             user_observed_indices,
+            strategies,
             bands,
             band_users,
             user_row: vec![CellId::new(0); n],
@@ -183,13 +254,9 @@ impl<'a> FleetStepper<'a> {
         self.slot
     }
 
-    /// Users per band of the draw kernel.
-    pub(crate) fn band_users(&self) -> usize {
-        self.band_users
-    }
-
-    pub(crate) fn service_starts(&self) -> &[usize] {
-        &self.service_starts
+    /// Bands of the draw kernel, and of the gather.
+    pub(crate) fn num_bands(&self) -> usize {
+        self.bands.len()
     }
 
     pub(crate) fn user_observed_indices(&self) -> &[usize] {
@@ -210,17 +277,6 @@ impl<'a> FleetStepper<'a> {
         &mut self.user_row
     }
 
-    /// The placed cell of every service at the last slot of a one-slot
-    /// tile: the network's placement with a capacity, the planned row
-    /// without.
-    pub(crate) fn placed_row(&self) -> &[CellId] {
-        debug_assert_eq!(self.stride, 1, "a placed row exists for one-slot tiles");
-        match &self.network {
-            Some((_, actual, _)) => actual,
-            None => &self.tile,
-        }
-    }
-
     /// Bytes of the per-slot tables: the tile, the inverse permutation,
     /// the layout, the user index and cell rows, and the placement.
     pub(crate) fn state_bytes(&self) -> usize {
@@ -236,7 +292,8 @@ impl<'a> FleetStepper<'a> {
     /// horizon) and writes the `len` observed rows, slot-major, into
     /// `out`, and the users' cells into their rows of `user_cells` when
     /// given. With `draw` off, the users' cells are the ones written to
-    /// [`user_row_mut`](Self::user_row_mut), and `len` must be 1.
+    /// [`user_row_mut`](Self::user_row_mut), and `len` must be 1. A
+    /// `tally` (one-slot tiles only) is filled as the row is gathered.
     ///
     /// # Errors
     ///
@@ -248,9 +305,14 @@ impl<'a> FleetStepper<'a> {
         draw: bool,
         out: &mut [CellId],
         user_cells: Option<&mut TrajectoryArena>,
+        mut tally: Option<UserTally<'_>>,
     ) -> Result<()> {
         debug_assert!((1..=self.stride).contains(&len) && self.slot + len <= self.horizon);
         debug_assert!(draw || len == 1, "ingested rows arrive one slot at a time");
+        debug_assert!(
+            tally.is_none() || self.stride == 1,
+            "a tally counts one row"
+        );
         let width = self.num_services();
         debug_assert_eq!(out.len(), len * width);
         let moves = self.draw_tile(len, draw, user_cells);
@@ -258,7 +320,7 @@ impl<'a> FleetStepper<'a> {
         match &mut self.network {
             None => {
                 self.stats.migrations += moves;
-                gather(&self.inv, &self.tile, self.stride, out, bands);
+                gather(&self.inv, &self.tile, self.stride, out, bands, tally);
             }
             Some((network, actual, row)) => {
                 for (j, out_row) in out.chunks_exact_mut(width).enumerate() {
@@ -276,7 +338,7 @@ impl<'a> FleetStepper<'a> {
                     };
                     self.stats.migrations += counts.migrations;
                     self.stats.spills += counts.spills;
-                    gather(&self.inv, actual, 1, out_row, bands);
+                    gather(&self.inv, actual, 1, out_row, bands, tally.take());
                 }
             }
         }
@@ -299,6 +361,7 @@ impl<'a> FleetStepper<'a> {
         let FleetStepper {
             model,
             service_starts,
+            strategies,
             bands,
             band_users,
             user_row,
@@ -307,7 +370,14 @@ impl<'a> FleetStepper<'a> {
             slot,
             ..
         } = self;
-        let (model, starts, stride, slot0) = (*model, &service_starts[..], *stride, *slot);
+        let (starts, strategies) = (&service_starts[..], &strategies[..]);
+        let shape = TileShape {
+            model: *model,
+            slot0: *slot,
+            len,
+            stride: *stride,
+            draw,
+        };
         let mut cells = &mut user_row[..];
         let mut planned = &mut tile[..];
         let mut user_rows =
@@ -318,7 +388,7 @@ impl<'a> FleetStepper<'a> {
             (
                 band,
                 take_front(&mut cells, users),
-                take_front(&mut planned, services * stride),
+                take_front(&mut planned, services * shape.stride),
                 user_rows.as_mut().and_then(Iterator::next),
             )
         });
@@ -326,48 +396,49 @@ impl<'a> FleetStepper<'a> {
         run_bands(jobs, |(band, cells, planned, mut user_rows)| {
             let base = starts[band.first];
             let mut band_moves = 0usize;
-            let mut lanes = &mut band.chaffs[..];
+            let Lanes { im, cml_cells, mo } = &mut band.lanes;
+            let mut im = &mut im[..];
+            let (mut cml_cells, mut mo) = (&mut cml_cells[..], &mut mo[..]);
             for (i, (now, rng)) in cells.iter_mut().zip(&mut band.rngs).enumerate() {
                 let user = band.first + i;
                 let (lo, hi) = (starts[user] - base, starts[user + 1] - base);
-                let (real, chaffs) = planned[lo * stride..hi * stride].split_at_mut(stride);
-                // Slot by slot: the user's cell from that slot's
-                // epoch-active chain and its own stream (the real service
-                // follows it), then each chaff lane's cell, in lane
-                // order, from its own stream. The user's and the lanes'
-                // walks are independent chains of dependent draws, so
-                // interleaving them per slot lets them overlap. Each cell
-                // is counted against its service's previous slot, which
-                // at `j = 0` is the previous tile's last.
-                let fixed = model.stationary_chain(user);
-                let user_lanes = take_front(&mut lanes, hi - lo - 1);
-                let mut cell = *now;
-                for j in 0..len {
-                    let t = slot0 + j;
-                    let back = if j == 0 { stride - 1 } else { j - 1 };
-                    let counted = usize::from(t > 0);
-                    if draw {
-                        let chain = fixed.unwrap_or_else(|| model.chain_at_slot(user, t));
-                        cell = if t == 0 {
-                            chain.initial().sample(rng)
-                        } else {
-                            chain.step(cell, rng)
-                        };
+                let columns = &mut planned[lo * shape.stride..hi * shape.stride];
+                let lanes = hi - lo - 1;
+                // Each strategy's step reads only its lane's own state,
+                // its user's cell and the slot's chain; `t == 0` is the
+                // launch slot.
+                band_moves += match (lanes > 0).then(|| strategies[model.class_of(user)]) {
+                    None => shape.walk_user(user, now, rng, columns, 0, |_, _, _, cell| cell),
+                    Some(FleetChaffStrategy::Im) => {
+                        let lanes_of_user = take_front(&mut im, lanes);
+                        shape.walk_user(user, now, rng, columns, lanes, |c, chain, t, _| {
+                            let (rng, cell) = &mut lanes_of_user[c];
+                            *cell = im_step(chain, (t > 0).then_some(*cell), rng);
+                            *cell
+                        })
                     }
-                    band_moves += usize::from(real[back] != cell) & counted;
-                    real[j] = cell;
-                    // Lane `c`'s column starts at `c · stride` (indexed, not
-                    // chunked: no division per user).
-                    for (c, (lane, chaff_rng)) in user_lanes.iter_mut().enumerate() {
-                        let next = lane.advance(cell, &[], chaff_rng);
-                        let column = c * stride;
-                        band_moves += usize::from(chaffs[column + back] != next) & counted;
-                        chaffs[column + j] = next;
+                    Some(FleetChaffStrategy::Cml) => {
+                        let cells = take_front(&mut cml_cells, lanes);
+                        shape.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
+                            let next = cml_step(chain, (t > 0).then_some(cells[c]), cell, &[]);
+                            cells[c] = next;
+                            next
+                        })
                     }
-                }
-                *now = cell;
+                    Some(FleetChaffStrategy::Mo) => {
+                        let lanes_of_user = take_front(&mut mo, lanes);
+                        shape.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
+                            let lane = &mut lanes_of_user[c];
+                            let prev = (t > 0).then_some((lane.chaff, lane.user));
+                            let next = mo_step(chain, prev, &mut lane.gamma, cell, &[]);
+                            (lane.chaff, lane.user) = (next, cell);
+                            next
+                        })
+                    }
+                };
                 if let Some(rows) = &mut user_rows {
-                    rows.row_mut(i)[slot0..slot0 + len].copy_from_slice(&real[..len]);
+                    let slots = shape.slot0..shape.slot0 + len;
+                    rows.row_mut(i)[slots].copy_from_slice(&columns[..len]);
                 }
             }
             moves.fetch_add(band_moves, Ordering::Relaxed);
@@ -376,31 +447,152 @@ impl<'a> FleetStepper<'a> {
     }
 }
 
+/// What every user of a tile shares in the draw+chaff kernel.
+#[derive(Clone, Copy)]
+struct TileShape<'a> {
+    model: FleetModel<'a>,
+    /// The tile's first slot.
+    slot0: usize,
+    /// Slots in the tile.
+    len: usize,
+    /// Column length per service.
+    stride: usize,
+    /// Draw the users' cells (else they were ingested into `now`).
+    draw: bool,
+}
+
+impl<'a> TileShape<'a> {
+    /// Advances `user` and its `lanes` chaff lanes through the tile.
+    /// `columns` holds the user's service columns (real service first,
+    /// then the lanes, `stride` cells each); `chaff(c, chain, t, cell)`
+    /// steps lane `c` at slot `t` under the user's chain given the
+    /// user's cell. Slot by slot: the user's cell from that slot's
+    /// epoch-active chain and its own stream (the real service follows
+    /// it), then each lane's cell, in lane order. The user's and the
+    /// lanes' walks are independent chains of dependent draws, so
+    /// interleaving them per slot lets them overlap. Each cell is
+    /// counted against its service's previous slot, which at `j = 0` is
+    /// the previous tile's last. Returns the count.
+    #[inline(always)]
+    fn walk_user(
+        self,
+        user: usize,
+        now: &mut CellId,
+        rng: &mut StdRng,
+        columns: &mut [CellId],
+        lanes: usize,
+        mut chaff: impl FnMut(usize, &'a MarkovChain, usize, CellId) -> CellId,
+    ) -> usize {
+        let stride = self.stride;
+        let (real, chaffs) = columns.split_at_mut(stride);
+        let fixed = self.model.stationary_chain(user);
+        let mut cell = *now;
+        let mut moves = 0usize;
+        for j in 0..self.len {
+            let t = self.slot0 + j;
+            let back = if j == 0 { stride - 1 } else { j - 1 };
+            let counted = usize::from(t > 0);
+            let chain = fixed.unwrap_or_else(|| self.model.chain_at_slot(user, t));
+            if self.draw {
+                cell = im_step(chain, (t > 0).then_some(cell), rng);
+            }
+            moves += usize::from(real[back] != cell) & counted;
+            real[j] = cell;
+            // Lane `c`'s column starts at `c · stride` (indexed, not
+            // chunked: no division per user).
+            for c in 0..lanes {
+                let next = chaff(c, chain, t, cell);
+                let column = c * stride;
+                moves += usize::from(chaffs[column + back] != next) & counted;
+                chaffs[column + j] = next;
+            }
+        }
+        *now = cell;
+        moves
+    }
+}
+
+/// Per gather band, how many real user services were placed in each
+/// cell: `hists[band · states + cell]`, counted by the band's gather job
+/// as it writes the row (bands the gather does not reach stay as they
+/// are, zero).
+pub(crate) struct UserTally<'t> {
+    /// `is_user[p]`: does observed position `p` carry a real user?
+    pub(crate) is_user: &'t [bool],
+    pub(crate) hists: &'t mut [usize],
+    /// Cells per histogram.
+    pub(crate) states: usize,
+}
+
+/// Observed positions per block of a tallied gather: a few KiB of
+/// cells, so the count pass over a block reads it from L1.
+const TALLY_BLOCK: usize = 1024;
+
 /// The anonymizing gather: `out` holds observed rows, slot-major, each
 /// `inv.len()` wide, and `rows[j][p] = src[inv[p] · stride + j]`. The
 /// destination columns are cut into `bands` ranges, one pool job each;
-/// `inv` is a bijection, so every output cell is written once.
-fn gather(inv: &[u32], src: &[CellId], stride: usize, out: &mut [CellId], bands: usize) {
+/// `inv` is a bijection, so every output cell is written once. A
+/// one-row gather fills `tally` in the same jobs.
+fn gather(
+    inv: &[u32],
+    src: &[CellId],
+    stride: usize,
+    out: &mut [CellId],
+    bands: usize,
+    tally: Option<UserTally<'_>>,
+) {
     let width = inv.len();
     let band_len = width.div_ceil(bands.max(1)).max(1);
     let mut rows: Vec<_> = out
         .chunks_exact_mut(width)
         .map(|row| row.chunks_mut(band_len))
         .collect();
+    let mut tallies = tally.map(|t| t.is_user.chunks(band_len).zip(t.hists.chunks_mut(t.states)));
     let jobs = inv.chunks(band_len).map(|inv_band| {
         let outs: Vec<&mut [CellId]> = rows.iter_mut().filter_map(Iterator::next).collect();
-        (inv_band, outs)
+        (inv_band, outs, tallies.as_mut().and_then(Iterator::next))
     });
-    run_bands(jobs, |(inv_band, mut outs)| {
-        if let [row] = &mut outs[..] {
-            for (cell, &service) in row.iter_mut().zip(inv_band) {
-                *cell = src[service as usize * stride];
+    run_bands(jobs, |(inv_band, mut outs, tally)| {
+        match (&mut outs[..], tally) {
+            ([row], None) => {
+                for (cell, &service) in row.iter_mut().zip(inv_band) {
+                    *cell = src[service as usize * stride];
+                }
             }
-        } else {
-            for (p, &service) in inv_band.iter().enumerate() {
-                let column = &src[service as usize * stride..][..outs.len()];
-                for (row, &cell) in outs.iter_mut().zip(column) {
-                    row[p] = cell;
+            ([row], Some((is_user, hist))) => {
+                // Block by block: the gather's independent loads stay
+                // free of the counts' read-modify-writes, which then run
+                // over cells still in L1, into four histograms in turn so
+                // that neighbouring cells never wait on each other's
+                // store.
+                let mut copies = vec![[0usize; 4]; hist.len()];
+                let blocks = row
+                    .chunks_mut(TALLY_BLOCK)
+                    .zip(inv_band.chunks(TALLY_BLOCK));
+                for ((row, inv_block), is_user) in blocks.zip(is_user.chunks(TALLY_BLOCK)) {
+                    for (cell, &service) in row.iter_mut().zip(inv_block) {
+                        *cell = src[service as usize * stride];
+                    }
+                    let (mut cells, mut users) = (row.chunks_exact(4), is_user.chunks_exact(4));
+                    for (cells, users) in (&mut cells).zip(&mut users) {
+                        for copy in 0..4 {
+                            copies[cells[copy].index()][copy] += usize::from(users[copy]);
+                        }
+                    }
+                    for (cell, &user) in cells.remainder().iter().zip(users.remainder()) {
+                        copies[cell.index()][0] += usize::from(user);
+                    }
+                }
+                for (count, copy) in hist.iter_mut().zip(&copies) {
+                    *count = copy.iter().sum();
+                }
+            }
+            (outs, _) => {
+                for (p, &service) in inv_band.iter().enumerate() {
+                    let column = &src[service as usize * stride..][..outs.len()];
+                    for (row, &cell) in outs.iter_mut().zip(column) {
+                        row[p] = cell;
+                    }
                 }
             }
         }

@@ -45,7 +45,7 @@
 //! clean partial result — never a poisoned engine.
 
 use crate::fleet::{BudgetAllocation, FleetChaffPolicy, FleetConfig, FleetModel, FleetStats};
-use crate::stepper::{run_bands, take_front, FleetStepper};
+use crate::stepper::{FleetStepper, UserTally};
 use crate::{Result, SimError};
 use chaff_core::detector::{Detection, StreamingPrefixDetector};
 use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry};
@@ -94,16 +94,22 @@ impl SlotRing {
         }
     }
 
-    fn push(&mut self, row: &[CellId]) {
-        let mut buffer = if self.rows.len() == self.depth {
-            self.first_slot += 1;
-            self.rows.pop_front().unwrap_or_default()
-        } else {
-            Vec::with_capacity(row.len())
-        };
-        buffer.clear();
-        buffer.extend_from_slice(row);
-        self.rows.push_back(buffer);
+    /// The buffer the next row is gathered into: the oldest row's once
+    /// the ring is full (that row leaves the ring), a fresh one before.
+    fn recycled(&mut self, width: usize) -> Vec<CellId> {
+        if self.rows.len() == self.depth {
+            if let Some(oldest) = self.rows.pop_front() {
+                self.first_slot += 1;
+                return oldest;
+            }
+        }
+        vec![CellId::new(0); width]
+    }
+
+    /// Appends the next slot's row and returns it.
+    fn push(&mut self, row: Vec<CellId>) -> &[CellId] {
+        self.rows.push_back(row);
+        &self.rows[self.rows.len() - 1]
     }
 
     fn bytes(&self) -> usize {
@@ -151,9 +157,8 @@ pub struct StreamingFleetEngine<'a> {
     is_user: Vec<bool>,
     detector: StreamingPrefixDetector,
     ring: SlotRing,
-    observed_row: Vec<CellId>,
-    /// Per user band, how many users' real services were placed in each
-    /// cell this slot (`bands × cells`).
+    /// Per gather band, how many users' real services were placed in
+    /// each cell this slot (`bands × cells`).
     user_hist: Vec<usize>,
     /// How many tie-set services sit in each cell (zero between slots).
     tie_hist: Vec<usize>,
@@ -236,13 +241,12 @@ impl<'a> StreamingFleetEngine<'a> {
         if matches!(policy.allocation(), BudgetAllocation::Adaptive(_)) {
             detector = detector.with_feedback();
         }
-        let bands = config.num_users.div_ceil(stepper.band_users());
+        let bands = stepper.num_bands();
         Ok(StreamingFleetEngine {
             stepper,
             is_user,
             detector,
             ring: SlotRing::new(DEFAULT_RING_DEPTH, 0),
-            observed_row: vec![CellId::new(0); num_services],
             user_hist: vec![0; bands * model.num_states()],
             tie_hist: vec![0; model.num_states()],
         })
@@ -350,15 +354,14 @@ impl<'a> StreamingFleetEngine<'a> {
 
     /// Bytes of horizon-independent engine state: the observed-row ring,
     /// the detector's running scores, the permutation/layout tables and
-    /// the row scratch buffers. Per-user RNG/controller state is *not*
+    /// the count tables. Per-user RNG/controller state is *not*
     /// included (it is `O(N)` but heap-layout dependent); the reported
     /// figure is the engine's `O(width · ring_depth + N)` columnar
     /// footprint, the quantity the memory-bound tests pin down.
     pub fn state_bytes(&self) -> usize {
-        let rows = self.observed_row.capacity() * 4;
         let tables =
             self.is_user.capacity() + (self.user_hist.capacity() + self.tie_hist.capacity()) * 8;
-        self.ring.bytes() + self.detector.state_bytes() + self.stepper.state_bytes() + rows + tables
+        self.ring.bytes() + self.detector.state_bytes() + self.stepper.state_bytes() + tables
     }
 
     /// Advances one slot, drawing every user's move from its mobility
@@ -424,44 +427,34 @@ impl<'a> StreamingFleetEngine<'a> {
     }
 
     /// One slot: the stepper's one-slot tile (draw+chaff, placement and
-    /// anonymizing gather), drawing user cells when `draw`, else reading
-    /// the ingested user row; then the banded user-cell counts, ring
-    /// append, online detection and accuracy by cell counts.
+    /// anonymizing gather, which also counts the cells the users' real
+    /// services were placed in), drawing user cells when `draw`, else
+    /// reading the ingested user row, gathered straight into the ring;
+    /// then online detection and accuracy by cell counts.
     fn advance_slot(&mut self, draw: bool) -> Result<Option<SlotStep>> {
         let slot = self.stepper.slot();
         let n = self.stepper.num_users();
-        self.stepper
-            .step_into(1, draw, &mut self.observed_row, None)?;
-        // Count, per user band, the cells its users' real services were
-        // placed in.
-        let placed = self.stepper.placed_row();
-        let band_users = self.stepper.band_users();
         let states = self.tie_hist.len();
-        let mut users = &self.stepper.service_starts()[..n];
-        let mut hists = &mut self.user_hist[..];
-        let bands = (0..n).step_by(band_users).map(|_| {
-            let (band, rest) = users.split_at(band_users.min(users.len()));
-            users = rest;
-            (band, take_front(&mut hists, states))
-        });
-        run_bands(bands, |(services, hist)| {
-            hist.fill(0);
-            for &service in services {
-                hist[placed[service].index()] += 1;
-            }
-        });
-        self.ring.push(&self.observed_row);
+        let mut row = self.ring.recycled(self.stepper.num_services());
+        let tally = UserTally {
+            is_user: &self.is_user,
+            hists: &mut self.user_hist,
+            states,
+        };
+        self.stepper
+            .step_into(1, draw, &mut row, None, Some(tally))?;
+        let row = self.ring.push(row);
         // Detection phase: the shared per-slot kernel. Cells come from a
         // validated model or a pre-validated ingest row, so this cannot
         // fail — but a typed propagation beats an unwrap if an invariant
         // ever breaks.
-        let detection = self.detector.push_slot(&self.observed_row)?;
+        let detection = self.detector.push_slot(row)?;
         // Accuracy phase: the per-slot bodies of
         // `mean_tracking_accuracy_columnar` / `mean_detection_accuracy`,
         // with the per-user tracking sum regrouped by cell.
         let tie = detection.tie_set();
         for &i in tie {
-            self.tie_hist[self.observed_row[i].index()] += 1;
+            self.tie_hist[row[i].index()] += 1;
         }
         let hits: usize = self
             .user_hist
@@ -471,7 +464,7 @@ impl<'a> StreamingFleetEngine<'a> {
             .sum();
         let tracking_accuracy = hits as f64 / tie.len() as f64 / n as f64;
         for &i in tie {
-            self.tie_hist[self.observed_row[i].index()] = 0;
+            self.tie_hist[row[i].index()] = 0;
         }
         let named = tie.iter().filter(|&&i| self.is_user[i]).count();
         let detection_accuracy = named as f64 / tie.len() as f64 / n as f64;
