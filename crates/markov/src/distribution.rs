@@ -242,7 +242,7 @@ impl StateDistribution {
     /// floating-point slack leaves `u` at or above the final sum.
     ///
     /// The prefix sums are the running totals a linear scan accumulates
-    /// and they are monotone, so the search ([`cdf_rank`]) stops exactly
+    /// and they are monotone, so the search (`cdf_rank`) stops exactly
     /// where the scan would; a zero-mass cell repeats its predecessor's
     /// sum and can never be the first to exceed `u ≥ 0`.
     #[inline]

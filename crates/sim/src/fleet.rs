@@ -50,18 +50,38 @@
 //!    slots is rejected here, so placement can never fail later.
 //! 2. **Seed.** Every user draws from an RNG seeded by SplitMix64 over
 //!    `(fleet seed, user index)`, and every chaff from its own stream
-//!    over `(fleet seed, user, chaff)`. Users are cut into contiguous
-//!    bands (one per shard), and each band seeds its users and builds
-//!    their chaff lanes as one job on the worker pool. Streams depend on
-//!    indices only, so results are bit-identical for every shard count,
-//!    growing the fleet never perturbs existing users' streams, and
-//!    growing a user's chaff budget never perturbs the user's own
-//!    trajectory.
+//!    over `(fleet seed, user, chaff)` ([`chaff_seed`]). Users are cut
+//!    into contiguous bands (one per shard), and each band seeds its
+//!    users and builds their chaff lanes as one job on the worker pool.
+//!    Streams depend on indices only, so results are bit-identical for
+//!    every shard count, growing the fleet never perturbs existing
+//!    users' streams, and growing a user's chaff budget never perturbs
+//!    the user's own trajectory.
+//!
+//!    **Lane state.** A band keeps one flat vector per strategy, in user
+//!    then lane order, holding only what the strategy's step reads: an
+//!    IM lane its stream and cell, a CML lane its cell, an MO lane its
+//!    previous cell, its user's previous cell and its gap `γ`. Only IM
+//!    lanes seed a stream, because CML and MO never draw; an IM lane's
+//!    stream is the same `chaff_seed` stream as before, so its draws are
+//!    unchanged. A lane holds no chain source: the kernel passes it its
+//!    user's chain at the slot. A controller's epoch source advances one
+//!    slot per call and a lane is called once per slot from slot 0, so
+//!    at slot `t` that source yields the chain of the user's class at
+//!    `epoch_of(t)` — the user's own chain at `t`. Nor does a lane hold
+//!    a "launched" flag: its first call is at slot 0, so `t == 0` is the
+//!    launch. The step bodies are the ones the public controllers run
+//!    (`chaff_core::strategy::{im_step, cml_step, mo_step}`), so every
+//!    lane's cells are its controller's, draw for draw;
+//!    `tests/chaff_lanes.rs` replays the controllers to check it.
 //! 3. **Draw and chaff, one tile at a time (parallel).** Each band job
 //!    advances its users through the tile, slot by slot: the user's cell
 //!    from that slot's epoch-active chain (always-follow placement, so
 //!    the real service takes it too), then each chaff lane's cell
-//!    against it. The tile is service-major, so a user's RNG and lanes
+//!    against it. Rows of at most 16 successors are searched by counting
+//!    the prefix sums `≤ u` rather than by bisection; on a
+//!    non-decreasing table the count is the bisection's answer, so every
+//!    draw lands on the same cell. The tile is service-major, so a user's RNG and lanes
 //!    stay hot for the whole tile. Every draw reads only its own stream
 //!    and its own user's cells, so neither the band count nor the tile
 //!    length changes a draw. Without a capacity, migrations are counted
@@ -79,7 +99,10 @@
 //!    services, driven by the fleet seed, is drawn up front and kept as
 //!    its inverse; each observed row is gathered through it over
 //!    destination bands on the pool. The permutation is a bijection, so
-//!    every output cell is written exactly once.
+//!    every output cell is written exactly once. The streaming engine
+//!    gathers straight into its ring's recycled row and has each band
+//!    count the cells of the positions holding a real user: an integer
+//!    count of the same cells the users' services were placed in.
 //!
 //! `tests/fleet_goldens.rs` pins whole outcomes of this pipeline.
 //!

@@ -12,9 +12,11 @@
 //!    per-slot feed ([`step_ingested`](StreamingFleetEngine::step_ingested),
 //!    e.g. a quantized trace stream), the optional capacity placement
 //!    and the anonymizing gather. The bands are the detector's shards
-//!    ([`FleetConfig::with_shards`]), so there is one knob. A second
-//!    banded pass counts, per user band, the cells its users' real
-//!    services were placed in (`user_hist`).
+//!    ([`FleetConfig::with_shards`]), so there is one knob. The gather
+//!    writes straight into the ring's recycled row (no copy), and each
+//!    of its bands counts, in the same pool job, the cells its positions
+//!    holding a real user were placed in (`user_hist`, through
+//!    `is_user`); there is no separate count pass.
 //! 2. **Detect.** The row feeds a [`StreamingPrefixDetector`], which
 //!    shares the batch detector's per-slot kernel.
 //! 3. **Accuracy, by cell counts.** The tie set's cells are counted
@@ -34,7 +36,7 @@
 //!
 //! The engine never materializes the `N × T` grid. It holds the
 //! detector's running scores (`O(N · classes)`), a handful of row
-//! scratch buffers, per-user RNG/controller state
+//! scratch buffers, per-user RNG and chaff-lane state
 //! (`O(N)`), and a bounded ring of the most recent observed rows
 //! (`O(width · ring_depth)`, [`ring_depth`](StreamingFleetEngine::ring_depth)
 //! rows deep) for consumers that want a trailing window — `O(width ·
@@ -354,7 +356,7 @@ impl<'a> StreamingFleetEngine<'a> {
 
     /// Bytes of horizon-independent engine state: the observed-row ring,
     /// the detector's running scores, the permutation/layout tables and
-    /// the count tables. Per-user RNG/controller state is *not*
+    /// the count tables. Per-user RNG and chaff-lane state is *not*
     /// included (it is `O(N)` but heap-layout dependent); the reported
     /// figure is the engine's `O(width · ring_depth + N)` columnar
     /// footprint, the quantity the memory-bound tests pin down.

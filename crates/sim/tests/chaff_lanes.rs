@@ -18,14 +18,14 @@ use chaff_sim::fleet::{
     chaff_seed, FleetChaffPolicy, FleetChaffStrategy, FleetConfig, FleetOutcome, FleetSimulation,
 };
 use chaff_sim::streaming::StreamingFleetEngine;
-use chaff_sim::test_support::{mixed_registry, nonskewed_chain};
+use chaff_sim::test_support::mixed_registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use FleetChaffStrategy::{Cml, Im, Mo};
 
 const CELLS: usize = 10;
-const USERS: usize = 23;
+const USERS: usize = 101;
 const SEED: u64 = 4242;
 
 /// The model a case runs on.
@@ -37,8 +37,10 @@ enum Model {
 }
 
 impl Model {
+    /// A spatially skewed chain: most moves head for one hot cell, so
+    /// chaffs often collide with their user and MO's gap decides.
     fn chain() -> Self {
-        Model::Chain(nonskewed_chain(31, CELLS))
+        Model::Chain(mixed_registry(31, CELLS, 2).chain(1).clone())
     }
 
     fn day_night() -> Self {
