@@ -54,7 +54,7 @@ struct Lanes {
     /// lane).
     im: Vec<(StdRng, CellId)>,
     /// CML: each chaff's cell (4 B a lane; CML draws nothing).
-    cml_cells: Vec<CellId>,
+    cml: Vec<CellId>,
     /// MO: each chaff's and its user's previous cells and its gap `γ`
     /// (16 B a lane; MO draws nothing).
     mo: Vec<MoLane>,
@@ -90,7 +90,7 @@ impl Lanes {
         }
         Lanes {
             im,
-            cml_cells: vec![origin; counts[FleetChaffStrategy::Cml as usize]],
+            cml: vec![origin; counts[FleetChaffStrategy::Cml as usize]],
             mo: vec![
                 MoLane {
                     chaff: origin,
@@ -396,9 +396,8 @@ impl<'a> FleetStepper<'a> {
         run_bands(jobs, |(band, cells, planned, mut user_rows)| {
             let base = starts[band.first];
             let mut band_moves = 0usize;
-            let Lanes { im, cml_cells, mo } = &mut band.lanes;
-            let mut im = &mut im[..];
-            let (mut cml_cells, mut mo) = (&mut cml_cells[..], &mut mo[..]);
+            let Lanes { im, cml, mo } = &mut band.lanes;
+            let (mut im, mut cml, mut mo) = (&mut im[..], &mut cml[..], &mut mo[..]);
             for (i, (now, rng)) in cells.iter_mut().zip(&mut band.rngs).enumerate() {
                 let user = band.first + i;
                 let (lo, hi) = (starts[user] - base, starts[user + 1] - base);
@@ -418,11 +417,11 @@ impl<'a> FleetStepper<'a> {
                         })
                     }
                     Some(FleetChaffStrategy::Cml) => {
-                        let cells = take_front(&mut cml_cells, lanes);
+                        let lanes_of_user = take_front(&mut cml, lanes);
                         shape.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
-                            let next = cml_step(chain, (t > 0).then_some(cells[c]), cell, &[]);
-                            cells[c] = next;
-                            next
+                            let lane = &mut lanes_of_user[c];
+                            *lane = cml_step(chain, (t > 0).then_some(*lane), cell, &[]);
+                            *lane
                         })
                     }
                     Some(FleetChaffStrategy::Mo) => {
