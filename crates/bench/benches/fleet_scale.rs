@@ -18,7 +18,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-/// Matches `chaff_eval::experiments::fleet_scale::SCALE_HORIZON`.
+/// Long enough that per-slot work, not setup, dominates each sample;
+/// short enough that a `B = 2` grid at `USERS` stays ~14 MB. The CI
+/// gate compares each record with the previous run's
+/// `BENCH_fleet.json`, so a change here moves the whole group at once.
 const HORIZON: usize = 24;
 const USERS: usize = 50_000;
 

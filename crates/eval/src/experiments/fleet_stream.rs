@@ -1,36 +1,35 @@
-//! Extension experiment: the streaming online detection engine under
-//! live per-slot latency accounting.
+//! Extension experiment: the streaming online detection engine at
+//! `N = 10⁵–10⁶`, scored against eq. (11).
 //!
-//! The batch pipeline measures only end-to-end throughput; an online
-//! adversary (the paper's eq. (11) detector run *as the fleet moves*)
-//! cares about the per-slot step latency — how long the MEC-side
-//! observer takes to ingest one slot, inject chaff, and update every
-//! prefix likelihood — and especially about the tail, because one slow
-//! slot stalls the whole observation window. This experiment drives
-//! [`StreamingFleetEngine`] slot by slot, recording:
+//! An online adversary runs the paper's detector *as the fleet moves*:
+//! what it knows at slot `t` is the accuracy of the prefix detections
+//! so far, before the horizon completes. This experiment drives
+//! [`StreamingFleetEngine`] slot by slot under a uniform IM policy
+//! (He et al., arXiv:1709.03133) and records, per `(N, B)` cell:
 //!
-//! * the **live accuracy curve** — per-slot tracking and detection
-//!   accuracy as they evolve, i.e. what the adversary actually knows at
-//!   slot `t`, before the horizon completes;
-//! * **per-slot latency percentiles** (p50/p95/p99) over the measured
-//!   step times, matching the fields the criterion shim now exports to
-//!   the `BENCH_fleet` gate;
+//! * the **live accuracy curve**: per-slot tracking and detection
+//!   accuracy as they evolve;
+//! * the curve's mean next to the **eq. (11) prediction** at the
+//!   chaffed population `N · (1 + B)`;
 //! * the engine's **resident state** next to what the batch engine's
-//!   full `services × horizon` observation grid would hold — the
+//!   full `services × horizon` observation grid would hold: the
 //!   `O(width · ring + N)` vs `O(N · T)` bound the streaming design
 //!   exists for.
+//!
+//! Step latency is not measured here: fleetbench's `online_stream`
+//! workload and the criterion `fleet_stream` group time it under a
+//! gate.
 
 use super::{build_model, SyntheticConfig};
 use crate::report::{Figure, Series, Table};
+use chaff_core::theory::im_tracking_accuracy;
 use chaff_markov::models::ModelKind;
 use chaff_markov::MarkovChain;
 use chaff_sim::fleet::{FleetChaffPolicy, FleetChaffStrategy, FleetConfig};
 use chaff_sim::streaming::StreamingFleetEngine;
-use std::time::Instant;
 
 /// Populations swept by the full experiment: the release acceptance
-/// rung and the million-user rung (same rungs as `fleet_scale`, so the
-/// two tables line up row for row).
+/// rung and the million-user rung.
 pub const POPULATIONS: [usize; 2] = [100_000, 1_000_000];
 
 /// Populations swept under `--quick`.
@@ -40,8 +39,9 @@ pub const QUICK_POPULATIONS: [usize; 2] = [10_000, 50_000];
 /// acceptance budget).
 pub const BUDGETS: [usize; 2] = [0, 2];
 
-/// Horizon used by the full sweep; matches `fleet_scale` so the
-/// streamed and batch rows are directly comparable.
+/// Horizon used by the full sweep. Shorter than the paper's `T = 100`:
+/// at `N = 10⁶` with `B = 2` every slot costs 3 million cells, and the
+/// eq. (11) dilution this experiment reports is horizon-independent.
 pub const STREAM_HORIZON: usize = 24;
 
 /// One measured `(N, B)` cell of the streaming sweep.
@@ -59,12 +59,6 @@ pub struct StreamPoint {
     pub tracking_curve: Vec<f64>,
     /// Per-slot detection accuracy, one entry per slot.
     pub detection_curve: Vec<f64>,
-    /// Median per-slot step latency, nanoseconds.
-    pub p50_ns: f64,
-    /// 95th-percentile per-slot step latency, nanoseconds.
-    pub p95_ns: f64,
-    /// 99th-percentile per-slot step latency, nanoseconds.
-    pub p99_ns: f64,
     /// Engine-resident bytes after the run (ring + detector + lanes).
     pub state_bytes: usize,
     /// What the batch engine's full columnar observation grid would
@@ -97,18 +91,7 @@ fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Nearest-rank percentile over per-slot latencies (same rule as the
-/// vendored criterion shim, so the table and the `BENCH_fleet` gate
-/// report the same statistic).
-fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted_ns.len() as f64).ceil() as usize;
-    sorted_ns[rank.clamp(1, sorted_ns.len()) - 1]
-}
-
-/// Streams one `(N, B)` cell to the horizon, timing every step.
+/// Streams one `(N, B)` cell to the horizon.
 ///
 /// # Errors
 ///
@@ -119,30 +102,17 @@ pub fn measure(
     budget: usize,
     horizon: usize,
     seed: u64,
-    shards: Option<usize>,
 ) -> crate::Result<StreamPoint> {
-    let mut config = FleetConfig::new(num_users, horizon).with_seed(seed);
-    if let Some(shards) = shards {
-        config = config.with_shards(shards);
-    }
+    let config = FleetConfig::new(num_users, horizon).with_seed(seed);
     let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, budget);
     let mut engine = StreamingFleetEngine::new(chain, config, &policy)?;
     let services = engine.num_services();
     let mut tracking_curve = Vec::with_capacity(horizon);
     let mut detection_curve = Vec::with_capacity(horizon);
-    let mut latencies_ns = Vec::with_capacity(horizon);
-    while {
-        let started = Instant::now();
-        let step = engine.step()?;
-        let elapsed_ns = started.elapsed().as_secs_f64() * 1e9;
-        if let Some(step) = &step {
-            latencies_ns.push(elapsed_ns);
-            tracking_curve.push(step.tracking_accuracy);
-            detection_curve.push(step.detection_accuracy);
-        }
-        step.is_some()
-    } {}
-    latencies_ns.sort_by(f64::total_cmp);
+    while let Some(step) = engine.step()? {
+        tracking_curve.push(step.tracking_accuracy);
+        detection_curve.push(step.detection_accuracy);
+    }
     Ok(StreamPoint {
         num_users,
         budget,
@@ -150,9 +120,6 @@ pub fn measure(
         horizon,
         tracking_curve,
         detection_curve,
-        p50_ns: percentile(&latencies_ns, 50.0),
-        p95_ns: percentile(&latencies_ns, 95.0),
-        p99_ns: percentile(&latencies_ns, 99.0),
         state_bytes: engine.state_bytes(),
         batch_grid_bytes: services * horizon * 4,
     })
@@ -174,16 +141,14 @@ pub fn run_with(
     let chain = build_model(ModelKind::NonSkewed, config)?;
     let mut table = Table::new(
         "fleet_stream",
-        "streaming online detection: per-slot latency percentiles and live accuracy",
+        "streaming online detection: live accuracy vs eq. (11) (uniform IM policy)",
         vec![
             "N".into(),
             "B".into(),
             "services".into(),
             "tracking".into(),
+            "eq. (11) @N(1+B)".into(),
             "detection".into(),
-            "p50 us/slot".into(),
-            "p95 us/slot".into(),
-            "p99 us/slot".into(),
             "state MB".into(),
             "batch grid MB".into(),
         ],
@@ -197,16 +162,15 @@ pub fn run_with(
     for (i, &n) in populations.iter().enumerate() {
         for (j, &b) in budgets.iter().enumerate() {
             let seed = config.seed ^ (0x57EA + (i * budgets.len() + j) as u64);
-            let point = measure(&chain, n, b, horizon, seed, None)?;
+            let point = measure(&chain, n, b, horizon, seed)?;
+            let predicted = im_tracking_accuracy(chain.initial(), point.services);
             table.push(vec![
                 point.num_users.to_string(),
                 point.budget.to_string(),
                 point.services.to_string(),
                 format!("{:.4}", point.mean_tracking()),
+                format!("{predicted:.4}"),
                 format!("{:.6}", point.mean_detection()),
-                format!("{:.1}", point.p50_ns / 1e3),
-                format!("{:.1}", point.p95_ns / 1e3),
-                format!("{:.1}", point.p99_ns / 1e3),
                 format!("{:.1}", point.state_bytes as f64 / 1e6),
                 format!("{:.1}", point.batch_grid_bytes as f64 / 1e6),
             ]);
@@ -231,36 +195,47 @@ pub fn run(config: &SyntheticConfig) -> crate::Result<(Table, Figure)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaff_core::theory::im_tracking_accuracy;
 
     /// The acceptance rung: N = 100,000 streamed end to end with a
-    /// horizon far past the ring depth, live accuracy matching eq. (11)
-    /// and the resident state a small fraction of the batch grid.
+    /// horizon far past the ring depth, undefended and with B = 2 IM
+    /// chaffs. Each live curve's mean matches eq. (11) at its own
+    /// population, chaff dilutes identification, and the resident
+    /// state stays a small fraction of the batch grid.
     #[test]
     fn acceptance_one_hundred_thousand_users_streamed() {
         let config = SyntheticConfig::quick();
         let chain = build_model(ModelKind::NonSkewed, &config).unwrap();
-        let point = measure(&chain, 100_000, 0, 24, 1709, None).unwrap();
-        assert_eq!(point.services, 100_000);
-        assert_eq!(point.tracking_curve.len(), 24);
-        // Latency percentiles are ordered and positive.
-        assert!(point.p50_ns > 0.0);
-        assert!(point.p50_ns <= point.p95_ns && point.p95_ns <= point.p99_ns);
-        // The live curve's mean lands on the eq. (11) prediction, like
-        // the batch metric it reconstructs.
-        let predicted = im_tracking_accuracy(chain.initial(), point.services);
+        let undefended = measure(&chain, 100_000, 0, 24, 1709).unwrap();
+        let chaffed = measure(&chain, 100_000, 2, 24, 1709).unwrap();
+        assert_eq!(undefended.services, 100_000);
+        assert_eq!(chaffed.services, 300_000);
+        for point in [&undefended, &chaffed] {
+            assert_eq!(point.tracking_curve.len(), 24);
+            // The live curve's mean lands on the eq. (11) prediction,
+            // like the batch metric it reconstructs.
+            let predicted = im_tracking_accuracy(chain.initial(), point.services);
+            assert!(
+                (point.mean_tracking() - predicted).abs() < 0.05,
+                "B = {}: tracking {} vs predicted {}",
+                point.budget,
+                point.mean_tracking(),
+                predicted
+            );
+            // The streaming engine never holds the batch grid.
+            assert!(
+                point.memory_ratio() < 1.0,
+                "B = {}: state {} vs grid {}",
+                point.budget,
+                point.state_bytes,
+                point.batch_grid_bytes
+            );
+        }
+        // Chaff dilution: the chaffed fleet is harder to identify.
         assert!(
-            (point.mean_tracking() - predicted).abs() < 0.05,
-            "tracking {} vs predicted {}",
-            point.mean_tracking(),
-            predicted
-        );
-        // The streaming engine never holds the batch grid.
-        assert!(
-            point.memory_ratio() < 1.0,
-            "state {} vs grid {}",
-            point.state_bytes,
-            point.batch_grid_bytes
+            chaffed.mean_detection() < undefended.mean_detection(),
+            "chaffed {} vs undefended {}",
+            chaffed.mean_detection(),
+            undefended.mean_detection()
         );
     }
 
@@ -270,10 +245,9 @@ mod tests {
     fn million_user_smoke() {
         let config = SyntheticConfig::quick();
         let chain = build_model(ModelKind::NonSkewed, &config).unwrap();
-        let point = measure(&chain, 1_000_000, 0, 4, 1709, None).unwrap();
+        let point = measure(&chain, 1_000_000, 0, 4, 1709).unwrap();
         assert_eq!(point.services, 1_000_000);
         assert_eq!(point.tracking_curve.len(), 4);
-        assert!(point.p50_ns > 0.0 && point.p99_ns >= point.p50_ns);
         let predicted = im_tracking_accuracy(chain.initial(), point.services);
         assert!(
             (point.mean_tracking() - predicted).abs() < 0.05,
@@ -290,15 +264,5 @@ mod tests {
         assert_eq!(table.rows.len(), 4);
         assert_eq!(curves.series.len(), 4);
         assert_eq!(curves.series[0].y.len(), 8);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50.0);
-        assert_eq!(percentile(&sorted, 95.0), 95.0);
-        assert_eq!(percentile(&sorted, 99.0), 99.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

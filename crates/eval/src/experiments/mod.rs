@@ -12,8 +12,6 @@ pub mod fleet_chaff;
 pub mod fleet_daynight;
 pub mod fleet_equilibrium;
 pub mod fleet_persist;
-pub mod fleet_scale;
-pub mod fleet_scaling;
 pub mod fleet_stream;
 pub mod multiuser;
 pub mod registry;

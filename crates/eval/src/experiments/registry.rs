@@ -145,17 +145,6 @@ experiment!(Multiuser, "multiuser", ctx, {
     Ok(ExperimentOutput::figures(figures))
 });
 
-experiment!(FleetScaling, "fleet_scaling", ctx, {
-    let populations: &[usize] = if ctx.quick {
-        &super::fleet_scaling::QUICK_POPULATIONS
-    } else {
-        &super::fleet_scaling::POPULATIONS
-    };
-    Ok(ExperimentOutput::table(
-        super::fleet_scaling::run_with_populations(&ctx.synth, populations)?,
-    ))
-});
-
 experiment!(FleetChaff, "fleet_chaff", ctx, {
     let (populations, budgets): (&[usize], &[usize]) = if ctx.quick {
         (
@@ -187,20 +176,6 @@ experiment!(FleetEquilibrium, "fleet_equilibrium", ctx, {
     )?))
 });
 
-experiment!(FleetScale, "fleet_scale", ctx, {
-    let populations: &[usize] = if ctx.quick {
-        &super::fleet_scale::QUICK_POPULATIONS
-    } else {
-        &super::fleet_scale::POPULATIONS
-    };
-    Ok(ExperimentOutput::table(super::fleet_scale::run_with(
-        &ctx.synth,
-        populations,
-        &super::fleet_scale::BUDGETS,
-        super::fleet_scale::SCALE_HORIZON,
-    )?))
-});
-
 experiment!(FleetStream, "fleet_stream", ctx, {
     let populations: &[usize] = if ctx.quick {
         &super::fleet_stream::QUICK_POPULATIONS
@@ -217,18 +192,6 @@ experiment!(FleetStream, "fleet_stream", ctx, {
         figures: vec![curves],
         tables: vec![table],
     })
-});
-
-experiment!(FleetPersist, "fleet_persist", ctx, {
-    let populations: &[usize] = if ctx.quick {
-        &super::fleet_persist::QUICK_POPULATIONS
-    } else {
-        &super::fleet_persist::POPULATIONS
-    };
-    Ok(ExperimentOutput::table(super::fleet_persist::run_with(
-        &ctx.synth,
-        populations,
-    )?))
 });
 
 experiment!(FleetDaynight, "fleet_daynight", ctx, {
@@ -282,12 +245,9 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         Box::new(Fig10),
         Box::new(Theory),
         Box::new(Multiuser),
-        Box::new(FleetScaling),
         Box::new(FleetChaff),
         Box::new(FleetEquilibrium),
-        Box::new(FleetScale),
         Box::new(FleetStream),
-        Box::new(FleetPersist),
         Box::new(FleetDaynight),
         Box::new(TraceFleet),
     ]
@@ -321,11 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_the_new_persistence_tentpole() {
-        assert!(names().contains(&"fleet_persist"));
-    }
-
-    #[test]
     fn registry_covers_the_equilibrium_tentpole() {
         assert!(names().contains(&"fleet_equilibrium"));
     }
@@ -333,6 +288,26 @@ mod tests {
     #[test]
     fn registry_covers_the_daynight_tentpole() {
         assert!(names().contains(&"fleet_daynight"));
+    }
+
+    /// README's usage line and the `chaff-eval` lib-doc table list
+    /// exactly the registered experiments.
+    #[test]
+    fn docs_list_every_registered_experiment() {
+        let names = names();
+        let readme = include_str!("../../../../README.md");
+        let usage = readme
+            .lines()
+            .find(|line| line.starts_with("`<table1|"))
+            .expect("README has a usage line");
+        assert_eq!(usage, format!("`<{}|all>`", names.join("|")));
+
+        let rows: Vec<&str> = include_str!("../lib.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! | `"))
+            .filter_map(|row| row.split('`').next())
+            .collect();
+        assert_eq!(rows, names, "one lib-doc row per registered name, in order");
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! | `fig10` | trace: advanced eavesdropper with two chaffs | [`experiments::fig10`] |
 //! | `theory` | eq. (11)/(12) and Theorem V.4 checks | [`experiments::theory`] |
 //! | `multiuser` | extension: coexisting users as natural chaffs (fleet engine, N ≤ 10,000) | [`experiments::multiuser`] |
-//! | `fleet_scaling` | extension: fleet-engine throughput (user-slots/sec) vs N | [`experiments::fleet_scaling`] |
+//! | `fleet_chaff` | extension: chaffed fleets, per-user budget sweep vs eq. (11) | [`experiments::fleet_chaff`] |
+//! | `fleet_equilibrium` | extension: adaptive per-user budgets vs static baselines at equal total | [`experiments::fleet_equilibrium`] |
+//! | `fleet_stream` | extension: streaming online detection, live accuracy vs eq. (11) at N = 10⁵–10⁶ | [`experiments::fleet_stream`] |
+//! | `fleet_daynight` | extension: time-varying day/night mobility, epoch-aware vs stationary detector | [`experiments::fleet_daynight`] |
+//! | `trace_fleet` | extension: trace-backed fleets of amplified taxi traces, per-class chains | [`experiments::trace_fleet`] |
 //!
 //! All experiments are deterministic given their seed; Monte Carlo
 //! averaging runs on all cores via [`montecarlo`].
