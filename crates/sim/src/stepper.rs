@@ -23,16 +23,27 @@ use crate::network::MecNetwork;
 use crate::observer::fisher_yates;
 use crate::{Result, SimError};
 use chaff_core::strategy::{cml_step, im_step, mo_step};
-use chaff_markov::{CellId, MarkovChain, TrajectoryArena};
+use chaff_markov::{ArenaRowsMut, CellId, MarkovChain, TrajectoryArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Slots per tile of a batch run: long enough that a user's RNG and
 /// chaff lanes stay hot across many slots and the two pool scopes per
 /// tile are few, short enough that the `services × tile` scratch stays
 /// a fraction of the observed grid at day-long horizons.
 pub(crate) const BATCH_TILE_SLOTS: usize = 16;
+
+/// Services per draw band of a capacity-limited fleet, at least. The
+/// caller places each band while the pool draws the bands after it, so
+/// the overlap needs many more bands than pool threads (with one band
+/// per thread, every band finishes at once and nothing overlaps). A band
+/// of 2¹⁶ services draws in about a millisecond, long against the cost
+/// of claiming it and short against the ~15 ms placement of a
+/// million-user row.
+const PLACEMENT_BAND_SERVICES: usize = 1 << 16;
 
 /// The persistent state of one user band: users `first..first +
 /// rngs.len()`, their RNGs and their chaff lanes.
@@ -41,6 +52,15 @@ struct Band {
     rngs: Vec<StdRng>,
     lanes: Lanes,
 }
+
+/// One band's share of a tile: its state, its users' cells, its tile
+/// columns and, in a batch run, its users' arena rows.
+type BandJob<'s> = (
+    &'s mut Band,
+    &'s mut [CellId],
+    &'s mut [CellId],
+    Option<ArenaRowsMut<'s>>,
+);
 
 /// The chaff lanes of one band, one flat vector per strategy in user
 /// then lane order, each holding only what its strategy's step reads.
@@ -161,9 +181,14 @@ impl<'a> FleetStepper<'a> {
             reason: format!("{num_services} services exceed the u32 service index"),
         })?;
         check_fleet_fits(config, model.num_states(), num_services)?;
-        // One band per shard; each band seeds its users' streams and
-        // builds their lanes as one pool job.
-        let band_users = n.div_ceil(config.effective_shards());
+        // One band per shard, or per placement band when a capacity is
+        // set; each band seeds its users' streams and builds their lanes
+        // as one pool job.
+        let mut num_bands = config.effective_shards();
+        if config.node_capacity.is_some() {
+            num_bands = num_bands.max(num_services.div_ceil(PLACEMENT_BAND_SERVICES));
+        }
+        let band_users = n.div_ceil(num_bands);
         let strategies: Vec<FleetChaffStrategy> = (0..model.num_classes())
             .map(|class| policy.strategy_of(class))
             .collect();
@@ -315,29 +340,21 @@ impl<'a> FleetStepper<'a> {
         );
         let width = self.num_services();
         debug_assert_eq!(out.len(), len * width);
-        let moves = self.draw_tile(len, draw, user_cells);
+        self.draw_tile(len, draw, user_cells)?;
         let bands = self.bands.len();
         match &mut self.network {
-            None => {
-                self.stats.migrations += moves;
-                gather(&self.inv, &self.tile, self.stride, out, bands, tally);
-            }
+            None => gather(&self.inv, &self.tile, self.stride, out, bands, tally),
             Some((network, actual, row)) => {
+                // The tile's first slot was placed as it was drawn; the
+                // later slots of a batch tile follow here, in slot order.
                 for (j, out_row) in out.chunks_exact_mut(width).enumerate() {
-                    let planned: &[CellId] = if self.stride == 1 {
-                        &self.tile
-                    } else {
+                    if j > 0 {
                         row.clear();
                         row.extend(self.tile.iter().skip(j).step_by(self.stride));
-                        row
-                    };
-                    let counts = if self.slot + j == 0 {
-                        network.launch_slot(planned, actual)?
-                    } else {
-                        network.replay_slot(planned, actual)?
-                    };
-                    self.stats.migrations += counts.migrations;
-                    self.stats.spills += counts.spills;
+                        let counts = network.replay_slot(row, actual)?;
+                        self.stats.migrations += counts.migrations;
+                        self.stats.spills += counts.spills;
+                    }
                     gather(&self.inv, actual, 1, out_row, bands, tally.take());
                 }
             }
@@ -349,15 +366,21 @@ impl<'a> FleetStepper<'a> {
 
     /// The fused draw+chaff kernel over user bands: advances every user
     /// and chaff lane `len` slots into the tile (and the users' cells
-    /// into `user_cells`). Returns how many planned cells differ from
-    /// their service's previous slot (none counted at slot 0): the
-    /// uncapped migration count.
+    /// into `user_cells`). With a network, the caller places the tile's
+    /// first slot band by band, in service order, while the pool still
+    /// draws the later bands ([`draw_bands`]); without one, the planned
+    /// cells that differ from their service's previous slot (none
+    /// counted at slot 0) are the slot's migrations.
+    ///
+    /// # Errors
+    ///
+    /// Only if the placement's internal invariant broke.
     fn draw_tile(
         &mut self,
         len: usize,
         draw: bool,
         user_cells: Option<&mut TrajectoryArena>,
-    ) -> usize {
+    ) -> Result<()> {
         let FleetStepper {
             model,
             service_starts,
@@ -367,6 +390,8 @@ impl<'a> FleetStepper<'a> {
             user_row,
             stride,
             tile,
+            network,
+            stats,
             slot,
             ..
         } = self;
@@ -382,67 +407,57 @@ impl<'a> FleetStepper<'a> {
         let mut planned = &mut tile[..];
         let mut user_rows =
             user_cells.map(|arena| arena.chunks_of_rows_mut(*band_users).into_iter());
-        let jobs = bands.iter_mut().map(|band| {
-            let users = band.rngs.len();
-            let services = starts[band.first + users] - starts[band.first];
-            (
-                band,
-                take_front(&mut cells, users),
-                take_front(&mut planned, services * shape.stride),
-                user_rows.as_mut().and_then(Iterator::next),
-            )
-        });
+        let jobs: Vec<_> = bands
+            .iter_mut()
+            .map(|band| {
+                let users = band.rngs.len();
+                let services = starts[band.first + users] - starts[band.first];
+                (
+                    band,
+                    take_front(&mut cells, users),
+                    take_front(&mut planned, services * shape.stride),
+                    user_rows.as_mut().and_then(Iterator::next),
+                )
+            })
+            .collect();
         let moves = AtomicUsize::new(0);
-        run_bands(jobs, |(band, cells, planned, mut user_rows)| {
-            let base = starts[band.first];
-            let mut band_moves = 0usize;
-            let Lanes { im, cml, mo } = &mut band.lanes;
-            let (mut im, mut cml, mut mo) = (&mut im[..], &mut cml[..], &mut mo[..]);
-            for (i, (now, rng)) in cells.iter_mut().zip(&mut band.rngs).enumerate() {
-                let user = band.first + i;
-                let (lo, hi) = (starts[user] - base, starts[user + 1] - base);
-                let columns = &mut planned[lo * shape.stride..hi * shape.stride];
-                let lanes = hi - lo - 1;
-                // Each strategy's step reads only its lane's own state,
-                // its user's cell and the slot's chain; `t == 0` is the
-                // launch slot.
-                band_moves += match (lanes > 0).then(|| strategies[model.class_of(user)]) {
-                    None => shape.walk_user(user, now, rng, columns, 0, |_, _, _, cell| cell),
-                    Some(FleetChaffStrategy::Im) => {
-                        let lanes_of_user = take_front(&mut im, lanes);
-                        shape.walk_user(user, now, rng, columns, lanes, |c, chain, t, _| {
-                            let (rng, cell) = &mut lanes_of_user[c];
-                            *cell = im_step(chain, (t > 0).then_some(*cell), rng);
-                            *cell
-                        })
-                    }
-                    Some(FleetChaffStrategy::Cml) => {
-                        let lanes_of_user = take_front(&mut cml, lanes);
-                        shape.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
-                            let lane = &mut lanes_of_user[c];
-                            *lane = cml_step(chain, (t > 0).then_some(*lane), cell, &[]);
-                            *lane
-                        })
-                    }
-                    Some(FleetChaffStrategy::Mo) => {
-                        let lanes_of_user = take_front(&mut mo, lanes);
-                        shape.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
-                            let lane = &mut lanes_of_user[c];
-                            let prev = (t > 0).then_some((lane.chaff, lane.user));
-                            let next = mo_step(chain, prev, &mut lane.gamma, cell, &[]);
-                            (lane.chaff, lane.user) = (next, cell);
-                            next
-                        })
-                    }
-                };
-                if let Some(rows) = &mut user_rows {
-                    let slots = shape.slot0..shape.slot0 + len;
-                    rows.row_mut(i)[slots].copy_from_slice(&columns[..len]);
-                }
-            }
+        let draw_band = |job| {
+            let (band_moves, planned) = shape.draw_band(starts, strategies, job);
             moves.fetch_add(band_moves, Ordering::Relaxed);
-        });
-        moves.into_inner()
+            planned
+        };
+        let Some((network, actual, row)) = network else {
+            draw_bands(jobs, draw_band, None);
+            stats.migrations += moves.into_inner();
+            return Ok(());
+        };
+        // Bands cover consecutive service ranges in order, so placing
+        // them one after another is the replay of the whole row.
+        let mut unplaced = &mut actual[..];
+        let mut placed = Ok(());
+        let mut place_band = |planned: &[CellId]| {
+            let actual = take_front(&mut unplaced, planned.len() / shape.stride);
+            if placed.is_err() {
+                return;
+            }
+            let desired = if shape.stride == 1 {
+                planned
+            } else {
+                row.clear();
+                row.extend(planned.iter().step_by(shape.stride));
+                &row[..]
+            };
+            let counts = match shape.slot0 {
+                0 => network.launch_slot(desired, actual),
+                _ => network.replay_slot(desired, actual),
+            };
+            placed = counts.map(|counts| {
+                stats.migrations += counts.migrations;
+                stats.spills += counts.spills;
+            });
+        };
+        draw_bands(jobs, draw_band, Some(&mut place_band));
+        placed
     }
 }
 
@@ -461,6 +476,64 @@ struct TileShape<'a> {
 }
 
 impl<'a> TileShape<'a> {
+    /// Advances one band's users and their chaff lanes through the tile.
+    /// Returns how many planned cells differ from their service's
+    /// previous slot, and the band's tile columns.
+    fn draw_band<'s>(
+        self,
+        starts: &[usize],
+        strategies: &[FleetChaffStrategy],
+        (band, cells, planned, mut user_rows): BandJob<'s>,
+    ) -> (usize, &'s [CellId]) {
+        let base = starts[band.first];
+        let mut moves = 0usize;
+        let Lanes { im, cml, mo } = &mut band.lanes;
+        let (mut im, mut cml, mut mo) = (&mut im[..], &mut cml[..], &mut mo[..]);
+        for (i, (now, rng)) in cells.iter_mut().zip(&mut band.rngs).enumerate() {
+            let user = band.first + i;
+            let (lo, hi) = (starts[user] - base, starts[user + 1] - base);
+            let columns = &mut planned[lo * self.stride..hi * self.stride];
+            let lanes = hi - lo - 1;
+            // Each strategy's step reads only its lane's own state, its
+            // user's cell and the slot's chain; `t == 0` is the launch
+            // slot.
+            moves += match (lanes > 0).then(|| strategies[self.model.class_of(user)]) {
+                None => self.walk_user(user, now, rng, columns, 0, |_, _, _, cell| cell),
+                Some(FleetChaffStrategy::Im) => {
+                    let lanes_of_user = take_front(&mut im, lanes);
+                    self.walk_user(user, now, rng, columns, lanes, |c, chain, t, _| {
+                        let (rng, cell) = &mut lanes_of_user[c];
+                        *cell = im_step(chain, (t > 0).then_some(*cell), rng);
+                        *cell
+                    })
+                }
+                Some(FleetChaffStrategy::Cml) => {
+                    let lanes_of_user = take_front(&mut cml, lanes);
+                    self.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
+                        let lane = &mut lanes_of_user[c];
+                        *lane = cml_step(chain, (t > 0).then_some(*lane), cell, &[]);
+                        *lane
+                    })
+                }
+                Some(FleetChaffStrategy::Mo) => {
+                    let lanes_of_user = take_front(&mut mo, lanes);
+                    self.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
+                        let lane = &mut lanes_of_user[c];
+                        let prev = (t > 0).then_some((lane.chaff, lane.user));
+                        let next = mo_step(chain, prev, &mut lane.gamma, cell, &[]);
+                        (lane.chaff, lane.user) = (next, cell);
+                        next
+                    })
+                }
+            };
+            if let Some(rows) = &mut user_rows {
+                let slots = self.slot0..self.slot0 + self.len;
+                rows.row_mut(i)[slots].copy_from_slice(&columns[..self.len]);
+            }
+        }
+        (moves, planned)
+    }
+
     /// Advances `user` and its `lanes` chaff lanes through the tile.
     /// `columns` holds the user's service columns (real service first,
     /// then the lanes, `stride` cells each); `chaff(c, chain, t, cell)`
@@ -652,6 +725,77 @@ pub(crate) fn take_front<'s, T>(rest: &mut &'s mut [T], len: usize) -> &'s mut [
     let (front, back) = std::mem::take(rest).split_at_mut(len);
     *rest = back;
     front
+}
+
+/// Draws every band, on the process-wide pool and on the caller, and
+/// hands each band's output to `place` on the caller, in band order, as
+/// soon as that band is drawn.
+///
+/// Bands are claimed in increasing order through one counter, by one
+/// claiming job per pool thread and by the caller. A drawn band's output
+/// is published in its own `OnceLock`. The caller places band `b` once
+/// `b` is published; until then it claims and draws the next unclaimed
+/// band itself, and it yields only when every band is claimed, that is
+/// while `b` is being drawn by a thread already running it. So the caller
+/// never waits on a queued job: when every pool thread is busy (nested
+/// pool use, or one worker) it draws every band itself, and the pool's
+/// "every waiter makes progress" argument still holds. Without `place`,
+/// the caller only claims and draws. Bands own disjoint data, so the
+/// result never depends on which thread drew a band.
+fn draw_bands<B: Send, T: Copy + Send + Sync>(
+    bands: Vec<B>,
+    draw: impl Fn(B) -> T + Sync,
+    place: Option<&mut dyn FnMut(T)>,
+) {
+    let unclaimed: Vec<Mutex<Option<B>>> = bands.into_iter().map(|b| Mutex::new(Some(b))).collect();
+    let drawn: Vec<OnceLock<T>> = unclaimed.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    // Set when a draw panics, so the caller stops waiting for its band;
+    // the scope then re-raises the panic.
+    let failed = AtomicBool::new(false);
+    // Claims and draws the next band; false once every band is claimed.
+    let claim = || {
+        let b = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = unclaimed.get(b) else {
+            return false;
+        };
+        let band = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(band) = band {
+            let output = catch_unwind(AssertUnwindSafe(|| draw(band))).unwrap_or_else(|panic| {
+                failed.store(true, Ordering::Relaxed);
+                resume_unwind(panic)
+            });
+            let _ = drawn[b].set(output);
+        }
+        true
+    };
+    let claim = &claim;
+    let pool = chaff_core::pool::global();
+    pool.scope(|scope| {
+        for _ in 0..pool.threads().min(drawn.len().saturating_sub(1)) {
+            scope.spawn(move || while claim() {});
+        }
+        let Some(place) = place else {
+            while claim() {}
+            return;
+        };
+        let mut all_claimed = false;
+        for output in &drawn {
+            let output = loop {
+                if let Some(&output) = output.get() {
+                    break output;
+                }
+                if failed.load(Ordering::Relaxed) {
+                    return;
+                }
+                all_claimed = all_claimed || !claim();
+                if all_claimed {
+                    std::thread::yield_now();
+                }
+            };
+            place(output);
+        }
+    });
 }
 
 /// Runs `work` on every band, one job per band on the process-wide
