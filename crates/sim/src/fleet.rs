@@ -51,8 +51,9 @@
 //! 2. **Seed.** Every user draws from an RNG seeded by SplitMix64 over
 //!    `(fleet seed, user index)`, and every chaff from its own stream
 //!    over `(fleet seed, user, chaff)` ([`chaff_seed`]). Users are cut
-//!    into contiguous bands (one per shard), and each band seeds its
-//!    users and builds their chaff lanes as one job on the worker pool.
+//!    into contiguous bands (one per shard; with a capacity, at least one
+//!    per 2¹⁶ services, see step 4), and each band seeds its users and
+//!    builds their chaff lanes as one job on the worker pool.
 //!    Streams depend on indices only, so results are bit-identical for
 //!    every shard count, growing the fleet never perturbs existing
 //!    users' streams, and growing a user's chaff budget never perturbs
@@ -95,6 +96,21 @@
 //!    order, spilling to
 //!    the nearest free node exactly like the single-user simulator. The
 //!    calls are the same whatever the tile length.
+//!
+//!    **Placement beside the draw.** A tile's first slot is placed band
+//!    by band inside the draw's pool scope: the pool threads draw bands
+//!    in increasing order while the calling thread places each band as
+//!    soon as it is drawn (and draws unclaimed bands itself while it
+//!    waits); a batch tile's later slots are placed after the scope.
+//!    Services are laid out user by user, so each band owns a
+//!    contiguous service range, and the bands are placed in band order:
+//!    consecutive ranges, in order, are the whole row, so every service
+//!    is placed in the same order against the same occupancy
+//!    trajectory. A band's draws read only its own users' streams and
+//!    lanes, so they do not depend on where the bands are cut, and the
+//!    counts are integer sums. A capacity-limited fleet therefore takes
+//!    at least one band per 2¹⁶ services: with one band per thread,
+//!    every band finishes at once and nothing overlaps.
 //! 5. **Anonymize, by gather.** One Fisher–Yates permutation across all
 //!    services, driven by the fleet seed, is drawn up front and kept as
 //!    its inverse; each observed row is gathered through it over

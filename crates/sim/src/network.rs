@@ -18,6 +18,13 @@
 //! loop's. The single-user simulator keeps `migrate` as that per-service
 //! oracle.
 //!
+//! Both calls carry no state between services but the occupancy table.
+//! So calling them on consecutive service ranges of a row, in order,
+//! is the call on the whole row: the same services visit the same
+//! occupancy trajectory, and the counts are integer sums. The fleet
+//! stepper relies on this to place a slot band by band, each band as
+//! soon as it is drawn.
+//!
 //! A replay cannot fail: a released node always has room, so the spill
 //! search always finds a node. Only the launch can run out of capacity,
 //! and only when the row holds more services than the network has slots;

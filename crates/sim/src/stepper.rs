@@ -14,6 +14,14 @@
 //! [`crate::fleet`]. The streaming engine steps tiles of one slot (the
 //! tile *is* the planned row); the batch engine steps
 //! [`BATCH_TILE_SLOTS`]-slot tiles straight into the observed grid.
+//!
+//! With a capacity, the draw and the placement of a tile's first slot
+//! share one pool scope ([`draw_bands`]): the pool threads draw bands in
+//! order while the caller places each band as soon as it is drawn, so
+//! the serial placement runs beside the draw instead of after it. A
+//! capacity-limited fleet is cut into at least one band per
+//! [`PLACEMENT_BAND_SERVICES`] services, so there are more bands than
+//! threads to overlap; an uncapped fleet keeps one band per shard.
 
 use crate::fleet::{
     chaff_seed, user_seed, FleetChaffPolicy, FleetChaffStrategy, FleetConfig, FleetModel,
@@ -749,9 +757,12 @@ fn draw_bands<B: Send, T: Copy + Send + Sync>(
 ) {
     let unclaimed: Vec<Mutex<Option<B>>> = bands.into_iter().map(|b| Mutex::new(Some(b))).collect();
     let drawn: Vec<OnceLock<T>> = unclaimed.iter().map(|_| OnceLock::new()).collect();
+    // Both atomics publish no data, so they are relaxed: `next` only
+    // hands out band indices (a band moves through its mutex, an output
+    // through its `OnceLock`), and `failed` is set when a draw panics,
+    // so the caller stops waiting for its band; the scope then re-raises
+    // the panic.
     let next = AtomicUsize::new(0);
-    // Set when a draw panics, so the caller stops waiting for its band;
-    // the scope then re-raises the panic.
     let failed = AtomicBool::new(false);
     // Claims and draws the next band; false once every band is claimed.
     let claim = || {

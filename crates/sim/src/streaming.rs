@@ -11,8 +11,11 @@
 //!    chain ([`step`](StreamingFleetEngine::step)) or from an external
 //!    per-slot feed ([`step_ingested`](StreamingFleetEngine::step_ingested),
 //!    e.g. a quantized trace stream), the optional capacity placement
-//!    and the anonymizing gather. The bands are the detector's shards
-//!    ([`FleetConfig::with_shards`]), so there is one knob. The gather
+//!    and the anonymizing gather. Without a capacity, the bands are the
+//!    detector's shards ([`FleetConfig::with_shards`]), so there is one
+//!    knob. With a capacity, the fleet is cut into at least one band per
+//!    2¹⁶ services, and the step places each band's row while the pool
+//!    still draws the later bands. The gather
 //!    writes straight into the ring's recycled row (no copy), and each
 //!    of its bands counts, in the same pool job, the cells its positions
 //!    holding a real user were placed in (`user_hist`, through
