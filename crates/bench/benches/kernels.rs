@@ -1,20 +1,23 @@
 //! Microbenchmarks of the vectorized per-slot detection kernels.
 //!
-//! `fleet_scale` measures whole detections; this group isolates the
-//! three phases one slot is made of, so a regression report names the
-//! phase, not just the pipeline: the gather+add accumulator advance
-//! (dense and CSR storage), the two-pass running-max + tie-collection
-//! argmax, and the CSR row walk behind each sparse gather. A fourth
-//! group times the simulation side's successor draw (one inverse-CDF
-//! lookup per step of a walk) on a short dense row and on a long
-//! sparse chain. Widths cover
+//! `fleet_scale` measures whole detections; this group times one slot
+//! whole and in parts, so a regression report names the part, not just
+//! the pipeline: the whole slot kernel (`slot_single` on one class,
+//! `slot_mixture` on three dense 10-cell classes, sweep plus tie pass),
+//! the one-table add-only sweep (dense and CSR storage), the
+//! running-max + tie-collection argmax, and the CSR row walk behind each
+//! sparse lookup. A last group times the simulation side's successor
+//! draw (one inverse-CDF lookup per step of a walk) on a short dense row
+//! and on a long sparse chain. Widths cover
 //! the paper-scale fleet rung (`N = 10⁴`) and the million-user rung
 //! (`N = 10⁶`). Part of the CI `BENCH_fleet` baseline: the `kernels/*`
 //! records are gated by `ci/compare_bench.py` on `mean_ns` / `p99_ns` /
 //! `peak_rss_bytes` exactly like the pipeline groups.
 
 use chaff_bench::{fixture_chain, record_bench_metadata};
-use chaff_core::detector::kernel::{collect_ties, row_max};
+use chaff_core::detector::kernel::{
+    advance_slot_mixture, advance_slot_single, collect_ties, row_max,
+};
 use chaff_markov::models::ModelKind;
 use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, TransitionMatrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -37,8 +40,66 @@ fn slot_rows(chain: &MarkovChain, width: usize, seed: u64) -> (Vec<CellId>, Vec<
     (prev, row)
 }
 
-/// Phase 1 — gather per-service increments and add into the running
-/// accumulators, for both table storages.
+/// The whole slot kernel, as the detector's shard lanes run it: the
+/// fused sweep and the tie pass, over one class (`slot_single`) and over
+/// three dense 10-cell classes (`slot_mixture`). Accumulators are
+/// pre-advanced a few slots, so score magnitudes and tie density match
+/// what detection scans.
+fn bench_slot(c: &mut Criterion) {
+    let kinds = [
+        ModelKind::NonSkewed,
+        ModelKind::SpatiallySkewed,
+        ModelKind::TemporallySkewed,
+    ];
+    let chains: Vec<MarkovChain> = kinds
+        .iter()
+        .zip(80u64..)
+        .map(|(&kind, seed)| fixture_chain(kind, CELLS, seed))
+        .collect();
+    let tables: Vec<LogLikelihoodTable> = chains.iter().map(|c| c.log_likelihood_table()).collect();
+    for (name, classes) in [("slot_single", 1), ("slot_mixture", 3)] {
+        let tables = &tables[..classes];
+        let mut group = c.benchmark_group(format!("kernels/{name}"));
+        for width in WIDTHS {
+            let (prev, row) = slot_rows(&chains[0], width, 84);
+            let mut accs = vec![0.0f64; width * classes];
+            let mut scores = vec![0.0f64; width];
+            let mut ties: Vec<(u32, f64)> = Vec::new();
+            let slot = |accs: &mut [f64], scores: &mut [f64], ties: &mut Vec<(u32, f64)>| {
+                let mut best = f64::NEG_INFINITY;
+                ties.clear();
+                if let [table] = tables {
+                    advance_slot_single(table, 0, &row, Some(&prev), accs, &mut best, ties)
+                } else {
+                    advance_slot_mixture(
+                        tables,
+                        0,
+                        &row,
+                        Some(&prev),
+                        accs,
+                        scores,
+                        &mut best,
+                        ties,
+                    )
+                }
+                .unwrap()
+            };
+            for _ in 0..8 {
+                slot(&mut accs, &mut scores, &mut ties);
+            }
+            group.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, _| {
+                b.iter(|| {
+                    slot(&mut accs, &mut scores, &mut ties);
+                    black_box(ties.len())
+                })
+            });
+        }
+        group.finish();
+    }
+}
+
+/// The one-table, add-only sweep: gather per-service increments and add
+/// into the running accumulators, for both table storages.
 fn bench_gather_add(c: &mut Criterion) {
     let chain = fixture_chain(ModelKind::NonSkewed, CELLS, 71);
     for (name, dense) in [("gather_add_dense", true), ("gather_add_sparse", false)] {
@@ -59,7 +120,7 @@ fn bench_gather_add(c: &mut Criterion) {
     }
 }
 
-/// Phases 2+3 — the branchless two-pass argmax: exact row maximum, then
+/// The argmax on its own: exact row maximum, then the masked
 /// tolerance-band tie collection, over realistic accumulated scores.
 fn bench_argmax(c: &mut Criterion) {
     let chain = fixture_chain(ModelKind::NonSkewed, CELLS, 73);
@@ -172,6 +233,7 @@ criterion_group! {
     config = configured();
     targets =
         bench_metadata,
+        bench_slot,
         bench_gather_add,
         bench_argmax,
         bench_csr_row_walk,

@@ -1,42 +1,47 @@
 //! The vectorized per-slot detection kernels under every slot-major
 //! detection path.
 //!
-//! One slot of fleet-scale ML detection is three phases over a shard
+//! One slot of fleet-scale ML detection is two passes over a shard
 //! lane's contiguous block of services (see
 //! [`streaming`](super::streaming) for the lanes and the two loops that
 //! run them):
 //!
-//! 1. **gather/add** — [`LogLikelihoodTable::add_step_batch`] gathers the
-//!    per-user log-likelihood increments and adds them into the running
-//!    prefix scores, with the table-storage dispatch hoisted out of the
-//!    loop and the loop body chunked in [`LANE_WIDTH`] `f64` lanes;
-//! 2. **running max** — [`row_max`] reduces the refreshed scores to the
-//!    exact row maximum with a branchless chunked compare-select (no
-//!    data-dependent branches, unlike the legacy compare-per-user scan);
-//! 3. **tie collection** — [`collect_ties`] re-scans the scores and emits
-//!    every lane within [`LOG_LIKELIHOOD_TOLERANCE`]
-//!    of the maximum, in ascending index order.
+//! 1. **sweep** — [`sweep_slot`] visits each service once: it computes
+//!    the table index once, adds every class's log-likelihood increment
+//!    to that class's running prefix score, folds the best class with a
+//!    strict `>` in ascending class order and folds the lane maximum, in
+//!    [`LANE_WIDTH`]-service chunks. Fleets without CSR tables after slot
+//!    zero run it over flat lookups; CSR tables keep an `#[inline]` row
+//!    walk in the same loop;
+//! 2. **ties** — [`collect_ties`] builds a 64-bit mask per block of 64
+//!    best-class scores from a branch-free `>=` prefilter against the
+//!    maximum minus [`LOG_LIKELIHOOD_TOLERANCE`], and runs the exact
+//!    tolerance comparison only on the set bits, lowest first.
 //!
 //! # Why results stay bit-for-bit identical to the scalar kernels
 //!
-//! * Each user's accumulator receives exactly one add per slot, in slot
-//!   order, regardless of chunking — per-user sums are unchanged to the
-//!   last bit.
+//! * Each accumulator receives exactly one add per slot, in slot order,
+//!   regardless of chunking or of how many classes share the sweep —
+//!   per-user sums are unchanged to the last bit.
+//! * The best-class value is the same strict-`>` fold in ascending class
+//!   order; seeding it with `-inf` yields class 0's value first, as the
+//!   scalar class walk does.
 //! * The maximum of a set of non-NaN floats does not depend on the
 //!   visit order, so the chunked lane reduction equals the legacy
 //!   left-to-right running max. (Scores are sums of log-probs ≤ 0:
 //!   no NaN and no `-0.0`/`+0.0` ambiguity can arise.)
 //! * The legacy fold's retain-on-new-max bookkeeping ends in exactly
 //!   the set `{ i : loglik_cmp(score_i, final_max) == Equal }` in
-//!   ascending index order — which is what the two-pass collection
-//!   computes directly (see [`fold`]'s docs for the argument).
+//!   ascending index order — which is what the tie pass computes
+//!   directly, with the same predicate, visiting indices in ascending
+//!   order (see [`fold`]'s docs for the argument).
 //!
 //! The differential batteries in `tests/columnar.rs`,
-//! `tests/streaming_equivalence.rs` and `tests/kernels.rs` hold the
-//! kernels to that guarantee.
+//! `tests/streaming_equivalence.rs`, `tests/kernels.rs` and
+//! `tests/kernel_sweep.rs` hold the kernels to that guarantee.
 
 use crate::{loglik_cmp, Result, LOG_LIKELIHOOD_TOLERANCE};
-use chaff_markov::{CellId, LogLikelihoodTable, MarkovError};
+use chaff_markov::{sweep_slot, CellId, LogLikelihoodTable, MarkovError};
 use std::borrow::Borrow;
 
 pub use chaff_markov::LANE_WIDTH;
@@ -93,10 +98,9 @@ pub fn row_max(scores: &[f64]) -> f64 {
 }
 
 /// Lane-wise maximum fold: `scores[j] = max(scores[j], block[j])` with the
-/// legacy strict-`>` comparison, chunked in [`LANE_WIDTH`] lanes. The
-/// mixture kernel folds one mobility class per call, in ascending class
-/// order — the same per-user comparison sequence as the scalar
-/// class walk.
+/// legacy strict-`>` comparison, chunked in [`LANE_WIDTH`] lanes. Folding
+/// one class block per call in ascending class order gives the best-class
+/// scores [`sweep_slot`] writes in its single pass.
 pub fn lane_max_into(scores: &mut [f64], block: &[f64]) {
     let mut score_chunks = scores.chunks_exact_mut(LANE_WIDTH);
     let mut block_chunks = block.chunks_exact(LANE_WIDTH);
@@ -123,15 +127,46 @@ pub fn lane_max_into(scores: &mut [f64], block: &[f64]) {
 /// (every detector entry point checks the population against
 /// [`MAX_POPULATION`](super::MAX_POPULATION) first).
 ///
-/// The scan prefilters with a single vectorizable `>=` compare against
-/// `best - LOG_LIKELIHOOD_TOLERANCE` — an exact superset of the
-/// tolerance-equality test, so no tie is ever missed and the full
-/// comparison runs only on (rare) near-max lanes.
+/// Each block of 64 scores is prefiltered into a bitmask by a
+/// branch-free `>=` compare against `best - LOG_LIKELIHOOD_TOLERANCE`:
+/// an exact superset of the tolerance-equality test, so no tie is ever
+/// missed. The full comparison then runs only on the set bits, lowest
+/// first, which keeps the ascending order.
 pub fn collect_ties(scores: &[f64], lo: usize, best: f64, out: &mut Vec<(u32, f64)>) {
     let threshold = best - LOG_LIKELIHOOD_TOLERANCE;
-    for (j, &s) in scores.iter().enumerate() {
-        if s >= threshold && loglik_cmp(s, best).is_eq() {
-            out.push((service_index(lo, j), s));
+    let mut blocks = scores.chunks_exact(TIE_BLOCK);
+    let mut start = 0;
+    for block in &mut blocks {
+        push_ties(block, near_mask(block, threshold), lo + start, best, out);
+        start += TIE_BLOCK;
+    }
+    let tail = blocks.remainder();
+    push_ties(tail, near_mask(tail, threshold), lo + start, best, out);
+}
+
+/// Scores per bitmask block of [`collect_ties`].
+const TIE_BLOCK: usize = 64;
+
+/// Bit `i` set iff `block[i] >= threshold`; `block` holds at most
+/// [`TIE_BLOCK`] scores.
+#[inline(always)]
+fn near_mask(block: &[f64], threshold: f64) -> u64 {
+    block
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &s)| mask | (u64::from(s >= threshold) << i))
+}
+
+/// Pushes the ties among the set bits of `mask`, lowest bit first; bit
+/// `i` is `block[i]`, global index `lo + i`.
+#[inline(always)]
+fn push_ties(block: &[f64], mut mask: u64, lo: usize, best: f64, out: &mut Vec<(u32, f64)>) {
+    while mask != 0 {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        let s = block[i];
+        if loglik_cmp(s, best).is_eq() {
+            out.push((service_index(lo, i), s));
         }
     }
 }
@@ -140,14 +175,13 @@ pub fn collect_ties(scores: &[f64], lo: usize, best: f64, out: &mut Vec<(u32, f6
 /// score of trajectory `lo + j` moves from `accs[j]` to
 /// `accs[j] + increment(prev_row[j] -> row[j])` (the `log π` initial
 /// increment when `prev_row` is `None`, i.e. at slot zero), and the
-/// refreshed scores pass through the two-pass running-max + tie-collection
-/// argmax into `best` / `slot`.
+/// refreshed scores pass through the tie collection into `best` / `slot`.
 ///
 /// This is *the* single-class per-slot inner loop: the shard lanes run it
 /// for [`StreamingPrefixDetector`](super::StreamingPrefixDetector) and for
 /// every columnar, paged and time-varying
 /// [`BatchPrefixDetector`](super::BatchPrefixDetector) request, so the
-/// online path is bit-for-bit the batch path by construction. The phases
+/// online path is bit-for-bit the batch path by construction. The passes
 /// and the bit-for-bit argument are in the [module docs](self).
 ///
 /// # Errors
@@ -166,27 +200,20 @@ pub fn advance_slot_single(
     best: &mut f64,
     slot: &mut Vec<(u32, f64)>,
 ) -> Result<()> {
-    table
-        .add_step_batch(prev_row, row, accs)
-        .map_err(map_markov)?;
-    let row_best = row_max(accs);
-    if row_best > *best {
-        *best = row_best;
-        slot.retain(|&(_, s)| loglik_cmp(s, row_best).is_eq());
-    }
-    collect_ties(accs, lo, *best, slot);
+    let row_best =
+        sweep_slot(std::slice::from_ref(table), prev_row, row, accs, None).map_err(map_markov)?;
+    fold_row(accs, lo, row_best, best, slot);
     Ok(())
 }
 
 /// Advances one slot of the multi-class (mixture) columnar kernel. The
 /// accumulator block is class-major: `accs[k * width + j]` is trajectory
-/// `lo + j`'s running score under class `k` (`width == row.len()`), so
-/// each class advances through one contiguous
-/// [`add_step_batch`](LogLikelihoodTable::add_step_batch) call. The
+/// `lo + j`'s running score under class `k` (`width == row.len()`). One
+/// [`sweep_slot`] adds every class's increment and writes the
 /// per-trajectory prefix score — the *maximum* lane across classes, the
-/// best class explanation — is materialized into `scores` (ascending
-/// class fold, legacy comparison order) and passed through the same
-/// two-pass argmax as the single-table kernel.
+/// best class explanation, folded in ascending class order — into
+/// `scores`, which then passes through the same tie collection as the
+/// single-table kernel.
 ///
 /// Run by the same shard lanes as [`advance_slot_single`].
 ///
@@ -196,10 +223,9 @@ pub fn advance_slot_single(
 /// [`CoreError::LengthMismatch`](crate::CoreError::LengthMismatch) when
 /// `accs` is not `row.len() * tables.len()` long or `scores` is not
 /// `row.len()` long, and [`MarkovError::Empty`] for an empty `tables`
-/// slice — all before any accumulator is touched. A cell or
-/// arity failure on a later class leaves earlier classes advanced
-/// (callers either discard the block or pre-validate the row, so a
-/// partial advance is never observed).
+/// slice. `row` and `prev_row` are checked against every table, in class
+/// order, and the first failing class names the error. Every check runs
+/// before any accumulator moves, so a failed call advances no class.
 #[allow(clippy::too_many_arguments)] // hot kernel: flat args keep the call free of wrapper structs
 pub fn advance_slot_mixture<T: Borrow<LogLikelihoodTable>>(
     tables: &[T],
@@ -211,43 +237,20 @@ pub fn advance_slot_mixture<T: Borrow<LogLikelihoodTable>>(
     best: &mut f64,
     slot: &mut Vec<(u32, f64)>,
 ) -> Result<()> {
-    if tables.is_empty() {
-        return Err(crate::CoreError::Markov(MarkovError::Empty));
-    }
-    let width = row.len();
-    if accs.len() != width * tables.len() {
-        return Err(crate::CoreError::LengthMismatch {
-            expected: width * tables.len(),
-            found: accs.len(),
-        });
-    }
-    if scores.len() != width {
-        return Err(crate::CoreError::LengthMismatch {
-            expected: width,
-            found: scores.len(),
-        });
-    }
-    for (k, table) in tables.iter().enumerate() {
-        table
-            .borrow()
-            .add_step_batch(prev_row, row, &mut accs[k * width..(k + 1) * width])
-            .map_err(map_markov)?;
-    }
-    // scores[j] = max over classes of accs[k * width + j]: seeding from
-    // class 0 then strict-`>` folding classes 1.. reproduces the legacy
-    // `-inf`-seeded ascending class walk value-for-value (class 0 either
-    // beats `-inf` or *is* `-inf`).
-    scores.copy_from_slice(&accs[..width]);
-    for k in 1..tables.len() {
-        lane_max_into(scores, &accs[k * width..(k + 1) * width]);
-    }
-    let row_best = row_max(scores);
+    let row_best = sweep_slot(tables, prev_row, row, accs, Some(scores)).map_err(map_markov)?;
+    fold_row(scores, lo, row_best, best, slot);
+    Ok(())
+}
+
+/// Folds one swept row, whose maximum is `row_best`, into a slot's
+/// running `best` and tie candidates.
+#[inline(always)]
+fn fold_row(scores: &[f64], lo: usize, row_best: f64, best: &mut f64, slot: &mut Vec<(u32, f64)>) {
     if row_best > *best {
         *best = row_best;
         slot.retain(|&(_, s)| loglik_cmp(s, row_best).is_eq());
     }
     collect_ties(scores, lo, *best, slot);
-    Ok(())
 }
 
 /// Folds one cumulative score into a slot's running max / tie trackers —

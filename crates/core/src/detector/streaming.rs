@@ -348,13 +348,11 @@ impl StreamingPrefixDetector {
         // Full-row range check up front: the kernels check again, but by
         // then some lanes could have advanced — this pass makes failure
         // atomic.
-        for &cell in row {
-            if cell.index() >= self.states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell.index(),
-                    states: self.states,
-                });
-            }
+        if let Some(cell) = CellId::first_out_of_range(row, self.states) {
+            return Err(crate::CoreError::CellOutOfRange {
+                cell: cell.index(),
+                states: self.states,
+            });
         }
         // The epoch clock is the slot counter: the arrival at slot
         // `slots_seen` is scored under that slot's epoch tables. A

@@ -297,3 +297,69 @@ fn batch_detection_on_csr_registries_matches_the_ml_detector() {
         }
     }
 }
+
+/// Classes over different state spaces: the kernel checks `row` and
+/// `prev` against every table, in class order, before any class moves.
+#[test]
+fn mixture_checks_every_class_before_advancing_any() {
+    let mut rng = StdRng::seed_from_u64(2404);
+    let wide = random_chain(&mut rng);
+    let narrow = MarkovChain::new(TransitionMatrix::uniform(4).expect("states")).expect("ergodic");
+    for storage in [Storage::Dense, Storage::Csr, Storage::Mixed] {
+        let tables = tables_for(&[wide.clone(), narrow.clone()], storage);
+        // Cells inside both spaces score like any other class set.
+        let rows: Vec<Vec<CellId>> = (0..HORIZON)
+            .map(|_| {
+                (0..9)
+                    .map(|_| CellId::new(rng.random_range(0..4)))
+                    .collect()
+            })
+            .collect();
+        check(&tables, &rows, 0, &format!("mixed widths, {storage:?}"));
+
+        let good = vec![CellId::new(1); 9];
+        let mut bad = good.clone();
+        bad[6] = CellId::new(5);
+        let cases: [(Option<&[CellId]>, &[CellId]); 3] =
+            [(None, &bad), (Some(&good[..8]), &good), (Some(&bad), &good)];
+        for (prev, row) in cases {
+            let mut accs = vec![-1.5f64; 2 * 9];
+            let mut scores = vec![-2.5f64; 9];
+            let (mut best, mut slot) = (f64::NEG_INFINITY, Vec::new());
+            let err = advance_slot_mixture(
+                &tables,
+                0,
+                row,
+                prev,
+                &mut accs,
+                &mut scores,
+                &mut best,
+                &mut slot,
+            )
+            .expect_err("the narrow class rejects the slot");
+            let expected_len = prev.is_some_and(|p| p.len() != row.len());
+            if expected_len {
+                assert!(matches!(
+                    err,
+                    chaff_core::CoreError::LengthMismatch {
+                        expected: 9,
+                        found: 8
+                    }
+                ));
+            } else {
+                assert!(matches!(
+                    err,
+                    chaff_core::CoreError::CellOutOfRange { cell: 5, states: 4 }
+                ));
+            }
+            assert!(
+                accs.iter().all(|&a| a == -1.5),
+                "{storage:?}: a class moved"
+            );
+            assert!(
+                scores.iter().all(|&s| s == -2.5),
+                "{storage:?}: scores moved"
+            );
+        }
+    }
+}

@@ -80,7 +80,7 @@ pub use columnar::{ArenaRowsMut, CellGrid, TrajectoryArena};
 pub use distribution::StateDistribution;
 pub use epoch::EpochSchedule;
 pub use error::MarkovError;
-pub use loglik::{LogLikelihoodTable, DENSE_STATE_LIMIT, LANE_WIDTH};
+pub use loglik::{sweep_slot, LogLikelihoodTable, DENSE_STATE_LIMIT, LANE_WIDTH};
 pub use matrix::{RankedSuccessor, TransitionMatrix};
 pub use registry::MobilityRegistry;
 pub use trajectory::Trajectory;

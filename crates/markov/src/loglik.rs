@@ -12,6 +12,7 @@
 //! detectors in `chaff-core` stream it with unit stride.
 
 use crate::{CellId, MarkovChain, MarkovError, Result, Trajectory};
+use std::borrow::Borrow;
 
 /// Largest state-space size for which the dense `L × L` log table is
 /// materialized; larger models use sparse per-row tables (trace-driven
@@ -168,14 +169,14 @@ impl LogLikelihoodTable {
     /// `accs[j] += step(prev[j], row[j])` — `log π(row[j])` when `prev` is
     /// `None` (slot zero), `log P(row[j] | prev[j])` afterwards.
     ///
-    /// This is the gather/add phase of the fleet detectors' per-slot
-    /// kernel, factored into the table so the storage `match` is hoisted
-    /// out of the inner loop (the legacy per-element [`step`](Self::step)
-    /// re-dispatched on every lookup) and the loop bodies process users in
-    /// [`LANE_WIDTH`] chunks. Each accumulator receives exactly one add,
-    /// so results are bit-for-bit those of the scalar per-element walk in
-    /// any chunking. `-inf + -inf` is fine; `+inf` never occurs
-    /// (increments are log-probs ≤ 0), so no NaN can appear.
+    /// This is the one-table, add-only call of [`sweep_slot`]: the
+    /// storage `match` is hoisted out of the inner loop (the per-element
+    /// [`step`](Self::step) re-dispatches on every lookup) and the loop
+    /// body processes users in [`LANE_WIDTH`] chunks. Each accumulator
+    /// receives exactly one add, so results are bit-for-bit those of the
+    /// scalar per-element walk in any chunking. `-inf + -inf` is fine;
+    /// `+inf` never occurs (increments are log-probs ≤ 0), so no NaN can
+    /// appear.
     ///
     /// Both rows are validated before any accumulator is touched: a
     /// failed call leaves `accs` untouched.
@@ -191,34 +192,7 @@ impl LogLikelihoodTable {
         row: &[CellId],
         accs: &mut [f64],
     ) -> Result<()> {
-        if accs.len() != row.len() {
-            return Err(MarkovError::LengthMismatch {
-                expected: row.len(),
-                found: accs.len(),
-            });
-        }
-        validate_cells(row, self.n)?;
-        match prev {
-            None => add_initial(&self.log_initial, row, accs),
-            Some(prev) => {
-                if prev.len() != row.len() {
-                    return Err(MarkovError::LengthMismatch {
-                        expected: row.len(),
-                        found: prev.len(),
-                    });
-                }
-                validate_cells(prev, self.n)?;
-                match &self.transitions {
-                    TableStorage::Dense(data) => add_dense(data, self.n, prev, row, accs),
-                    TableStorage::Sparse {
-                        row_starts,
-                        cols,
-                        logs,
-                    } => add_sparse(row_starts, cols, logs, prev, row, accs),
-                }
-            }
-        }
-        Ok(())
+        sweep_slot(std::slice::from_ref(self), prev, row, accs, None).map(drop)
     }
 
     /// Scores many trajectories at once, returning the per-slot increments
@@ -300,86 +274,290 @@ fn sparse_walk(row_starts: &[usize], cols: &[u32], logs: &[f64], from: CellId, t
 }
 
 /// Checks every cell of `row` against the state-space size, reporting the
-/// lowest offending lane. The all-clear scan is branch-free per element
-/// (a vectorizable compare-reduce); the error path re-scans to name the
-/// first bad cell, but only runs on failure.
+/// lowest offending lane.
 #[inline]
 fn validate_cells(row: &[CellId], states: usize) -> Result<()> {
-    if row.iter().all(|c| c.index() < states) {
-        return Ok(());
+    match CellId::first_out_of_range(row, states) {
+        None => Ok(()),
+        Some(bad) => Err(MarkovError::CellOutOfRange {
+            cell: bad.index(),
+            states,
+        }),
     }
-    let bad = row
-        .iter()
-        .find(|c| c.index() >= states)
-        .expect("re-scan of a failed all() finds the witness");
-    Err(MarkovError::CellOutOfRange {
-        cell: bad.index(),
-        states,
+}
+
+/// Advances every class's running scores by one slot in one sweep over
+/// the services, and returns the slot maximum of the best-class scores
+/// (`-inf` for an empty row).
+///
+/// `accs` is class-major: `accs[k * width + j]` is service `j`'s score
+/// under `tables[k]` (`width == row.len()`). For every service the sweep
+/// computes the table index once, adds each class's increment
+/// (`log π(row[j])` when `prev` is `None`, i.e. at slot zero,
+/// `log P(row[j] | prev[j])` afterwards) to that class's accumulator,
+/// folds the best class with a strict `>` in ascending class order, and
+/// folds the slot maximum over [`LANE_WIDTH`] lanes. With `scores`, the
+/// best-class score of service `j` is written to `scores[j]`.
+///
+/// Bit-for-bit, this is one [`add_step_batch`](LogLikelihoodTable::add_step_batch)
+/// per class followed by the class and row maximum folds: each
+/// accumulator still gets exactly one add; the strict-`>` fold seeded
+/// with `-inf` yields class 0's value first, as a fold seeded with class
+/// 0 does; and the maximum of NaN-free values does not depend on the
+/// order in which they are visited.
+///
+/// A fleet whose tables share one state space and, after slot zero, are
+/// all dense runs the loop monomorphized over flat lookups; any CSR table
+/// after slot zero runs the same loop over a per-table storage dispatch.
+///
+/// Every check runs before any accumulator moves, so a failed call
+/// leaves `accs` and `scores` untouched.
+///
+/// # Errors
+///
+/// [`MarkovError::Empty`] for an empty `tables`;
+/// [`MarkovError::LengthMismatch`] when `accs` is not
+/// `row.len() * tables.len()` long or `scores` not `row.len()` long; then,
+/// for each table in class order, [`MarkovError::CellOutOfRange`] (lowest
+/// lane first) when a `row` cell falls outside the table's state space,
+/// [`MarkovError::LengthMismatch`] when `prev` disagrees with `row` on
+/// arity and [`MarkovError::CellOutOfRange`] for a `prev` cell outside it.
+pub fn sweep_slot<T: Borrow<LogLikelihoodTable>>(
+    tables: &[T],
+    prev: Option<&[CellId]>,
+    row: &[CellId],
+    accs: &mut [f64],
+    scores: Option<&mut [f64]>,
+) -> Result<f64> {
+    let first = tables.first().ok_or(MarkovError::Empty)?.borrow();
+    let width = row.len();
+    if accs.len() != width * tables.len() {
+        return Err(MarkovError::LengthMismatch {
+            expected: width * tables.len(),
+            found: accs.len(),
+        });
+    }
+    if let Some(scores) = &scores {
+        if scores.len() != width {
+            return Err(MarkovError::LengthMismatch {
+                expected: width,
+                found: scores.len(),
+            });
+        }
+    }
+    // A table at least as wide as one already passed accepts both rows
+    // too, so only narrower tables are checked again; the first failing
+    // class still names the error.
+    let mut passed = usize::MAX;
+    for table in tables {
+        let states = table.borrow().n;
+        if states >= passed {
+            continue;
+        }
+        validate_cells(row, states)?;
+        if let Some(prev) = prev {
+            if prev.len() != width {
+                return Err(MarkovError::LengthMismatch {
+                    expected: width,
+                    found: prev.len(),
+                });
+            }
+            validate_cells(prev, states)?;
+        }
+        passed = states;
+    }
+    let n = first.n;
+    let flat = tables.iter().all(|t| {
+        t.borrow().n == n && matches!(Lookup::of(t.borrow(), prev.is_none()), Lookup::Flat { .. })
+    });
+    Ok(if flat {
+        sweep::<Flat, T>(tables, n, prev, row, accs, scores)
+    } else {
+        sweep::<Lookup, T>(tables, n, prev, row, accs, scores)
     })
 }
 
-/// Slot-zero gather/add: `accs[j] += log π(row[j])`, in `LANE_WIDTH`
-/// chunks. Cells are pre-validated by the caller.
-fn add_initial(log_initial: &[f64], row: &[CellId], accs: &mut [f64]) {
-    let mut cells = row.chunks_exact(LANE_WIDTH);
-    let mut lanes = accs.chunks_exact_mut(LANE_WIDTH);
-    for (cell, lane) in (&mut cells).zip(&mut lanes) {
-        for i in 0..LANE_WIDTH {
-            lane[i] += log_initial[cell[i].index()];
+/// One table's increments at one slot, with its storage resolved once per
+/// lane chunk instead of once per service.
+trait Gather<'a>: Copy {
+    /// Resolves `table` for a slot (`initial` at slot zero). `last` is the
+    /// largest flat index over the tables' shared state space.
+    fn of(table: &'a LogLikelihoodTable, initial: bool, last: usize) -> Self;
+
+    /// The increment of one service: `key` is its flat index
+    /// `from · n + to` (`to` at slot zero) clamped to `last`.
+    fn get(self, key: usize, from: CellId, to: CellId) -> f64;
+}
+
+/// A flat array over the shared key space, read at the service's key:
+/// the lookup of fleets without CSR tables after slot zero. Sliced to
+/// `..=last`, so the clamped key needs no bounds check.
+#[derive(Clone, Copy)]
+struct Flat<'a>(&'a [f64]);
+
+impl<'a> Gather<'a> for Flat<'a> {
+    #[inline(always)]
+    fn of(table: &'a LogLikelihoodTable, initial: bool, last: usize) -> Self {
+        match Lookup::of(table, initial) {
+            Lookup::Flat { data, .. } => Flat(&data[..=last]),
+            Lookup::Csr { .. } => unreachable!("the flat sweep runs only over flat increments"),
         }
     }
-    for (cell, acc) in cells.remainder().iter().zip(lanes.into_remainder()) {
-        *acc += log_initial[cell.index()];
+
+    #[inline(always)]
+    fn get(self, key: usize, _: CellId, _: CellId) -> f64 {
+        self.0[key]
     }
 }
 
-/// Dense transition gather/add: `accs[j] += log P(row[j] | prev[j])` from
-/// the row-major `n × n` table, in `LANE_WIDTH` chunks. Both rows are
-/// pre-validated, so every `prev * n + row` index is in bounds.
-fn add_dense(data: &[f64], n: usize, prev: &[CellId], row: &[CellId], accs: &mut [f64]) {
-    let mut prevs = prev.chunks_exact(LANE_WIDTH);
-    let mut cells = row.chunks_exact(LANE_WIDTH);
-    let mut lanes = accs.chunks_exact_mut(LANE_WIDTH);
-    for ((from, to), lane) in (&mut prevs).zip(&mut cells).zip(&mut lanes) {
-        for i in 0..LANE_WIDTH {
-            lane[i] += data[from[i].index() * n + to[i].index()];
+/// Any table at any slot: a flat array read at `from · stride + to` (its
+/// own state count as the stride, zero at slot zero) or the CSR row walk.
+#[derive(Clone, Copy)]
+enum Lookup<'a> {
+    Flat {
+        data: &'a [f64],
+        stride: usize,
+    },
+    Csr {
+        row_starts: &'a [usize],
+        cols: &'a [u32],
+        logs: &'a [f64],
+    },
+}
+
+impl<'a> Lookup<'a> {
+    /// `log π` at slot zero (`initial`); the table's own storage after.
+    #[inline(always)]
+    fn of(table: &'a LogLikelihoodTable, initial: bool) -> Self {
+        match (&table.transitions, initial) {
+            (_, true) => Lookup::Flat {
+                data: &table.log_initial,
+                stride: 0,
+            },
+            (TableStorage::Dense(data), false) => Lookup::Flat {
+                data,
+                stride: table.n,
+            },
+            (
+                TableStorage::Sparse {
+                    row_starts,
+                    cols,
+                    logs,
+                },
+                false,
+            ) => Lookup::Csr {
+                row_starts,
+                cols,
+                logs,
+            },
         }
-    }
-    for ((from, to), acc) in prevs
-        .remainder()
-        .iter()
-        .zip(cells.remainder())
-        .zip(lanes.into_remainder())
-    {
-        *acc += data[from.index() * n + to.index()];
     }
 }
 
-/// Sparse transition gather/add: the inlined CSR row walk per lane, in
-/// `LANE_WIDTH` chunks. Both rows are pre-validated.
-fn add_sparse(
-    row_starts: &[usize],
-    cols: &[u32],
-    logs: &[f64],
-    prev: &[CellId],
+impl<'a> Gather<'a> for Lookup<'a> {
+    #[inline(always)]
+    fn of(table: &'a LogLikelihoodTable, initial: bool, _: usize) -> Self {
+        Lookup::of(table, initial)
+    }
+
+    #[inline(always)]
+    fn get(self, _: usize, from: CellId, to: CellId) -> f64 {
+        match self {
+            Lookup::Flat { data, stride } => data[from.index() * stride + to.index()],
+            Lookup::Csr {
+                row_starts,
+                cols,
+                logs,
+            } => sparse_walk(row_starts, cols, logs, from, to),
+        }
+    }
+}
+
+/// The sweep behind [`sweep_slot`], generic over the lookup. Shapes and
+/// cells are validated by the caller; `n` is the first table's state
+/// count.
+#[inline(always)]
+fn sweep<'a, G: Gather<'a>, T: Borrow<LogLikelihoodTable>>(
+    tables: &'a [T],
+    n: usize,
+    prev: Option<&[CellId]>,
     row: &[CellId],
     accs: &mut [f64],
-) {
-    let mut prevs = prev.chunks_exact(LANE_WIDTH);
-    let mut cells = row.chunks_exact(LANE_WIDTH);
-    let mut lanes = accs.chunks_exact_mut(LANE_WIDTH);
-    for ((from, to), lane) in (&mut prevs).zip(&mut cells).zip(&mut lanes) {
-        for i in 0..LANE_WIDTH {
-            lane[i] += sparse_walk(row_starts, cols, logs, from[i], to[i]);
-        }
+    mut scores: Option<&mut [f64]>,
+) -> f64 {
+    let width = row.len();
+    let initial = prev.is_none();
+    // At slot zero the previous row is unused: `from` is the cell itself
+    // and the stride is zero, so the key is the cell.
+    let (from_row, stride, last) = match prev {
+        None => (row, 0, n - 1),
+        Some(prev) => (prev, n, n.saturating_mul(n) - 1),
+    };
+    let mut maxima = [f64::NEG_INFINITY; LANE_WIDTH];
+    let full = width - width % LANE_WIDTH;
+    let mut lanes = Lanes {
+        tables,
+        initial,
+        stride,
+        last,
+        from_row,
+        row,
+        accs,
+        maxima: &mut maxima,
+    };
+    for start in (0..full).step_by(LANE_WIDTH) {
+        lanes.chunk::<G>(start, LANE_WIDTH, scores.as_deref_mut());
     }
-    for ((from, to), acc) in prevs
-        .remainder()
-        .iter()
-        .zip(cells.remainder())
-        .zip(lanes.into_remainder())
-    {
-        *acc += sparse_walk(row_starts, cols, logs, *from, *to);
+    if full < width {
+        lanes.chunk::<G>(full, width - full, scores);
+    }
+    maxima
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |m, x| if x > m { x } else { m })
+}
+
+/// The state one [`sweep`] threads through its lane chunks.
+struct Lanes<'a, 'r, T> {
+    tables: &'a [T],
+    initial: bool,
+    stride: usize,
+    last: usize,
+    from_row: &'r [CellId],
+    row: &'r [CellId],
+    accs: &'r mut [f64],
+    maxima: &'r mut [f64; LANE_WIDTH],
+}
+
+impl<'a, T: Borrow<LogLikelihoodTable>> Lanes<'a, '_, T> {
+    /// Sweeps the `len ≤ LANE_WIDTH` services from `start`: one key per
+    /// service, one add per class, the best-class and lane maximum folds.
+    /// Inlined with `len == LANE_WIDTH` for every full chunk, so the lane
+    /// loops have a constant trip count.
+    #[inline(always)]
+    fn chunk<G: Gather<'a>>(&mut self, start: usize, len: usize, scores: Option<&mut [f64]>) {
+        let width = self.row.len();
+        let from = &self.from_row[start..start + len];
+        let to = &self.row[start..start + len];
+        let mut keys = [0usize; LANE_WIDTH];
+        for i in 0..len {
+            keys[i] = (from[i].index() * self.stride + to[i].index()).min(self.last);
+        }
+        let mut best = [f64::NEG_INFINITY; LANE_WIDTH];
+        for (k, table) in self.tables.iter().enumerate() {
+            let lookup = G::of(table.borrow(), self.initial, self.last);
+            let lane = &mut self.accs[k * width + start..k * width + start + len];
+            for i in 0..len {
+                let acc = lane[i] + lookup.get(keys[i], from[i], to[i]);
+                lane[i] = acc;
+                best[i] = if acc > best[i] { acc } else { best[i] };
+            }
+        }
+        if let Some(scores) = scores {
+            scores[start..start + len].copy_from_slice(&best[..len]);
+        }
+        for (max, &b) in self.maxima.iter_mut().zip(&best[..len]) {
+            *max = if b > *max { b } else { *max };
+        }
     }
 }
 
