@@ -23,7 +23,8 @@
 //! * [`MarkovChain`] — a transition matrix bundled with its initial
 //!   (stationary) distribution; sampling and log-likelihoods.
 //! * [`LogLikelihoodTable`] — precomputed columnar log-likelihood kernel
-//!   for batch (fleet-scale) trajectory scoring.
+//!   for batch (fleet-scale) trajectory scoring; [`sweep_slot`] advances
+//!   every class's running scores by one slot in one pass.
 //! * [`MobilityRegistry`] — heterogeneous fleets: a small set of model
 //!   classes (one cached table each, per epoch) mapped onto arbitrarily
 //!   many users.

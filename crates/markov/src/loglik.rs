@@ -8,8 +8,10 @@
 //! [`DENSE_STATE_LIMIT`]) and then scores arbitrarily many trajectories
 //! with pure lookups. [`LogLikelihoodTable::step_log_likelihoods_batch`]
 //! emits the increments *slot-major* (`out[t * n + i]`), which is exactly
-//! the access order of a per-slot cumulative-score update, so the batched
-//! detectors in `chaff-core` stream it with unit stride.
+//! the access order of a per-slot cumulative-score update. The fleet
+//! detectors in `chaff-core` advance their scores through [`sweep_slot`],
+//! which scores every mobility class of a slot in one pass over the
+//! services.
 
 use crate::{CellId, MarkovChain, MarkovError, Result, Trajectory};
 use std::borrow::Borrow;
@@ -22,8 +24,8 @@ pub const DENSE_STATE_LIMIT: usize = 2048;
 
 /// Fixed chunk width (in `f64` lanes) used by the batched kernels.
 ///
-/// [`LogLikelihoodTable::add_step_batch`] and the argmax kernels in
-/// `chaff-core` process users in chunks of this many lanes so the
+/// [`sweep_slot`] and the argmax kernels in `chaff-core` process users
+/// in chunks of this many lanes so the
 /// autovectorizer can lower the straight-line chunk bodies to SIMD
 /// (eight `f64`s fill an AVX-512 register, or two AVX2 registers).
 /// Chunking never changes results: each user's accumulator receives
