@@ -1,13 +1,32 @@
-//! Parity battery for the streamed, sharded ingestion engine: the
-//! streamed pipeline must reproduce the legacy single-threaded
-//! `TraceDatasetBuilder::build` **bit-for-bit** across shard counts,
-//! batch sizes and seeds — trajectories, node ids, and the empirical
-//! model's transition matrix and occupancy included.
+//! Parity battery for the sharded ingestion engine.
+//!
+//! The engine must reproduce a naive serial oracle **bit-for-bit** across
+//! shard counts and batch sizes: node ids, trajectories, and the
+//! empirical model's visits, transition count, matrix and occupancy
+//! (per-epoch models included when a schedule is set). The oracle below
+//! is the pre-sharding pipeline rebuilt from public pieces only, applied
+//! to external towers and traces, so it shares no code path with the
+//! engine's batching, sharding or accumulator merge. Synthetic-seed runs,
+//! whose tower and fleet draws are internal to the builder, are checked
+//! for shard- and batch-independence against the one-shard, one-node
+//! batch build instead.
 
+use chaff_markov::{EpochSchedule, Trajectory};
+use chaff_mobility::empirical::{EmpiricalModel, EpochAccumulator};
+use chaff_mobility::geo::GeoPoint;
+use chaff_mobility::interpolate::{regularize, SlotGrid, DEFAULT_MAX_GAP_S};
 use chaff_mobility::pipeline::{TraceDataset, TraceDatasetBuilder};
+use chaff_mobility::record::NodeTrace;
 use chaff_mobility::stream::{CrawdadDirStream, ReplicatedTaxiStream, TraceStream};
-use chaff_mobility::taxi::TaxiFleetConfig;
+use chaff_mobility::taxi::{generate_fleet, TaxiFleetConfig};
+use chaff_mobility::towers::{clustered_layout, min_separation_filter, DEFAULT_MIN_SEPARATION_M};
+use chaff_mobility::voronoi::CellMap;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The shard counts every sweep covers.
+const SHARDS: [usize; 3] = [1, 2, 7];
 
 /// A reduced-scale builder: big enough to exercise hotspot skew and the
 /// inactivity filter, small enough that a debug-mode build stays in the
@@ -20,79 +39,186 @@ fn small(seed: u64) -> TraceDatasetBuilder {
         .seed(seed)
 }
 
-/// Asserts full bit-for-bit dataset equality, empirical model included.
-fn assert_dataset_eq(streamed: &TraceDataset, legacy: &TraceDataset, context: &str) {
+/// What the oracle computes: the surviving nodes, their trajectories and
+/// the pooled (plus, with a schedule, per-epoch) empirical models.
+struct Expected {
+    num_cells: usize,
+    node_ids: Vec<String>,
+    trajectories: Vec<Trajectory>,
+    model: EmpiricalModel,
+    epoch_models: Option<Vec<EmpiricalModel>>,
+}
+
+/// The naive serial oracle: separation filter → Voronoi cells, one
+/// trace at a time regularized and quantized on the window that starts
+/// at the earliest first record, then one estimate over every survivor.
+fn oracle(
+    towers: &[GeoPoint],
+    traces: &[NodeTrace],
+    horizon: usize,
+    schedule: Option<&EpochSchedule>,
+) -> Expected {
+    let cell_map = CellMap::new(min_separation_filter(towers, DEFAULT_MIN_SEPARATION_M)).unwrap();
+    let grid = SlotGrid {
+        start_timestamp: traces
+            .iter()
+            .filter_map(|t| t.records.first().map(|r| r.timestamp))
+            .min()
+            .unwrap(),
+        slot_s: 60,
+        num_slots: horizon,
+        max_gap_s: DEFAULT_MAX_GAP_S,
+    };
+    let mut node_ids = Vec::new();
+    let mut trajectories = Vec::new();
+    for trace in traces {
+        if let Some(positions) = regularize(trace, &grid) {
+            node_ids.push(trace.node_id.clone());
+            trajectories.push(cell_map.quantize(&positions));
+        }
+    }
+    let num_cells = cell_map.num_cells();
+    let model = EmpiricalModel::estimate(&trajectories, num_cells, 0.0).unwrap();
+    let epoch_models = schedule.map(|schedule| {
+        let mut acc = EpochAccumulator::new(num_cells, schedule.clone()).unwrap();
+        for trajectory in &trajectories {
+            acc.record(trajectory).unwrap();
+        }
+        acc.finish(0.0).unwrap()
+    });
+    Expected {
+        num_cells,
+        node_ids,
+        trajectories,
+        model,
+        epoch_models,
+    }
+}
+
+/// External towers and traces drawn from `seed`: a clustered tower
+/// layout and a taxi fleet with enough inactivity that some nodes drop.
+fn external_fixture(seed: u64, num_nodes: usize) -> (Vec<GeoPoint>, Vec<NodeTrace>) {
+    let config = TaxiFleetConfig {
+        num_nodes,
+        duration_s: 30 * 60,
+        inactivity_prob: 0.01,
+        ..TaxiFleetConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let towers = clustered_layout(90, 6, 2_000.0, 0.35, &config.bbox, &mut rng).unwrap();
+    let traces = generate_fleet(&config, &mut rng).unwrap();
+    (towers, traces)
+}
+
+/// Asserts two empirical models are bit-for-bit equal.
+fn assert_model_eq(got: &EmpiricalModel, want: &EmpiricalModel, context: &str) {
+    assert_eq!(got.visits(), want.visits(), "{context}: visits");
     assert_eq!(
-        streamed.cell_map().num_cells(),
-        legacy.cell_map().num_cells(),
-        "{context}: cell count"
-    );
-    assert_eq!(streamed.node_ids(), legacy.node_ids(), "{context}: ids");
-    assert_eq!(
-        streamed.trajectories(),
-        legacy.trajectories(),
-        "{context}: trajectories"
-    );
-    assert_eq!(
-        streamed.empirical().visits(),
-        legacy.empirical().visits(),
-        "{context}: visits"
-    );
-    assert_eq!(
-        streamed.empirical().num_transitions(),
-        legacy.empirical().num_transitions(),
+        got.num_transitions(),
+        want.num_transitions(),
         "{context}: transitions"
     );
     assert_eq!(
-        streamed.model().matrix(),
-        legacy.model().matrix(),
+        got.chain().matrix(),
+        want.chain().matrix(),
         "{context}: matrix"
     );
-    let pi_s = streamed.model().initial().as_slice();
-    let pi_l = legacy.model().initial().as_slice();
-    for (i, (a, b)) in pi_s.iter().zip(pi_l).enumerate() {
+    let pi_got = got.chain().initial().as_slice();
+    let pi_want = want.chain().initial().as_slice();
+    assert_eq!(pi_got.len(), pi_want.len(), "{context}: initial length");
+    for (i, (a, b)) in pi_got.iter().zip(pi_want).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{context}: initial[{i}]");
     }
 }
 
-#[test]
-fn streamed_equals_legacy_across_the_issue_shard_counts() {
-    // The ISSUE's acceptance sweep: shards ∈ {1, 2, 7}, several seeds.
-    for seed in [0u64, 99, 1709, 20170605] {
-        let legacy = small(seed).build().unwrap();
-        for shards in [1usize, 2, 7] {
-            let streamed = small(seed).shards(shards).build_streaming().unwrap();
-            assert_dataset_eq(&streamed, &legacy, &format!("seed {seed}, shards {shards}"));
+/// Asserts the engine's dataset equals the oracle's bit-for-bit.
+fn assert_matches_oracle(got: &TraceDataset, want: &Expected, context: &str) {
+    assert_eq!(
+        got.cell_map().num_cells(),
+        want.num_cells,
+        "{context}: cells"
+    );
+    assert_eq!(got.node_ids(), want.node_ids, "{context}: ids");
+    assert_eq!(
+        got.trajectories(),
+        want.trajectories,
+        "{context}: trajectories"
+    );
+    assert_model_eq(got.empirical(), &want.model, context);
+    match (got.epoch_models(), &want.epoch_models) {
+        (None, None) => {}
+        (Some(got), Some(want)) => {
+            assert_eq!(got.len(), want.len(), "{context}: epoch count");
+            for (e, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_model_eq(g, w, &format!("{context}, epoch {e}"));
+            }
+        }
+        _ => panic!("{context}: epoch models present on one side only"),
+    }
+}
+
+/// Asserts full bit-for-bit dataset equality, empirical model included.
+fn assert_dataset_eq(got: &TraceDataset, want: &TraceDataset, context: &str) {
+    assert_eq!(
+        got.cell_map().num_cells(),
+        want.cell_map().num_cells(),
+        "{context}: cell count"
+    );
+    assert_eq!(got.node_ids(), want.node_ids(), "{context}: ids");
+    assert_eq!(
+        got.trajectories(),
+        want.trajectories(),
+        "{context}: trajectories"
+    );
+    assert_model_eq(got.empirical(), want.empirical(), context);
+}
+
+/// Runs the engine over external towers and traces at every shard count
+/// and every batch size in `1..40`, comparing each build to the oracle.
+fn sweep_against_oracle(seed: u64, schedule: Option<EpochSchedule>) {
+    let (towers, traces) = external_fixture(seed, 14);
+    let horizon = 20;
+    let want = oracle(&towers, &traces, horizon, schedule.as_ref());
+    assert!(
+        !want.trajectories.is_empty() && want.trajectories.len() < traces.len(),
+        "seed {seed}: the fixture should keep some nodes and drop others \
+         (kept {} of {})",
+        want.trajectories.len(),
+        traces.len()
+    );
+    for shards in SHARDS {
+        for batch in 1..40 {
+            let mut builder = small(seed)
+                .horizon_slots(horizon)
+                .with_towers(towers.clone())
+                .with_traces(traces.clone())
+                .shards(shards)
+                .batch_nodes(batch);
+            if let Some(schedule) = &schedule {
+                builder = builder.epoch_schedule(schedule.clone());
+            }
+            let got = builder.build_streaming().unwrap();
+            assert_matches_oracle(
+                &got,
+                &want,
+                &format!("seed {seed}, shards {shards}, batch {batch}"),
+            );
         }
     }
 }
 
 #[test]
-fn streamed_equals_legacy_for_external_traces() {
-    // The external-trace path (VecTraceStream + buffered window
-    // discovery) must agree with the legacy builder too.
-    let config = TaxiFleetConfig {
-        num_nodes: 14,
-        duration_s: 30 * 60,
-        ..TaxiFleetConfig::default()
-    };
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4242);
-    let traces = chaff_mobility::taxi::generate_fleet(&config, &mut rng).unwrap();
-    let legacy = small(5)
-        .horizon_slots(20)
-        .with_traces(traces.clone())
-        .build()
-        .unwrap();
-    for shards in [1usize, 2, 7] {
-        let streamed = small(5)
-            .horizon_slots(20)
-            .with_traces(traces.clone())
-            .shards(shards)
-            .batch_nodes(3)
-            .build_streaming()
-            .unwrap();
-        assert_dataset_eq(&streamed, &legacy, &format!("external, shards {shards}"));
+fn streamed_equals_legacy_across_the_issue_shard_counts() {
+    for seed in [0u64, 99, 1709, 20170605] {
+        sweep_against_oracle(seed, None);
     }
+}
+
+#[test]
+fn streamed_equals_legacy_for_external_traces() {
+    // The same sweep with an epoch schedule: per-epoch counts merge
+    // across shards exactly like the pooled ones.
+    sweep_against_oracle(4242, Some(EpochSchedule::day_night(7, 5).unwrap()));
 }
 
 proptest! {
@@ -104,16 +230,16 @@ proptest! {
         shard_pick in 0usize..3,
         batch in 1usize..40,
     ) {
-        let shards = [1usize, 2, 7][shard_pick];
-        let legacy = small(seed).build().unwrap();
-        let streamed = small(seed)
+        let shards = SHARDS[shard_pick];
+        let serial = small(seed).shards(1).batch_nodes(1).build_streaming().unwrap();
+        let got = small(seed)
             .shards(shards)
             .batch_nodes(batch)
             .build_streaming()
             .unwrap();
         assert_dataset_eq(
-            &streamed,
-            &legacy,
+            &got,
+            &serial,
             &format!("seed {seed}, shards {shards}, batch {batch}"),
         );
     }
@@ -161,15 +287,9 @@ fn amplified_empirical_model_explains_every_replica() {
 #[test]
 fn crawdad_stream_feeds_build_from_stream() {
     // Round-trip a small synthetic fleet through the on-disk CRAWDAD
-    // format, then ingest the directory through the streaming engine and
-    // compare with handing the same traces to the legacy builder.
-    let config = TaxiFleetConfig {
-        num_nodes: 8,
-        duration_s: 26 * 60,
-        ..TaxiFleetConfig::default()
-    };
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(999);
-    let fleet = chaff_mobility::taxi::generate_fleet(&config, &mut rng).unwrap();
+    // format, then ingest the directory through the engine and compare
+    // with the oracle over the same files.
+    let (towers, fleet) = external_fixture(999, 8);
     let dir = std::env::temp_dir().join(format!("crawdad_ingest_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for trace in &fleet {
@@ -180,24 +300,23 @@ fn crawdad_stream_feeds_build_from_stream() {
         .unwrap();
     }
 
-    let stream = CrawdadDirStream::new(&dir).unwrap().with_bbox(config.bbox);
-    let streamed = small(3)
+    let stream = CrawdadDirStream::new(&dir)
+        .unwrap()
+        .with_bbox(TaxiFleetConfig::default().bbox);
+    let got = small(3)
         .horizon_slots(20)
+        .with_towers(towers.clone())
         .shards(2)
         .batch_nodes(3)
         .build_from_stream(stream)
         .unwrap();
 
-    // The text format rounds coordinates to 5 decimals, so compare
-    // against the legacy build over the *reparsed* traces (exact parity
-    // on identical inputs is covered by the proptests above).
+    // The text format rounds coordinates to 5 decimals, so the oracle
+    // runs on the *reparsed* traces.
     let reparsed = chaff_mobility::crawdad::load_directory(&dir).unwrap();
-    let legacy = small(3)
-        .horizon_slots(20)
-        .with_traces(reparsed)
-        .build()
-        .unwrap();
-    assert_dataset_eq(&streamed, &legacy, "crawdad directory");
+    let want = oracle(&towers, &reparsed, 20, None);
+    assert!(!want.trajectories.is_empty(), "some node survives");
+    assert_matches_oracle(&got, &want, "crawdad directory");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
