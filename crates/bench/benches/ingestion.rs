@@ -1,6 +1,6 @@
-//! Trace-ingestion benchmarks: the streaming, sharded pipeline against
-//! the legacy single-threaded builder, plus the replica-amplified path
-//! that feeds empirical fleets.
+//! Trace-ingestion benchmarks: the one ingestion engine behind
+//! `TraceDatasetBuilder::build` at pinned shard counts, plus the
+//! replica-amplified path that feeds empirical fleets.
 //!
 //! Part of the `BENCH_fleet` CI baseline: `ci/compare_bench.py` gates
 //! these like detection throughput, so a regression in the
@@ -21,31 +21,15 @@ fn builder(seed: u64) -> TraceDatasetBuilder {
         .seed(seed)
 }
 
-/// The legacy fully-materialized single-threaded pipeline (the oracle).
-fn bench_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ingestion/legacy");
-    group.bench_with_input(BenchmarkId::from_parameter(60), &60, |b, _| {
-        b.iter(|| builder(black_box(31)).build().unwrap())
-    });
-    group.finish();
-}
-
-/// The streamed engine at pinned shard counts (shards=1 measures pure
-/// streaming overhead; higher counts measure the parallel speedup).
+/// The engine at pinned shard counts (shards=1 measures the serial
+/// batch loop; higher counts measure the parallel speedup).
 fn bench_streamed(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingestion/streamed");
     for shards in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::from_parameter(shards),
             &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    builder(black_box(31))
-                        .shards(shards)
-                        .build_streaming()
-                        .unwrap()
-                })
-            },
+            |b, &shards| b.iter(|| builder(black_box(31)).shards(shards).build().unwrap()),
         );
     }
     group.finish();
@@ -60,7 +44,7 @@ fn bench_amplified(c: &mut Criterion) {
             builder(black_box(32))
                 .replicas(replicas)
                 .shards(4)
-                .build_streaming()
+                .build()
                 .unwrap()
         })
     });
@@ -78,7 +62,6 @@ criterion_group! {
     name = ingestion;
     config = configured();
     targets =
-        bench_legacy,
         bench_streamed,
         bench_amplified,
 }

@@ -27,9 +27,9 @@
 //!   and the end-to-end chaffed pipeline; its records carry
 //!   `peak_rss_bytes` so the CI gate catches memory regressions in the
 //!   columnar store, not just runtime regressions;
-//! * `ingestion` — the trace pipeline: legacy single-threaded builder vs
-//!   the streamed, sharded engine (shard counts 1 and 4) and the
-//!   replica-amplified path (also baseline-gated, so trace-pipeline
+//! * `ingestion` — the trace pipeline: the one sharded ingestion engine
+//!   at shard counts 1 and 4 and the replica-amplified path
+//!   (also baseline-gated, so trace-pipeline
 //!   throughput regressions fail CI like detection regressions);
 //! * `substrates` — Markov/stationary/Voronoi substrate operations.
 

@@ -98,7 +98,7 @@ impl TraceFleetConfig {
         }
     }
 
-    /// Builds the amplified trace dataset through the streaming engine.
+    /// Builds the amplified trace dataset.
     ///
     /// # Errors
     ///
@@ -113,7 +113,7 @@ impl TraceFleetConfig {
         if let Some(shards) = self.shards {
             builder = builder.shards(shards);
         }
-        Ok(builder.build_streaming()?)
+        Ok(builder.build()?)
     }
 }
 

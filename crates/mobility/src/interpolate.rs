@@ -150,15 +150,6 @@ pub fn regularize(trace: &NodeTrace, grid: &SlotGrid) -> Option<Vec<GeoPoint>> {
     Some(out)
 }
 
-/// Regularizes a whole fleet, dropping inactive nodes; returns
-/// `(node_id, positions)` pairs for the survivors.
-pub fn regularize_fleet(traces: &[NodeTrace], grid: &SlotGrid) -> Vec<(String, Vec<GeoPoint>)> {
-    traces
-        .iter()
-        .filter_map(|t| regularize(t, grid).map(|p| (t.node_id.clone(), p)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,9 +237,12 @@ mod tests {
         let good = NodeTrace::new("good", vec![rec(0, 37.0), rec(60, 37.1), rec(120, 37.2)]);
         let bad = NodeTrace::new("bad", vec![rec(0, 37.0), rec(1_000, 37.1)]);
         let grid = SlotGrid::minutes(0, 3);
-        let fleet = regularize_fleet(&[good, bad], &grid);
-        assert_eq!(fleet.len(), 1);
-        assert_eq!(fleet[0].0, "good");
+        let kept: Vec<&str> = [&good, &bad]
+            .into_iter()
+            .filter(|t| regularize(t, &grid).is_some())
+            .map(|t| t.node_id.as_str())
+            .collect();
+        assert_eq!(kept, ["good"]);
     }
 
     #[test]

@@ -34,11 +34,9 @@
 //!   the eager stream), replica-amplified fleets for 10⁴–10⁵-node
 //!   ingestion, and batched CRAWDAD directory reading;
 //! * [`pipeline`] — the end-to-end dataset builder used by the evaluation
-//!   harness, with the legacy single-threaded `build()` kept as the
-//!   oracle and the sharded `build_streaming()` as the scaled engine;
-//! * [`feed`] — the per-slot pull adapter ([`feed::SlotFeed`]): drains a
-//!   trace-major [`stream::TraceStream`] into a compact slot-major
-//!   window so the streaming fleet engine can ingest one row per slot.
+//!   harness: one sharded ingestion engine behind `build()` and
+//!   `build_from_stream()`, bit-for-bit independent of shard count and
+//!   batch size.
 //!
 //! # Example
 //!
@@ -66,7 +64,6 @@ mod error;
 pub mod commuter;
 pub mod crawdad;
 pub mod empirical;
-pub mod feed;
 pub mod geo;
 pub mod interpolate;
 pub mod pipeline;

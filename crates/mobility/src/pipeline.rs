@@ -11,29 +11,26 @@
 //! With the default parameters this mirrors the paper's numbers: ~959
 //! cells, up to 174 usable nodes, 100 slots.
 //!
-//! Two execution engines share the builder:
-//!
-//! * [`TraceDatasetBuilder::build`] — the legacy single-threaded path
-//!   that materializes the whole fleet first; kept as the bit-for-bit
-//!   oracle the streamed engine is property-tested against;
-//! * [`TraceDatasetBuilder::build_streaming`] — the scaled path: a
-//!   [`TraceStream`] source emits per-node record batches, the
-//!   process-wide worker pool ([`chaff_core::pool`], like the fleet
-//!   engine's sharding) runs the
-//!   regularize→quantize stages per node, and per-shard
-//!   [`EpochAccumulator`]s of integer transition counts (one count set
-//!   per epoch of the configured schedule; a single set by default) are
-//!   merged at the end — so the resulting [`TraceDataset`] is identical
-//!   for every shard count and batch size. The [`replicas`](TraceDatasetBuilder::replicas)
-//!   knob amplifies the synthetic fleet to 10⁴–10⁵ nodes via per-replica
-//!   SplitMix64 seed streams.
+//! One engine runs every build: a [`TraceStream`] source emits per-node
+//! record batches (the synthetic fleet, its replica-amplified copies,
+//! external traces, or a caller's source via
+//! [`TraceDatasetBuilder::build_from_stream`]), the process-wide worker
+//! pool ([`chaff_core::pool`], like the fleet engine's sharding) runs the
+//! regularize→quantize stages per node, and per-shard
+//! [`EpochAccumulator`]s of integer transition counts (one count set per
+//! epoch of the configured schedule; a single set by default) are merged
+//! at the end — so the resulting [`TraceDataset`] is identical for every
+//! shard count and batch size, and raw GPS records only ever live one
+//! batch at a time. The [`replicas`](TraceDatasetBuilder::replicas) knob
+//! amplifies the synthetic fleet to 10⁴–10⁵ nodes via per-replica
+//! SplitMix64 seed streams. `tests/streaming.rs` holds the engine to a
+//! naive serial oracle bit-for-bit.
 
 use crate::empirical::{EmpiricalModel, EpochAccumulator};
-use crate::geo::BoundingBox;
-use crate::interpolate::{inactivity_reason, regularize, regularize_fleet, SlotGrid};
+use crate::interpolate::{inactivity_reason, regularize, SlotGrid};
 use crate::record::NodeTrace;
 use crate::stream::{ReplicatedTaxiStream, TaxiTraceStream, TraceStream, VecTraceStream};
-use crate::taxi::{generate_fleet, TaxiFleetConfig};
+use crate::taxi::TaxiFleetConfig;
 use crate::towers::{clustered_layout, min_separation_filter, DEFAULT_MIN_SEPARATION_M};
 use crate::voronoi::CellMap;
 use crate::{MobilityError, Result};
@@ -199,18 +196,15 @@ impl TraceDatasetBuilder {
         self
     }
 
-    /// Pins the worker-thread count of
-    /// [`build_streaming`](TraceDatasetBuilder::build_streaming); `None`
-    /// (the default) sizes from available parallelism. Results never
-    /// depend on this.
+    /// Pins the worker-thread count; unset (the default) sizes from
+    /// available parallelism. Results never depend on this.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
         self
     }
 
-    /// Nodes per streamed batch (streaming engine only; results never
-    /// depend on this — it trades peak memory against thread-dispatch
-    /// overhead).
+    /// Nodes per streamed batch (results never depend on this — it trades
+    /// peak memory against thread-dispatch overhead).
     pub fn batch_nodes(mut self, n: usize) -> Self {
         self.batch_nodes = n.max(1);
         self
@@ -218,8 +212,8 @@ impl TraceDatasetBuilder {
 
     /// Amplifies the synthetic fleet to `replicas` statistical copies of
     /// the configured fleet, each drawn from an independent SplitMix64
-    /// seed stream (streaming engine only). `1` (the default) keeps the
-    /// legacy-identical single fleet.
+    /// seed stream. `1` (the default) keeps the single fleet drawn from
+    /// the tower RNG.
     pub fn replicas(mut self, replicas: usize) -> Self {
         self.replicas = replicas;
         self
@@ -255,10 +249,13 @@ impl TraceDatasetBuilder {
         self
     }
 
-    /// Builds the tower layout and quantizer, consuming the tower portion
-    /// of the seed stream exactly like the legacy path.
-    fn build_cell_map(&self, rng: &mut StdRng) -> Result<CellMap> {
-        let bbox: BoundingBox = self.fleet.bbox;
+    /// Validates the slot window, then builds the tower layout and
+    /// quantizer from the seed's stream and the fleet configuration whose
+    /// duration spans the window. Returns the RNG positioned after the
+    /// tower draw, so the synthetic fleet continues the same stream.
+    fn prepare(&self) -> Result<(CellMap, TaxiFleetConfig, StdRng)> {
+        let window_s = self.window_seconds()?;
+        let mut rng = StdRng::seed_from_u64(self.seed);
         let raw_towers = match &self.external_towers {
             Some(t) => t.clone(),
             None => clustered_layout(
@@ -266,118 +263,65 @@ impl TraceDatasetBuilder {
                 self.tower_clusters,
                 self.tower_spread_m,
                 self.tower_background,
-                &bbox,
-                rng,
+                &self.fleet.bbox,
+                &mut rng,
             )?,
         };
-        let towers = min_separation_filter(&raw_towers, self.min_separation_m);
-        CellMap::new(towers)
-    }
-
-    /// The fleet configuration with the duration extended a little beyond
-    /// the window so interpolation has a bracketing update at the last
-    /// slot.
-    fn window_fleet_config(&self) -> TaxiFleetConfig {
+        let cell_map = CellMap::new(min_separation_filter(&raw_towers, self.min_separation_m))?;
         let mut fleet_config = self.fleet.clone();
-        fleet_config.duration_s = self.slot_s * self.horizon_slots as i64 + 2 * self.slot_s;
-        fleet_config
+        fleet_config.duration_s = window_s;
+        Ok((cell_map, fleet_config, rng))
     }
 
-    /// Runs the legacy single-threaded pipeline.
-    ///
-    /// Kept as the bit-for-bit oracle for the streamed engine
-    /// ([`build_streaming`](TraceDatasetBuilder::build_streaming) is
-    /// property-tested to agree exactly).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the configuration is invalid, every node is
-    /// filtered out as inactive, or model estimation fails.
-    pub fn build(self) -> Result<TraceDataset> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-
-        // 1. Towers + separation filter.
-        let cell_map = self.build_cell_map(&mut rng)?;
-
-        // 2. Traces.
-        let fleet_config = self.window_fleet_config();
-        let traces = match self.external_traces {
-            Some(t) => t,
-            None => generate_fleet(&fleet_config, &mut rng)?,
-        };
-
-        // 3. Inactive filter + interpolation.
-        let start = traces
-            .iter()
-            .filter_map(|t| t.records.first().map(|r| r.timestamp))
-            .min()
-            .unwrap_or(fleet_config.start_timestamp);
-        let grid = SlotGrid {
-            start_timestamp: start,
-            slot_s: self.slot_s,
-            num_slots: self.horizon_slots,
-            max_gap_s: crate::interpolate::DEFAULT_MAX_GAP_S,
-        };
-        let regular = regularize_fleet(&traces, &grid);
-        if regular.is_empty() {
-            return Err(MobilityError::NoActiveNodes {
-                examined: traces.len(),
-                example: dropped_example(traces.first(), &grid),
+    /// The generated fleet's duration: the window of `horizon_slots`
+    /// slots plus two, so interpolation has a bracketing update at the
+    /// last slot. Computed with checked `i64` arithmetic.
+    fn window_seconds(&self) -> Result<i64> {
+        if self.slot_s <= 0 {
+            return Err(MobilityError::InvalidConfig {
+                parameter: "slot_seconds",
+                reason: format!("must be positive, got {}", self.slot_s),
             });
         }
-
-        // 4. Quantization.
-        let mut node_ids = Vec::with_capacity(regular.len());
-        let mut trajectories = Vec::with_capacity(regular.len());
-        for (id, positions) in regular {
-            node_ids.push(id);
-            trajectories.push(cell_map.quantize(&positions));
-        }
-
-        // 5. Empirical model (pooled, schedule-blind) plus the optional
-        // per-epoch pass.
-        let model = EmpiricalModel::estimate(&trajectories, cell_map.num_cells(), 0.0)?;
-        let epoch_models = match &self.epoch_schedule {
-            Some(schedule) => {
-                let mut acc = EpochAccumulator::new(cell_map.num_cells(), schedule.clone())?;
-                for trajectory in &trajectories {
-                    acc.record(trajectory)?;
-                }
-                Some(acc.finish(0.0)?)
-            }
-            None => None,
-        };
-        Ok(TraceDataset {
-            cell_map,
-            node_ids,
-            trajectories,
-            model,
-            epoch_schedule: self
-                .epoch_schedule
-                .unwrap_or_else(EpochSchedule::stationary),
-            epoch_models,
-        })
+        let slots = i64::try_from(self.horizon_slots)
+            .ok()
+            .and_then(|t| t.checked_add(2))
+            .ok_or_else(|| MobilityError::InvalidConfig {
+                parameter: "horizon_slots",
+                reason: format!("{} slots do not fit an i64 window", self.horizon_slots),
+            })?;
+        slots
+            .checked_mul(self.slot_s)
+            .ok_or_else(|| MobilityError::InvalidConfig {
+                // Name the larger factor: it is the one far off scale.
+                parameter: if self.slot_s > slots {
+                    "slot_seconds"
+                } else {
+                    "horizon_slots"
+                },
+                reason: format!(
+                    "{} slots of {} s overflow an i64 window",
+                    self.horizon_slots, self.slot_s
+                ),
+            })
     }
 
-    /// Runs the streaming, sharded pipeline.
-    ///
-    /// Stages 2–5 run incrementally: the source emits per-node record
-    /// batches, each batch's regularize→quantize work is split over
-    /// worker threads, and per-shard integer transition counts are merged
-    /// at the end. The result is **bit-for-bit identical** to
-    /// [`build`](TraceDatasetBuilder::build) for every shard count and
-    /// batch size (property-tested), while raw GPS records only ever live
-    /// one batch at a time. With
-    /// [`replicas`](TraceDatasetBuilder::replicas)` > 1` the synthetic
-    /// fleet is amplified instead (one independent seed stream per
-    /// replica).
+    /// Builds the dataset: the synthetic fleet (continuing the tower
+    /// RNG), its [`replicas`](TraceDatasetBuilder::replicas)-fold
+    /// amplification, or the traces given by
+    /// [`with_traces`](TraceDatasetBuilder::with_traces), ingested in
+    /// batches over the worker pool. The result is bit-for-bit the same
+    /// for every shard count and batch size.
     ///
     /// # Errors
     ///
-    /// As [`build`](TraceDatasetBuilder::build); additionally rejects
-    /// `replicas == 0` and `replicas > 1` combined with external traces
-    /// (only the synthetic generator can be amplified).
-    pub fn build_streaming(mut self) -> Result<TraceDataset> {
+    /// Returns an error when the configuration is invalid (including a
+    /// non-positive `slot_seconds`, a window whose length overflows `i64`
+    /// seconds, `replicas == 0`, and `replicas > 1` combined with external
+    /// traces, since only the synthetic generator can be amplified), when
+    /// every node is filtered out as inactive, or when model estimation
+    /// fails.
+    pub fn build(mut self) -> Result<TraceDataset> {
         if self.replicas == 0 {
             return Err(MobilityError::InvalidConfig {
                 parameter: "replicas",
@@ -392,9 +336,7 @@ impl TraceDatasetBuilder {
                     .into(),
             });
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let cell_map = self.build_cell_map(&mut rng)?;
-        let fleet_config = self.window_fleet_config();
+        let (cell_map, fleet_config, rng) = self.prepare()?;
         match self.external_traces.take() {
             Some(traces) => {
                 let stream = VecTraceStream::new(traces);
@@ -406,16 +348,16 @@ impl TraceDatasetBuilder {
                 self.ingest(cell_map, &fleet_config, stream)
             }
             None => {
-                // Continue the tower RNG, exactly like the legacy path.
                 let stream = TaxiTraceStream::with_rng(fleet_config.clone(), rng)?;
                 self.ingest(cell_map, &fleet_config, stream)
             }
         }
     }
 
-    /// Runs the streaming engine over an arbitrary external source (e.g.
-    /// a [`crate::stream::CrawdadDirStream`]), using the builder's tower
-    /// layout, slot grid and shard configuration.
+    /// Builds the dataset from a caller's source (e.g. a
+    /// [`crate::stream::CrawdadDirStream`]) instead of the builder's own,
+    /// using the builder's tower layout, slot grid and shard
+    /// configuration.
     ///
     /// Sources whose [`TraceStream::window_start`] is unknown are drained
     /// into memory first to locate the evaluation window (streaming is
@@ -425,13 +367,11 @@ impl TraceDatasetBuilder {
     ///
     /// As [`build`](TraceDatasetBuilder::build), plus source errors.
     pub fn build_from_stream<S: TraceStream>(self, stream: S) -> Result<TraceDataset> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let cell_map = self.build_cell_map(&mut rng)?;
-        let fleet_config = self.window_fleet_config();
+        let (cell_map, fleet_config, _) = self.prepare()?;
         self.ingest(cell_map, &fleet_config, stream)
     }
 
-    /// The shared streaming engine: window location, sharded
+    /// The ingestion engine: window location, sharded
     /// regularize→quantize, accumulator merge, model estimation.
     fn ingest<S: TraceStream>(
         &self,
@@ -440,8 +380,8 @@ impl TraceDatasetBuilder {
         mut stream: S,
     ) -> Result<TraceDataset> {
         // Locate the evaluation window without draining when possible;
-        // buffer the whole stream otherwise (matching the legacy start
-        // derivation: min first-record timestamp).
+        // buffer the whole stream otherwise (the window starts at the
+        // earliest first-record timestamp).
         let mut buffered;
         let (start, stream): (i64, &mut dyn TraceStream) = match stream.window_start() {
             Some(s) => (s, &mut stream),
@@ -663,14 +603,10 @@ mod tests {
 
     #[test]
     fn paper_scale_configuration() {
-        // Full-scale smoke test at the paper's dimensions, through the
-        // streaming engine (this is the configuration Fig. 8 uses; the
-        // streamed/legacy equality at this scale is covered by the parity
-        // proptests at reduced size).
-        let ds = TraceDatasetBuilder::new()
-            .seed(7)
-            .build_streaming()
-            .unwrap();
+        // Full-scale smoke test at the paper's dimensions (this is the
+        // configuration Fig. 8 uses; bit-for-bit parity with the serial
+        // oracle is covered by tests/streaming.rs at reduced size).
+        let ds = TraceDatasetBuilder::new().seed(7).build().unwrap();
         let cells = ds.cell_map().num_cells();
         assert!(
             (700..=1_100).contains(&cells),
@@ -695,21 +631,13 @@ mod tests {
                 timestamp: 1_213_000_000,
             }],
         )];
-        for build in [
-            small().with_traces(traces.clone()).build().unwrap_err(),
-            small()
-                .with_traces(traces.clone())
-                .build_streaming()
-                .unwrap_err(),
-        ] {
-            match build {
-                MobilityError::NoActiveNodes { examined, example } => {
-                    assert_eq!(examined, 1);
-                    let example = example.expect("example is derivable");
-                    assert!(example.contains("lonely"), "{example}");
-                }
-                other => panic!("unexpected error: {other:?}"),
+        match small().with_traces(traces).build().unwrap_err() {
+            MobilityError::NoActiveNodes { examined, example } => {
+                assert_eq!(examined, 1);
+                let example = example.expect("example is derivable");
+                assert!(example.contains("lonely"), "{example}");
             }
+            other => panic!("unexpected error: {other:?}"),
         }
     }
 
@@ -733,24 +661,5 @@ mod tests {
         assert_eq!(registry.num_epochs(), 2);
         assert_eq!(registry.num_classes(), 1);
         assert_eq!(plain.registry().unwrap().num_epochs(), 1);
-        // Streaming with the same schedule agrees with the legacy build.
-        let streamed = small().epoch_schedule(schedule).build_streaming().unwrap();
-        assert_eq!(streamed.model().matrix(), epoch_ds.model().matrix());
-        let streamed_models = streamed.epoch_models().unwrap();
-        for (a, b) in streamed_models.iter().zip(models) {
-            assert_eq!(a.chain().matrix(), b.chain().matrix());
-            assert_eq!(a.visits(), b.visits());
-        }
-    }
-
-    #[test]
-    fn streaming_default_equals_legacy_on_the_shared_fixture() {
-        // The cheap inline parity check (the exhaustive sweep over shard
-        // counts and seeds lives in tests/streaming.rs).
-        let streamed = small().build_streaming().unwrap();
-        let legacy = small_dataset();
-        assert_eq!(streamed.node_ids(), legacy.node_ids());
-        assert_eq!(streamed.trajectories(), legacy.trajectories());
-        assert_eq!(streamed.model().matrix(), legacy.model().matrix());
     }
 }

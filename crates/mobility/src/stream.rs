@@ -1,12 +1,12 @@
 //! Streaming trace sources: per-node record batches instead of
 //! whole-fleet `Vec`s.
 //!
-//! The legacy pipeline materializes every raw GPS record of every node
-//! before the first slot is quantized — fine at the paper's 174 nodes,
-//! a memory wall at the 10⁴–10⁵-node fleets the fleet engine simulates.
-//! A [`TraceStream`] instead hands the ingestion engine
-//! ([`crate::pipeline::TraceDatasetBuilder::build_streaming`]) one batch
-//! of [`NodeTrace`]s at a time; raw records live only as long as their
+//! Materializing every raw GPS record of every node before the first
+//! slot is quantized is fine at the paper's 174 nodes and a memory wall
+//! at the 10⁴–10⁵-node fleets the fleet engine simulates. A
+//! [`TraceStream`] instead hands the ingestion engine
+//! ([`crate::pipeline::TraceDatasetBuilder`]) one batch of
+//! [`NodeTrace`]s at a time; raw records live only as long as their
 //! batch, while the (much smaller) quantized trajectories and the
 //! mergeable transition-count accumulator persist.
 //!
@@ -14,8 +14,7 @@
 //!
 //! * [`TaxiTraceStream`] — the synthetic taxi generator, emitting the
 //!   *exact* node sequence of [`crate::taxi::generate_fleet`] (same RNG
-//!   stream), so streamed ingestion is bit-for-bit comparable to the
-//!   legacy builder;
+//!   stream), so a streamed fleet is bit-for-bit the eager one;
 //! * [`ReplicatedTaxiStream`] — the amplification knob: `R` statistical
 //!   replicas of one fleet configuration, each driven by its own
 //!   SplitMix64-derived seed, synthesizing 10⁴–10⁵-node fleets from a
@@ -134,7 +133,7 @@ impl TaxiTraceStream {
 
     /// Creates a stream continuing an existing RNG — the constructor the
     /// pipeline uses so the tower draw and the fleet draw share one
-    /// stream, exactly like the legacy builder.
+    /// stream.
     ///
     /// # Errors
     ///

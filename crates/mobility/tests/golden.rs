@@ -42,7 +42,7 @@ fn build_golden(streaming: bool) -> TraceDataset {
         .horizon_slots(5)
         .slot_seconds(60);
     if streaming {
-        builder.shards(2).batch_nodes(2).build_streaming().unwrap()
+        builder.shards(2).batch_nodes(2).build().unwrap()
     } else {
         builder.build().unwrap()
     }

@@ -197,7 +197,7 @@ fn sweep_against_oracle(seed: u64, schedule: Option<EpochSchedule>) {
             if let Some(schedule) = &schedule {
                 builder = builder.epoch_schedule(schedule.clone());
             }
-            let got = builder.build_streaming().unwrap();
+            let got = builder.build().unwrap();
             assert_matches_oracle(
                 &got,
                 &want,
@@ -231,11 +231,11 @@ proptest! {
         batch in 1usize..40,
     ) {
         let shards = SHARDS[shard_pick];
-        let serial = small(seed).shards(1).batch_nodes(1).build_streaming().unwrap();
+        let serial = small(seed).shards(1).batch_nodes(1).build().unwrap();
         let got = small(seed)
             .shards(shards)
             .batch_nodes(batch)
-            .build_streaming()
+            .build()
             .unwrap();
         assert_dataset_eq(
             &got,
@@ -247,8 +247,8 @@ proptest! {
 
 #[test]
 fn amplified_fleets_scale_node_count_with_unique_ids() {
-    let base = small(7).build_streaming().unwrap();
-    let amplified = small(7).replicas(6).shards(2).build_streaming().unwrap();
+    let base = small(7).build().unwrap();
+    let amplified = small(7).replicas(6).shards(2).build().unwrap();
     // Replicas are statistically independent fleets over the same towers:
     // the amplified survivor count grows roughly linearly.
     assert!(
@@ -269,13 +269,13 @@ fn amplified_fleets_scale_node_count_with_unique_ids() {
 
     // Deterministic: the amplified build reproduces itself, and is
     // shard-count independent like the base pipeline.
-    let again = small(7).replicas(6).shards(5).build_streaming().unwrap();
+    let again = small(7).replicas(6).shards(5).build().unwrap();
     assert_dataset_eq(&again, &amplified, "amplified re-run");
 }
 
 #[test]
 fn amplified_empirical_model_explains_every_replica() {
-    let amplified = small(11).replicas(4).build_streaming().unwrap();
+    let amplified = small(11).replicas(4).build().unwrap();
     for (id, t) in amplified.node_ids().iter().zip(amplified.trajectories()) {
         assert!(
             amplified.model().log_likelihood(t).is_finite(),

@@ -6,7 +6,7 @@ use chaff_mobility::geo::{BoundingBox, GeoPoint};
 use chaff_mobility::interpolate::{inactivity_reason, regularize, SlotGrid};
 use chaff_mobility::pipeline::TraceDatasetBuilder;
 use chaff_mobility::record::{NodeTrace, TraceRecord};
-use chaff_mobility::stream::{CrawdadDirStream, TraceStream};
+use chaff_mobility::stream::{CrawdadDirStream, TraceStream, VecTraceStream};
 use chaff_mobility::taxi::TaxiFleetConfig;
 use chaff_mobility::{crawdad, MobilityError};
 use proptest::prelude::*;
@@ -89,8 +89,9 @@ fn out_of_bbox_record_names_node_and_record_index() {
 
 #[test]
 fn empty_after_filter_fleet_reports_examined_count_and_example() {
-    // Every node has a window-breaking gap: both engines must return the
-    // typed NoActiveNodes error, counting examined nodes and naming one.
+    // Every node has a window-breaking gap: every shard layout must
+    // return the typed NoActiveNodes error, counting examined nodes and
+    // naming one.
     let traces: Vec<NodeTrace> = (0..6)
         .map(|i| {
             NodeTrace::new(
@@ -108,11 +109,7 @@ fn empty_after_filter_fleet_reports_examined_count_and_example() {
     };
     for err in [
         builder().build().unwrap_err(),
-        builder()
-            .shards(3)
-            .batch_nodes(2)
-            .build_streaming()
-            .unwrap_err(),
+        builder().shards(3).batch_nodes(2).build().unwrap_err(),
     ] {
         match err {
             MobilityError::NoActiveNodes { examined, example } => {
@@ -138,7 +135,7 @@ fn amplification_of_external_traces_is_rejected() {
         .num_towers(60)
         .with_traces(traces)
         .replicas(8)
-        .build_streaming()
+        .build()
         .unwrap_err();
     assert!(matches!(
         err,
@@ -151,7 +148,7 @@ fn amplification_of_external_traces_is_rejected() {
     let err = TraceDatasetBuilder::new()
         .num_towers(60)
         .replicas(0)
-        .build_streaming()
+        .build()
         .unwrap_err();
     assert!(matches!(
         err,
@@ -171,7 +168,7 @@ fn invalid_fleet_config_is_rejected_by_the_streaming_engine() {
     let err = TraceDatasetBuilder::new()
         .num_towers(60)
         .fleet_config(config)
-        .build_streaming()
+        .build()
         .unwrap_err();
     assert!(matches!(
         err,
@@ -180,6 +177,53 @@ fn invalid_fleet_config_is_rejected_by_the_streaming_engine() {
             ..
         }
     ));
+}
+
+#[test]
+fn bad_slot_windows_are_typed_config_errors() {
+    // A non-positive slot length or a window whose length overflows i64
+    // seconds is rejected before anything is drawn, for the synthetic
+    // fleet, external traces and a caller's stream alike.
+    let traces: Vec<NodeTrace> = vec![NodeTrace::new(
+        "steady",
+        (0..30).map(|k| rec(60 * k, 37.7, -122.4)).collect(),
+    )];
+    let cases = [
+        (0, 20, "slot_seconds"),
+        (-60, 20, "slot_seconds"),
+        (i64::MAX, 20, "slot_seconds"),
+        (60, usize::MAX, "horizon_slots"),
+    ];
+    for (slot_seconds, horizon_slots, expected) in cases {
+        let builder = || {
+            TraceDatasetBuilder::new()
+                .num_nodes(5)
+                .num_towers(60)
+                .slot_seconds(slot_seconds)
+                .horizon_slots(horizon_slots)
+                .seed(2)
+        };
+        for (source, err) in [
+            ("synthetic", builder().build().unwrap_err()),
+            (
+                "external",
+                builder().with_traces(traces.clone()).build().unwrap_err(),
+            ),
+            (
+                "stream",
+                builder()
+                    .build_from_stream(VecTraceStream::new(traces.clone()))
+                    .unwrap_err(),
+            ),
+        ] {
+            match err {
+                MobilityError::InvalidConfig { parameter, .. } => {
+                    assert_eq!(parameter, expected, "{source}")
+                }
+                other => panic!("{source}: unexpected error: {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
