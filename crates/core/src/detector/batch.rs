@@ -51,16 +51,13 @@
 
 use super::input::{DetectInput, DetectModel, DetectObservations, SlotRowSource};
 use super::kernel::fold;
-use super::ml::validate_observations;
 use super::streaming::{
     detect_grid, lane_ranges, merge_horizon, run_lanes, step_lanes, validate_epoch_tables,
     LaneSlots, ShardLane,
 };
-use super::{argmax_set, Detection};
+use super::Detection;
 use crate::Result;
-use chaff_markov::{
-    CellGrid, EpochSchedule, LogLikelihoodTable, MarkovChain, MobilityRegistry, Trajectory,
-};
+use chaff_markov::{CellGrid, EpochSchedule, LogLikelihoodTable, MobilityRegistry, Trajectory};
 
 /// Largest supported population: candidate trackers store service
 /// indices as `u32` (half the footprint of `usize` at fleet scale), so
@@ -144,25 +141,6 @@ impl BatchPrefixDetector {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
-    }
-
-    /// Detects over full trajectories (the final-slot decision), scoring
-    /// every trajectory against the cached table in parallel shards.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`MlDetector::detect`](super::MlDetector::detect).
-    pub fn detect(&self, chain: &MarkovChain, observed: &[Trajectory]) -> Result<Detection> {
-        validate_observations(chain, observed)?;
-        let table = chain.log_likelihood_table();
-        let mut ranges = lane_ranges(observed.len(), self.shards());
-        let scores = run_lanes(&mut ranges, |&mut (lo, hi)| {
-            Ok(observed[lo..hi]
-                .iter()
-                .map(|x| table.log_likelihood(x))
-                .collect::<Vec<f64>>())
-        })?;
-        Ok(Detection::new(argmax_set(&scores.concat(), None)))
     }
 
     /// Detects once per slot using observation prefixes — the unified
@@ -515,6 +493,7 @@ mod tests {
     use crate::detector::MlDetector;
     use crate::CoreError;
     use chaff_markov::models::ModelKind;
+    use chaff_markov::MarkovChain;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -537,16 +516,6 @@ mod tests {
                 .unwrap();
             assert_eq!(batch, single, "shards = {shards}");
         }
-    }
-
-    #[test]
-    fn full_detection_matches_ml_detector() {
-        let (chain, observed) = fleet(42, 64, 31);
-        let batch = BatchPrefixDetector::with_shards(4)
-            .detect(&chain, &observed)
-            .unwrap();
-        let single = MlDetector.detect(&chain, &observed).unwrap();
-        assert_eq!(batch, single);
     }
 
     #[test]
@@ -588,7 +557,7 @@ mod tests {
         ));
         let out = vec![Trajectory::from_indices([999])];
         assert!(matches!(
-            d.detect(&chain, &out),
+            d.detect_prefixes(DetectInput::new(&chain, &out)),
             Err(CoreError::CellOutOfRange { .. })
         ));
     }

@@ -16,11 +16,10 @@
 //!   t" means in the paper's figures (the eavesdropper tracks in real
 //!   time).
 //!
-//! Both forms sit behind the shared [`Detector`] trait; the fleet engine
-//! swaps in [`BatchPrefixDetector`], which computes identical detections
-//! from a cached likelihood table in parallel shards (see [`batch`]).
-//! Fleet-scale call sites use the batched detector's unified entry
-//! directly: [`BatchPrefixDetector::detect_prefixes`] takes one
+//! [`AdvancedDetector`] offers the same two forms. The fleet engine
+//! uses [`BatchPrefixDetector`], which computes identical prefix
+//! detections from cached likelihood tables in parallel shards (see
+//! [`batch`]): [`BatchPrefixDetector::detect_prefixes`] takes one
 //! [`DetectInput`] covering every model representation (chain, table,
 //! per-class tables, registry) crossed with every observation
 //! representation (trajectories, columnar grid, paged [`SlotRowSource`]
@@ -42,96 +41,6 @@ pub use batch::{BatchPrefixDetector, MAX_POPULATION};
 pub use input::{DetectInput, DetectModel, DetectObservations, GridRowSource, SlotRowSource};
 pub use ml::MlDetector;
 pub use streaming::{AccuracyFeedback, StreamingPrefixDetector};
-
-use chaff_markov::{MarkovChain, Trajectory};
-
-/// The shared interface of every eavesdropper-side detector.
-///
-/// A detector maps an observation set (one anonymous trajectory per
-/// service) to the decision(s) an eavesdropper would make:
-/// [`detect`](Detector::detect) from full trajectories,
-/// [`detect_prefixes`](Detector::detect_prefixes) once per slot. All
-/// implementations validate the observation set the same way (non-empty,
-/// equal lengths, cells in range) and return the same tie-set semantics,
-/// so simulation drivers can switch the per-trajectory and batched cores
-/// freely.
-pub trait Detector {
-    /// Short name used in reports and logs (e.g. `"ML"`).
-    fn name(&self) -> &'static str;
-
-    /// One decision from the full trajectories.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when no trajectories are supplied, when they are
-    /// empty, have differing lengths, or visit out-of-range cells.
-    fn detect(&self, chain: &MarkovChain, observed: &[Trajectory]) -> crate::Result<Detection>;
-
-    /// One decision per slot `t`, using only slots `0..=t`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`detect`](Detector::detect).
-    fn detect_prefixes(
-        &self,
-        chain: &MarkovChain,
-        observed: &[Trajectory],
-    ) -> crate::Result<Vec<Detection>>;
-}
-
-impl Detector for MlDetector {
-    fn name(&self) -> &'static str {
-        "ML"
-    }
-
-    fn detect(&self, chain: &MarkovChain, observed: &[Trajectory]) -> crate::Result<Detection> {
-        MlDetector::detect(self, chain, observed)
-    }
-
-    fn detect_prefixes(
-        &self,
-        chain: &MarkovChain,
-        observed: &[Trajectory],
-    ) -> crate::Result<Vec<Detection>> {
-        MlDetector::detect_prefixes(self, chain, observed)
-    }
-}
-
-impl Detector for BatchPrefixDetector {
-    fn name(&self) -> &'static str {
-        "batch-ML"
-    }
-
-    fn detect(&self, chain: &MarkovChain, observed: &[Trajectory]) -> crate::Result<Detection> {
-        BatchPrefixDetector::detect(self, chain, observed)
-    }
-
-    fn detect_prefixes(
-        &self,
-        chain: &MarkovChain,
-        observed: &[Trajectory],
-    ) -> crate::Result<Vec<Detection>> {
-        BatchPrefixDetector::detect_prefixes(self, DetectInput::new(chain, observed))
-    }
-}
-
-impl Detector for AdvancedDetector<'_> {
-    fn name(&self) -> &'static str {
-        "advanced"
-    }
-
-    fn detect(&self, chain: &MarkovChain, observed: &[Trajectory]) -> crate::Result<Detection> {
-        AdvancedDetector::detect(self, chain, observed)
-    }
-
-    fn detect_prefixes(
-        &self,
-        chain: &MarkovChain,
-        observed: &[Trajectory],
-    ) -> crate::Result<Vec<Detection>> {
-        AdvancedDetector::detect_prefixes(self, chain, observed)
-    }
-}
 
 /// Outcome of one detection decision: the set of trajectory indices that
 /// attain the maximum posterior (usually a single element; larger on ties).

@@ -222,9 +222,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&batch, &single);
         // The full-trajectory decision coincides with the last prefix.
-        let full = BatchPrefixDetector::with_shards(shards)
-            .detect(&chain, &observed)
-            .unwrap();
+        let full = MlDetector.detect(&chain, &observed).unwrap();
         prop_assert_eq!(&full, single.last().unwrap());
     }
 
