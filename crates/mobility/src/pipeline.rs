@@ -338,18 +338,14 @@ impl TraceDatasetBuilder {
         }
         let (cell_map, fleet_config, rng) = self.prepare()?;
         match self.external_traces.take() {
-            Some(traces) => {
-                let stream = VecTraceStream::new(traces);
-                self.ingest(cell_map, &fleet_config, stream)
-            }
+            Some(traces) => self.ingest(cell_map, VecTraceStream::new(traces)),
             None if self.replicas > 1 => {
-                let stream =
-                    ReplicatedTaxiStream::new(fleet_config.clone(), self.seed, self.replicas)?;
-                self.ingest(cell_map, &fleet_config, stream)
+                let stream = ReplicatedTaxiStream::new(fleet_config, self.seed, self.replicas)?;
+                self.ingest(cell_map, stream)
             }
             None => {
-                let stream = TaxiTraceStream::with_rng(fleet_config.clone(), rng)?;
-                self.ingest(cell_map, &fleet_config, stream)
+                let stream = TaxiTraceStream::with_rng(fleet_config, rng)?;
+                self.ingest(cell_map, stream)
             }
         }
     }
@@ -367,18 +363,13 @@ impl TraceDatasetBuilder {
     ///
     /// As [`build`](TraceDatasetBuilder::build), plus source errors.
     pub fn build_from_stream<S: TraceStream>(self, stream: S) -> Result<TraceDataset> {
-        let (cell_map, fleet_config, _) = self.prepare()?;
-        self.ingest(cell_map, &fleet_config, stream)
+        let (cell_map, _, _) = self.prepare()?;
+        self.ingest(cell_map, stream)
     }
 
     /// The ingestion engine: window location, sharded
     /// regularize→quantize, accumulator merge, model estimation.
-    fn ingest<S: TraceStream>(
-        &self,
-        cell_map: CellMap,
-        fleet_config: &TaxiFleetConfig,
-        mut stream: S,
-    ) -> Result<TraceDataset> {
+    fn ingest<S: TraceStream>(&self, cell_map: CellMap, mut stream: S) -> Result<TraceDataset> {
         // Locate the evaluation window without draining when possible;
         // buffer the whole stream otherwise (the window starts at the
         // earliest first-record timestamp).
@@ -397,7 +388,7 @@ impl TraceDatasetBuilder {
                 buffered = VecTraceStream::new(all);
                 let s = buffered
                     .window_start()
-                    .unwrap_or(fleet_config.start_timestamp);
+                    .unwrap_or(self.fleet.start_timestamp);
                 (s, &mut buffered)
             }
         };
