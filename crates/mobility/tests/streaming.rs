@@ -10,6 +10,9 @@
 //! whose tower and fleet draws are internal to the builder, are checked
 //! for shard- and batch-independence against the one-shard, one-node
 //! batch build instead.
+//!
+//! In the test names, "legacy" is the serial pipeline the oracle
+//! rebuilds; "streamed" is the engine behind `build()`.
 
 use chaff_markov::{EpochSchedule, Trajectory};
 use chaff_mobility::empirical::{EmpiricalModel, EpochAccumulator};
