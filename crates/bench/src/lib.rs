@@ -28,9 +28,9 @@
 //!   `peak_rss_bytes` so the CI gate catches memory regressions in the
 //!   columnar store, not just runtime regressions;
 //! * `ingestion` — the trace pipeline: the one sharded ingestion engine
-//!   at shard counts 1 and 4 and the replica-amplified path
-//!   (also baseline-gated, so trace-pipeline
-//!   throughput regressions fail CI like detection regressions);
+//!   at shard counts 1 and 4 and the replica-amplified path (also
+//!   baseline-gated, so trace-pipeline throughput regressions fail CI
+//!   like detection regressions);
 //! * `substrates` — Markov/stationary/Voronoi substrate operations.
 
 use chaff_markov::models::ModelKind;

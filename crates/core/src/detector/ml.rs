@@ -105,7 +105,7 @@ impl MlDetector {
 ///
 /// Shared by every detector front-end so batch and per-trajectory paths
 /// reject exactly the same inputs.
-pub(crate) fn validate_observations(chain: &MarkovChain, observed: &[Trajectory]) -> Result<usize> {
+fn validate_observations(chain: &MarkovChain, observed: &[Trajectory]) -> Result<usize> {
     if observed.is_empty() {
         return Err(CoreError::NoTrajectories);
     }
