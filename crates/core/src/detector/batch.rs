@@ -26,19 +26,18 @@
 //! registry or epoch schedule) with an observation set
 //! ([`DetectObservations`]). The model resolves to borrowed epoch-major
 //! tables (one epoch unless the model is a time-varying
-//! [`DetectModel::Schedule`]), and the observation representation picks
-//! the execution plan:
+//! [`DetectModel::Schedule`]), and every observation representation runs
+//! on the streaming detector's shard lanes (see
+//! [`streaming`](super::streaming)):
 //!
-//! * **columnar grids** (and time-varying models over trajectories,
-//!   after a transpose) run on the streaming detector's shard lanes, all
-//!   slots of a lane in one pool job (see [`streaming`](super::streaming));
+//! * **columnar grids** and **trajectories** run the grid loop, all slots
+//!   of a lane in one pool job. A trajectory lane transposes its own
+//!   range a cache-sized block of slots at a time inside that job, so no
+//!   serial whole-set transpose runs before the lanes start and no
+//!   `N × T` copy is made;
 //! * **paged** [`SlotRowSource`]s run the same lanes one slot per pool
 //!   scope, in `O(N · classes)` state, so stores larger than RAM stream
-//!   straight into detection;
-//! * **trajectories** under a stationary model keep their
-//!   trajectory-major passes (one trajectory's whole horizon at a time,
-//!   unit stride), which beat transposing first. They emit the same
-//!   per-lane slot summaries into the same merge.
+//!   straight into detection.
 //!
 //! Heterogeneous (multi-class) models score the chaffed candidate set
 //! against one table per mobility-model class (best class per prefix).
@@ -50,11 +49,7 @@
 //! to the per-trajectory path.
 
 use super::input::{DetectInput, DetectModel, DetectObservations, SlotRowSource};
-use super::kernel::fold;
-use super::streaming::{
-    detect_grid, lane_ranges, merge_horizon, run_lanes, step_lanes, validate_epoch_tables,
-    LaneSlots, ShardLane,
-};
+use super::streaming::{detect_grid, step_lanes, validate_epoch_tables, LaneRows, ShardLane};
 use super::Detection;
 use crate::Result;
 use chaff_markov::{CellGrid, EpochSchedule, LogLikelihoodTable, MobilityRegistry, Trajectory};
@@ -200,45 +195,19 @@ impl BatchPrefixDetector {
         };
         validate_epoch_tables(&epoch_tables, schedule)?;
         match observations {
-            DetectObservations::Trajectories(observed) if epoch_tables.len() == 1 => {
-                self.prefixes_trajectories(&epoch_tables[0], observed)
-            }
             DetectObservations::Trajectories(observed) => {
                 validate_shape(observed)?;
-                let grid = CellGrid::from_trajectories(observed)?;
-                detect_grid(&epoch_tables, schedule, &grid, self.shards())
+                let rows = LaneRows::Trajectories(observed);
+                detect_grid(&epoch_tables, schedule, rows, self.shards())
             }
             DetectObservations::Columnar(grid) => {
                 validate_grid(grid)?;
-                detect_grid(&epoch_tables, schedule, grid, self.shards())
+                detect_grid(&epoch_tables, schedule, LaneRows::Grid(grid), self.shards())
             }
             DetectObservations::Paged(source) => {
                 self.prefixes_paged(&epoch_tables, schedule, source)
             }
         }
-    }
-
-    /// Trajectory-major workhorse for stationary models: the single-table
-    /// or the mixture pass per lane, then the shared merge. Shapes are
-    /// checked up front; cell ranges are checked inside the pass (fused
-    /// with the first read of each cell) so the hot path never walks the
-    /// observation set twice.
-    fn prefixes_trajectories(
-        &self,
-        tables: &[&LogLikelihoodTable],
-        observed: &[Trajectory],
-    ) -> Result<Vec<Detection>> {
-        let horizon = validate_shape(observed)?;
-        let mut ranges = lane_ranges(observed.len(), self.shards());
-        let slots = match tables {
-            [table] => run_lanes(&mut ranges, |&mut range| {
-                shard_pass_light(table, observed, range)
-            }),
-            _ => run_lanes(&mut ranges, |&mut range| {
-                shard_pass_mixture(tables, observed, range)
-            }),
-        }?;
-        Ok(merge_horizon(&slots, horizon))
     }
 
     /// The row-drive loop for paged sources: pulls slot rows from the
@@ -302,9 +271,9 @@ fn epoch_tables(registry: &MobilityRegistry) -> Vec<Vec<&LogLikelihoodTable>> {
 }
 
 /// Validates the shape of an observation set (non-empty, equal lengths)
-/// without touching cell contents; the sharded pass range-checks cells as
-/// it first reads them.
-fn validate_shape(observed: &[Trajectory]) -> Result<usize> {
+/// without touching cell contents; the grid loop's kernels range-check
+/// cells as they first read them.
+fn validate_shape(observed: &[Trajectory]) -> Result<()> {
     if observed.is_empty() {
         return Err(crate::CoreError::NoTrajectories);
     }
@@ -321,7 +290,7 @@ fn validate_shape(observed: &[Trajectory]) -> Result<usize> {
             });
         }
     }
-    Ok(horizon)
+    Ok(())
 }
 
 /// Validates a columnar observation grid (non-empty in both dimensions,
@@ -335,155 +304,6 @@ fn validate_grid(observed: &CellGrid) -> Result<()> {
         return Err(crate::CoreError::EmptyTrajectory);
     }
     ensure_population_fits(observed.num_trajectories())
-}
-
-/// Packs per-slot lane maxima and candidate lists into the [`LaneSlots`]
-/// the shared merge consumes.
-fn lane_slots(maxima: &[f64], candidates: &[Vec<(u32, f64)>]) -> LaneSlots {
-    let mut out = LaneSlots::with_horizon(maxima.len());
-    for (&best, slot) in maxima.iter().zip(candidates) {
-        out.push(best, slot);
-    }
-    out
-}
-
-/// The multi-class (mixture) shard pass behind the multi-table
-/// trajectory requests of [`BatchPrefixDetector::detect_prefixes`]: each
-/// trajectory
-/// carries one accumulator per model class, and its prefix score at slot
-/// `t` is the *maximum* accumulator — the best class explanation of the
-/// prefix. Accumulation stays per-trajectory and slot-ordered, so results
-/// are bit-for-bit independent of the shard count.
-fn shard_pass_mixture(
-    tables: &[&LogLikelihoodTable],
-    observed: &[Trajectory],
-    (lo, hi): (usize, usize),
-) -> Result<LaneSlots> {
-    let horizon = observed.first().map_or(0, Trajectory::len);
-    let states = tables[0].num_states();
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-    let mut accs = vec![0.0f64; tables.len()];
-    for (j, x) in observed[lo..hi].iter().enumerate() {
-        let i = service_index(lo, j);
-        accs.fill(0.0);
-        let mut prev = None;
-        for ((&cell, best), slot) in x
-            .as_slice()
-            .iter()
-            .zip(maxima.iter_mut())
-            .zip(candidates.iter_mut())
-        {
-            if cell.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell.index(),
-                    states,
-                });
-            }
-            // Max over classes of the running per-class score; -inf
-            // accumulators are fine (impossible under every class).
-            let mut score = f64::NEG_INFINITY;
-            for (acc, table) in accs.iter_mut().zip(tables) {
-                *acc += table.step(prev, cell);
-                if *acc > score {
-                    score = *acc;
-                }
-            }
-            prev = Some(cell);
-            fold(best, slot, i, score);
-        }
-    }
-    Ok(lane_slots(&maxima, &candidates))
-}
-
-/// The detection-only shard pass: walks each trajectory once (unit
-/// stride), accumulating its score in a register and folding it into
-/// per-slot running max / tie-candidate trackers — no `N × T` block is
-/// ever written, and cells are range-checked on their first (and only)
-/// read instead of in a separate validation pass.
-fn shard_pass_light(
-    table: &LogLikelihoodTable,
-    observed: &[Trajectory],
-    (lo, hi): (usize, usize),
-) -> Result<LaneSlots> {
-    let horizon = observed.first().map_or(0, Trajectory::len);
-    let states = table.num_states();
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-
-    let shard = &observed[lo..hi];
-    // Two trajectories per iteration: their accumulators form independent
-    // floating-point dependency chains, which roughly halves the
-    // add-latency bound of this loop. Lane order (even index first)
-    // preserves ascending tie sets.
-    let mut pairs = shard.chunks_exact(2);
-    let mut j = 0usize;
-    for pair in pairs.by_ref() {
-        let ia = service_index(lo, j);
-        let ib = ia + 1;
-        let mut acc_a = 0.0f64;
-        let mut acc_b = 0.0f64;
-        let mut prev_a = None;
-        let mut prev_b = None;
-        // Zipping ties the slot trackers to the cells without bounds
-        // checks (equal lengths were validated up front).
-        for (((&cell_a, &cell_b), best), slot) in pair[0]
-            .as_slice()
-            .iter()
-            .zip(pair[1].as_slice())
-            .zip(maxima.iter_mut())
-            .zip(candidates.iter_mut())
-        {
-            // Lane a first, so within one slot the lower trajectory
-            // index reports its cell. (Across slots the paired scan can
-            // surface a different — equally invalid — cell than the
-            // sequential path: the error *variant* always matches.)
-            if cell_a.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell_a.index(),
-                    states,
-                });
-            }
-            if cell_b.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell_b.index(),
-                    states,
-                });
-            }
-            // -inf + -inf is fine; +inf never occurs (increments are
-            // log-probs <= 0), so no NaN can appear.
-            acc_a += table.step(prev_a, cell_a);
-            acc_b += table.step(prev_b, cell_b);
-            prev_a = Some(cell_a);
-            prev_b = Some(cell_b);
-            fold(best, slot, ia, acc_a);
-            fold(best, slot, ib, acc_b);
-        }
-        j += 2;
-    }
-    for x in pairs.remainder() {
-        let i = service_index(lo, j);
-        let mut acc = 0.0f64;
-        let mut prev = None;
-        for ((&cell, best), slot) in x
-            .as_slice()
-            .iter()
-            .zip(maxima.iter_mut())
-            .zip(candidates.iter_mut())
-        {
-            if cell.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell.index(),
-                    states,
-                });
-            }
-            acc += table.step(prev, cell);
-            prev = Some(cell);
-            fold(best, slot, i, acc);
-        }
-        j += 1;
-    }
-    Ok(lane_slots(&maxima, &candidates))
 }
 
 #[cfg(test)]

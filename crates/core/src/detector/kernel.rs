@@ -1,4 +1,4 @@
-//! The vectorized per-slot detection kernels under every slot-major
+//! The vectorized per-slot detection kernels under every
 //! detection path.
 //!
 //! One slot of fleet-scale ML detection is two passes over a shard
@@ -254,10 +254,10 @@ fn fold_row(scores: &[f64], lo: usize, row_best: f64, best: &mut f64, slot: &mut
 }
 
 /// Folds one cumulative score into a slot's running max / tie trackers —
-/// the legacy scalar argmax, kept for the per-trajectory shard passes and
-/// as the differential reference for the two-pass kernels. Calls must
-/// arrive in increasing trajectory index per slot so tie sets stay
-/// ascending.
+/// the legacy scalar argmax, kept only as the differential reference for
+/// the two-pass kernels (`tests/kernel_sweep.rs` and the unit tests
+/// below); no detection path calls it. Calls must arrive in increasing
+/// trajectory index per slot so tie sets stay ascending.
 ///
 /// The running tie tracking is equivalent to `argmax_set`'s two-pass
 /// (exact max, then tolerance filter): the running max only grows, so a

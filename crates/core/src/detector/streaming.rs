@@ -1,5 +1,6 @@
 //! Slot-major prefix detection on shard lanes: the one execution path
-//! every columnar, paged and time-varying detection runs on.
+//! every detection runs on, whatever its model or observation
+//! representation.
 //!
 //! The paper's eavesdropper (eq. 11) is inherently online: it observes
 //! one service row per slot and tracks in real time.
@@ -21,8 +22,9 @@
 //!   [`BatchPrefixDetector`](super::BatchPrefixDetector) use it;
 //! * the grid loop (`detect_grid`) runs every slot of a lane inside
 //!   one pool job, records the lane's per-slot `LaneSlots`, then merges
-//!   slot by slot. Columnar inputs and time-varying inputs over a grid
-//!   use it.
+//!   slot by slot. Columnar and trajectory inputs use it, for every
+//!   model; a trajectory lane transposes its own range, one block of
+//!   slots at a time, inside its job.
 //!
 //! Both loops are generic over [`Borrow<LogLikelihoodTable>`], so the
 //! batch entry point scores against the caller's tables without cloning
@@ -37,7 +39,7 @@
 
 use super::{batch, kernel, Detection};
 use crate::{loglik_cmp, pool, Result};
-use chaff_markov::{CellGrid, CellId, EpochSchedule, LogLikelihoodTable, MarkovError};
+use chaff_markov::{CellGrid, CellId, EpochSchedule, LogLikelihoodTable, MarkovError, Trajectory};
 use std::borrow::Borrow;
 
 /// Running per-column detection-accuracy feedback, accumulated from the
@@ -411,7 +413,7 @@ pub(super) fn validate_epoch_tables<T: Borrow<LogLikelihoodTable>>(
 /// Splits `population` services into at most `shards` contiguous,
 /// non-empty index ranges `[lo, hi)` of near-equal width, so each
 /// service's accumulator lives on exactly one lane.
-pub(super) fn lane_ranges(population: usize, shards: usize) -> Vec<(usize, usize)> {
+fn lane_ranges(population: usize, shards: usize) -> Vec<(usize, usize)> {
     let shards = shards.clamp(1, population.max(1));
     let chunk = population.div_ceil(shards);
     (0..shards)
@@ -484,7 +486,7 @@ impl ShardLane {
 /// [`advance_slot_mixture`](kernel::advance_slot_mixture). The slot's
 /// lane maximum and argmax candidates land in the lane's buffers.
 /// `lane_row` and `lane_prev` cover the lane's range `lo..hi`.
-pub(super) fn advance_lane<T: Borrow<LogLikelihoodTable>>(
+fn advance_lane<T: Borrow<LogLikelihoodTable>>(
     tables: &[T],
     lane: &mut ShardLane,
     lane_row: &[CellId],
@@ -524,7 +526,7 @@ pub(super) fn advance_lane<T: Borrow<LogLikelihoodTable>>(
 /// so the same error variant surfaces for every shard count. A panicking
 /// job is re-raised on the caller's thread by the pool scope, lowest lane
 /// first.
-pub(super) fn run_lanes<L, R, F>(lanes: &mut [L], job: F) -> Result<Vec<R>>
+fn run_lanes<L, R, F>(lanes: &mut [L], job: F) -> Result<Vec<R>>
 where
     L: Send,
     R: Send,
@@ -555,7 +557,7 @@ where
 /// filtering the candidate lists against the merged maximum loses
 /// nothing. Visiting lanes in index order keeps tie sets ascending,
 /// exactly like `argmax_set`.
-pub(super) fn merge_lanes<'a, I>(lanes: I) -> Detection
+fn merge_lanes<'a, I>(lanes: I) -> Detection
 where
     I: Iterator<Item = (f64, &'a [(u32, f64)])> + Clone,
 {
@@ -603,10 +605,9 @@ pub(super) fn step_lanes<T: Borrow<LogLikelihoodTable> + Sync>(
 
 /// One lane's per-slot summaries over a whole horizon: the lane maximum
 /// and the argmax candidates of every slot, concatenated. The grid loop
-/// and the trajectory-major passes emit these; [`merge_horizon`] merges
-/// them.
+/// emits one per lane; [`merge_horizon`] merges them.
 #[derive(Debug)]
-pub(super) struct LaneSlots {
+struct LaneSlots {
     maxima: Vec<f64>,
     /// Slot `t`'s candidates are `ties[tie_starts[t]..tie_starts[t + 1]]`.
     ties: Vec<(u32, f64)>,
@@ -614,7 +615,7 @@ pub(super) struct LaneSlots {
 }
 
 impl LaneSlots {
-    pub(super) fn with_horizon(horizon: usize) -> Self {
+    fn with_horizon(horizon: usize) -> Self {
         let mut tie_starts = Vec::with_capacity(horizon + 1);
         tie_starts.push(0);
         LaneSlots {
@@ -625,7 +626,7 @@ impl LaneSlots {
     }
 
     /// Appends the next slot's lane maximum and candidates.
-    pub(super) fn push(&mut self, best: f64, candidates: &[(u32, f64)]) {
+    fn push(&mut self, best: f64, candidates: &[(u32, f64)]) {
         self.maxima.push(best);
         self.ties.extend_from_slice(candidates);
         self.tie_starts.push(self.ties.len());
@@ -641,34 +642,96 @@ impl LaneSlots {
 
 /// Merges every lane's summaries slot by slot into the horizon's
 /// detections.
-pub(super) fn merge_horizon(lanes: &[LaneSlots], horizon: usize) -> Vec<Detection> {
+fn merge_horizon(lanes: &[LaneSlots], horizon: usize) -> Vec<Detection> {
     (0..horizon)
         .map(|t| merge_lanes(lanes.iter().map(|lane| lane.slot(t))))
         .collect()
 }
 
-/// The grid loop: every lane runs all slots of `grid` inside one pool
+/// The observation rows a grid-loop lane reads: a columnar grid, or
+/// trajectories that each lane transposes for its own range inside its
+/// pool job (so no serial whole-set transpose runs before the lanes
+/// start).
+#[derive(Debug, Clone, Copy)]
+pub(super) enum LaneRows<'a> {
+    Grid(&'a CellGrid),
+    Trajectories(&'a [Trajectory]),
+}
+
+impl LaneRows<'_> {
+    fn num_trajectories(self) -> usize {
+        match self {
+            LaneRows::Grid(grid) => grid.num_trajectories(),
+            LaneRows::Trajectories(observed) => observed.len(),
+        }
+    }
+
+    fn horizon(self) -> usize {
+        match self {
+            LaneRows::Grid(grid) => grid.horizon(),
+            LaneRows::Trajectories(observed) => observed.first().map_or(0, Trajectory::len),
+        }
+    }
+}
+
+/// Slots a trajectory lane transposes at a time: its block buffer holds
+/// this many rows of the lane's range plus the previous slot's row, so
+/// the lane-local transpose stays cache-sized and adds no `N × T` copy.
+const SLOT_BLOCK: usize = 16;
+
+/// The grid loop: every lane runs all slots of `rows` inside one pool
 /// job — the arrival at slot `t` scored under
 /// `epoch_tables[schedule.epoch_of(t)]` — and the lanes' summaries are
-/// merged slot by slot. `epoch_tables` must pass
-/// [`validate_epoch_tables`] and `grid` must be non-empty with a
-/// population within [`MAX_POPULATION`](super::MAX_POPULATION).
+/// merged slot by slot. A trajectory lane transposes its own range
+/// [`SLOT_BLOCK`] slots at a time inside its job. `epoch_tables` must
+/// pass [`validate_epoch_tables`] and `rows` must be non-empty,
+/// rectangular and with a population within
+/// [`MAX_POPULATION`](super::MAX_POPULATION).
 pub(super) fn detect_grid<T: Borrow<LogLikelihoodTable> + Sync>(
     epoch_tables: &[Vec<T>],
     schedule: &EpochSchedule,
-    grid: &CellGrid,
+    rows: LaneRows<'_>,
     shards: usize,
 ) -> Result<Vec<Detection>> {
-    let horizon = grid.horizon();
-    let mut lanes = ShardLane::partition(grid.num_trajectories(), shards, epoch_tables[0].len());
+    let horizon = rows.horizon();
+    let mut lanes = ShardLane::partition(rows.num_trajectories(), shards, epoch_tables[0].len());
     let slots = run_lanes(&mut lanes, |lane| {
         let mut out = LaneSlots::with_horizon(horizon);
-        let range = lane.lo..lane.hi;
-        for t in 0..horizon {
-            let prev = t.checked_sub(1).map(|p| &grid.row(p)[range.clone()]);
-            let tables = &epoch_tables[schedule.epoch_of(t)];
-            advance_lane(tables, lane, &grid.row(t)[range.clone()], prev)?;
+        let mut advance = |lane: &mut ShardLane, t, row: &[CellId], prev: Option<&[CellId]>| {
+            advance_lane(&epoch_tables[schedule.epoch_of(t)], lane, row, prev)?;
             out.push(lane.best, &lane.candidates);
+            Ok::<_, crate::CoreError>(())
+        };
+        match rows {
+            LaneRows::Grid(grid) => {
+                let range = lane.lo..lane.hi;
+                for t in 0..horizon {
+                    let prev = t.checked_sub(1).map(|p| &grid.row(p)[range.clone()]);
+                    advance(lane, t, &grid.row(t)[range.clone()], prev)?;
+                }
+            }
+            LaneRows::Trajectories(observed) => {
+                let observed = &observed[lane.lo..lane.hi];
+                let width = observed.len();
+                // Row 0 holds the slot before the block, rows 1.. the
+                // block. Every block but the last is full, so the previous
+                // block's last slot is always its row `SLOT_BLOCK`.
+                let mut block = vec![CellId::new(0); (SLOT_BLOCK + 1) * width];
+                for start in (0..horizon).step_by(SLOT_BLOCK) {
+                    let end = (start + SLOT_BLOCK).min(horizon);
+                    block.copy_within(SLOT_BLOCK * width.., 0);
+                    for (j, x) in observed.iter().enumerate() {
+                        for (k, &cell) in x.as_slice()[start..end].iter().enumerate() {
+                            block[(k + 1) * width + j] = cell;
+                        }
+                    }
+                    for (k, t) in (start..end).enumerate() {
+                        let (before, rest) = block.split_at(width * (k + 1));
+                        let prev = (t > 0).then(|| &before[width * k..]);
+                        advance(lane, t, &rest[..width], prev)?;
+                    }
+                }
+            }
         }
         Ok(out)
     })?;
