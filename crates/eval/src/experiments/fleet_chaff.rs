@@ -20,12 +20,9 @@
 //! * engine throughput in **user-slots per second** (simulate + detect),
 //!   so scaling regressions surface next to the accuracy numbers.
 
-use super::{build_model, SyntheticConfig};
+use super::{build_model, score_columns, SyntheticConfig};
 use crate::report::Table;
 use chaff_core::detector::{BatchPrefixDetector, DetectInput};
-use chaff_core::metrics::{
-    detection_accuracy_series, time_average, tracking_accuracy_series_columnar,
-};
 use chaff_core::theory::im_tracking_accuracy;
 use chaff_markov::models::ModelKind;
 use chaff_markov::MarkovChain;
@@ -98,16 +95,11 @@ pub fn measure(
     let table = chain.log_likelihood_table();
     let detections = detector.detect_prefixes(DetectInput::new(&table, &outcome.observed))?;
     let elapsed = started.elapsed().as_secs_f64();
-    let mut tracking = 0.0;
-    let mut detection = 0.0;
-    for &u in &outcome.user_observed_indices {
-        tracking += time_average(&tracking_accuracy_series_columnar(
-            &outcome.observed,
-            u,
-            &detections,
-        ));
-        detection += time_average(&detection_accuracy_series(u, &detections));
-    }
+    let (tracking, detection) = score_columns(
+        &outcome.observed,
+        outcome.user_observed_indices.iter().copied(),
+        &detections,
+    );
     let services = outcome.observed.num_trajectories();
     Ok(ChaffPoint {
         num_users,

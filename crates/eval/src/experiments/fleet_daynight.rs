@@ -35,11 +35,9 @@
 //! first slot. Reported per budget `B`: tracking and detection accuracy
 //! under both detectors, plus fleet throughput.
 
+use super::score_columns;
 use crate::report::Table;
 use chaff_core::detector::{BatchPrefixDetector, DetectInput, DetectModel};
-use chaff_core::metrics::{
-    detection_accuracy_series, time_average, tracking_accuracy_series_columnar,
-};
 use chaff_markov::{
     EpochSchedule, MarkovChain, MobilityRegistry, StateDistribution, TransitionMatrix,
 };
@@ -238,30 +236,6 @@ pub struct DayNightPoint {
     pub throughput: f64,
 }
 
-/// Sums time-average tracking and detection accuracy over one class's
-/// users under that class's detections. Returns `(tracking, detection,
-/// users)` un-normalised so callers can pool classes exactly.
-fn accumulate_class(
-    outcome: &chaff_sim::fleet::FleetOutcome,
-    users: impl Iterator<Item = usize>,
-    detections: &[chaff_core::detector::Detection],
-) -> (f64, f64, usize) {
-    let mut tracking = 0.0;
-    let mut detection = 0.0;
-    let mut count = 0usize;
-    for user in users {
-        let u = outcome.user_observed_indices[user];
-        tracking += time_average(&tracking_accuracy_series_columnar(
-            &outcome.observed,
-            u,
-            detections,
-        ));
-        detection += time_average(&detection_accuracy_series(u, detections));
-        count += 1;
-    }
-    (tracking, detection, count)
-}
-
 /// Measures one budget cell: simulate the commuter fleet from the
 /// epoch-active chains, then score the observed services under both
 /// adversary models.
@@ -311,11 +285,13 @@ pub fn measure(
         let blended = stationary.chain(class).log_likelihood_table();
         let stationary_scores =
             detector.detect_prefixes(DetectInput::new(&blended, &outcome.observed))?;
-        let members = (0..config.num_users).filter(|&u| aware.class_of(u) == class);
-        let (t, d, _) = accumulate_class(&outcome, members.clone(), &aware_scores);
+        let members = (0..config.num_users)
+            .filter(|&u| aware.class_of(u) == class)
+            .map(|u| outcome.user_observed_indices[u]);
+        let (t, d) = score_columns(&outcome.observed, members.clone(), &aware_scores);
         aware_tracking += t;
         aware_detection += d;
-        let (t, d, _) = accumulate_class(&outcome, members, &stationary_scores);
+        let (t, d) = score_columns(&outcome.observed, members, &stationary_scores);
         stationary_tracking += t;
         stationary_detection += d;
     }

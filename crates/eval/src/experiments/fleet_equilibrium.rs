@@ -29,12 +29,9 @@
 //! `adaptive_policy_runs_and_keeps_user_trajectories_fixed` in
 //! `chaff-sim`).
 
-use super::SyntheticConfig;
+use super::{score_columns, SyntheticConfig};
 use crate::report::Table;
 use chaff_core::detector::{AccuracyFeedback, BatchPrefixDetector, DetectInput};
-use chaff_core::metrics::{
-    detection_accuracy_series, time_average, tracking_accuracy_series_columnar,
-};
 use chaff_markov::MobilityRegistry;
 use chaff_sim::fleet::{
     BudgetAllocation, FleetChaffPolicy, FleetChaffStrategy, FleetConfig, FleetSimulation,
@@ -119,18 +116,9 @@ fn score(
         .detect_prefixes(DetectInput::new(registry, &outcome.observed))?;
     let feedback =
         AccuracyFeedback::from_detections(outcome.observed.num_trajectories(), &detections);
-    let mut tracking = 0.0;
-    let mut detection = 0.0;
-    let mut per_user = Vec::with_capacity(num_users);
-    for &u in &outcome.user_observed_indices {
-        tracking += time_average(&tracking_accuracy_series_columnar(
-            &outcome.observed,
-            u,
-            &detections,
-        ));
-        detection += time_average(&detection_accuracy_series(u, &detections));
-        per_user.push(feedback.accuracy(u));
-    }
+    let users = outcome.user_observed_indices.iter().copied();
+    let (tracking, detection) = score_columns(&outcome.observed, users.clone(), &detections);
+    let per_user = users.map(|u| feedback.accuracy(u)).collect();
     Ok(Scored {
         tracking: tracking / num_users as f64,
         detection: detection / num_users as f64,

@@ -21,8 +21,12 @@ pub mod trace_fleet;
 
 pub use registry::{find, Experiment, ExperimentCtx, ExperimentOutput};
 
+use chaff_core::detector::Detection;
+use chaff_core::metrics::{
+    detection_accuracy_series, time_average, tracking_accuracy_series_columnar,
+};
 use chaff_markov::models::ModelKind;
-use chaff_markov::MarkovChain;
+use chaff_markov::{CellGrid, MarkovChain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -146,6 +150,24 @@ pub fn build_model(kind: ModelKind, config: &SyntheticConfig) -> crate::Result<M
     Ok(MarkovChain::new(matrix)?)
 }
 
+/// Sums the time-average tracking accuracy (eq. 11) and detection
+/// accuracy of each observed column in `columns`, in the order given,
+/// under `detections`. Returns `(tracking, detection)` un-normalised so
+/// callers can pool classes or divide by their own user count.
+pub(crate) fn score_columns(
+    observed: &CellGrid,
+    columns: impl IntoIterator<Item = usize>,
+    detections: &[Detection],
+) -> (f64, f64) {
+    let mut tracking = 0.0;
+    let mut detection = 0.0;
+    for u in columns {
+        tracking += time_average(&tracking_accuracy_series_columnar(observed, u, detections));
+        detection += time_average(&detection_accuracy_series(u, detections));
+    }
+    (tracking, detection)
+}
+
 /// Ranks users of a trace dataset by how trackable they are without any
 /// chaff (the per-user accuracy of Fig. 9a), descending. Returns
 /// `(user_index, accuracy)` pairs.
@@ -153,7 +175,7 @@ pub fn rank_users_by_trackability(
     dataset: &chaff_mobility::pipeline::TraceDataset,
 ) -> Vec<(usize, f64)> {
     use chaff_core::detector::MlDetector;
-    use chaff_core::metrics::{time_average, tracking_accuracy_series};
+    use chaff_core::metrics::tracking_accuracy_series;
 
     let model = dataset.model();
     let observed = dataset.trajectories();

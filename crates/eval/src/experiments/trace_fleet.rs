@@ -26,11 +26,9 @@
 //! throughput (nodes/sec through the streaming pipeline) and fleet
 //! throughput (user-slots/sec through simulate + detect).
 
+use super::score_columns;
 use crate::report::Table;
 use chaff_core::detector::{BatchPrefixDetector, DetectInput};
-use chaff_core::metrics::{
-    detection_accuracy_series, time_average, tracking_accuracy_series_columnar,
-};
 use chaff_core::theory::im_tracking_accuracy;
 use chaff_markov::{MarkovChain, MobilityRegistry};
 use chaff_mobility::empirical::EmpiricalAccumulator;
@@ -227,16 +225,11 @@ pub fn measure(
     let outcome = FleetSimulation::with_registry(registry, fleet_config).run_chaffed(&policy)?;
     let detections = detector.detect_prefixes(DetectInput::new(registry, &outcome.observed))?;
     let elapsed = started.elapsed().as_secs_f64();
-    let mut tracking = 0.0;
-    let mut detection = 0.0;
-    for &u in &outcome.user_observed_indices {
-        tracking += time_average(&tracking_accuracy_series_columnar(
-            &outcome.observed,
-            u,
-            &detections,
-        ));
-        detection += time_average(&detection_accuracy_series(u, &detections));
-    }
+    let (tracking, detection) = score_columns(
+        &outcome.observed,
+        outcome.user_observed_indices.iter().copied(),
+        &detections,
+    );
     let services = outcome.observed.num_trajectories();
     Ok(TraceFleetPoint {
         num_users,
