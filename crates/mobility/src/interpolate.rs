@@ -39,9 +39,10 @@ impl SlotGrid {
         }
     }
 
-    /// The timestamp of slot `k`.
-    pub fn slot_time(&self, k: usize) -> i64 {
-        self.start_timestamp + self.slot_s * k as i64
+    /// The timestamp of slot `k`, or `None` when it does not fit `i64`.
+    pub fn slot_time(&self, k: usize) -> Option<i64> {
+        let offset = self.slot_s.checked_mul(i64::try_from(k).ok()?)?;
+        self.start_timestamp.checked_add(offset)
     }
 }
 
@@ -51,7 +52,8 @@ impl SlotGrid {
 pub enum InactivityReason {
     /// The trace has no records (or the slot grid has no slots).
     Empty,
-    /// The trace does not span the whole evaluation window.
+    /// The trace does not span the whole evaluation window (always the
+    /// case for a window whose last slot time does not fit `i64`).
     DoesNotCoverWindow {
         /// First record timestamp (the window starts at the grid start).
         first: i64,
@@ -60,7 +62,7 @@ pub enum InactivityReason {
     },
     /// An inter-update gap inside the window exceeds the threshold.
     GapTooLarge {
-        /// The offending gap, in seconds.
+        /// The offending gap, in seconds (saturated at `i64::MAX`).
         gap_s: i64,
         /// Timestamp at which the gap starts.
         at: i64,
@@ -89,10 +91,12 @@ pub fn inactivity_reason(trace: &NodeTrace, grid: &SlotGrid) -> Option<Inactivit
     if records.is_empty() || grid.num_slots == 0 {
         return Some(InactivityReason::Empty);
     }
-    let window_start = grid.slot_time(0);
-    let window_end = grid.slot_time(grid.num_slots - 1);
     let first = records[0].timestamp;
     let last = records.last().expect("non-empty").timestamp;
+    let window_start = grid.start_timestamp;
+    let Some(window_end) = grid.slot_time(grid.num_slots - 1) else {
+        return Some(InactivityReason::DoesNotCoverWindow { first, last });
+    };
     if first > window_start || last < window_end {
         return Some(InactivityReason::DoesNotCoverWindow { first, last });
     }
@@ -101,9 +105,12 @@ pub fn inactivity_reason(trace: &NodeTrace, grid: &SlotGrid) -> Option<Inactivit
         if b < window_start || a > window_end {
             continue;
         }
-        if b - a > grid.max_gap_s {
+        // Records are sorted, so the gap is `b - a`, computed in `i128`
+        // because two records can lie more than `i64::MAX` apart.
+        let gap = i128::from(b) - i128::from(a);
+        if gap > i128::from(grid.max_gap_s) {
             return Some(InactivityReason::GapTooLarge {
-                gap_s: b - a,
+                gap_s: i64::try_from(gap).unwrap_or(i64::MAX),
                 at: a,
             });
         }
@@ -128,7 +135,11 @@ pub fn regularize(trace: &NodeTrace, grid: &SlotGrid) -> Option<Vec<GeoPoint>> {
     let mut out = Vec::with_capacity(grid.num_slots);
     let mut cursor = 0usize;
     for k in 0..grid.num_slots {
-        let t = grid.slot_time(k);
+        // The window end fits `i64` (checked above), so every earlier
+        // slot time does too.
+        let t = grid
+            .slot_time(k)
+            .expect("slot times within the window fit i64");
         while cursor + 1 < records.len() && records[cursor + 1].timestamp < t {
             cursor += 1;
         }
@@ -137,9 +148,11 @@ pub fn regularize(trace: &NodeTrace, grid: &SlotGrid) -> Option<Vec<GeoPoint>> {
             a.point
         } else {
             let b = &records[cursor + 1];
-            let span = (b.timestamp - a.timestamp) as f64;
+            // `a.timestamp < t <= b.timestamp`: both differences are
+            // non-negative, and `abs_diff` cannot overflow.
+            let span = b.timestamp.abs_diff(a.timestamp) as f64;
             let frac = if span > 0.0 {
-                (t - a.timestamp) as f64 / span
+                t.abs_diff(a.timestamp) as f64 / span
             } else {
                 0.0
             };
@@ -298,8 +311,8 @@ mod tests {
     #[test]
     fn paper_default_grid() {
         let grid = SlotGrid::minutes(1_000, 100);
-        assert_eq!(grid.slot_time(0), 1_000);
-        assert_eq!(grid.slot_time(99), 1_000 + 99 * 60);
+        assert_eq!(grid.slot_time(0), Some(1_000));
+        assert_eq!(grid.slot_time(99), Some(1_000 + 99 * 60));
         assert_eq!(grid.max_gap_s, 300);
     }
 }

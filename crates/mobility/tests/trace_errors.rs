@@ -124,6 +124,36 @@ fn empty_after_filter_fleet_reports_examined_count_and_example() {
 }
 
 #[test]
+fn trace_ending_past_i64_max_reports_no_active_nodes() {
+    // The window starts at the first record, `i64::MAX - 600`, so its
+    // 20th slot lies past `i64::MAX`: no record can cover it, and the
+    // ingest reports the typed error instead of overflowing.
+    let start = i64::MAX - 600;
+    let traces = vec![NodeTrace::new(
+        "late",
+        (0..=10)
+            .map(|k| rec(start + 60 * k, 37.7, -122.4))
+            .collect(),
+    )];
+    let err = TraceDatasetBuilder::new()
+        .num_towers(60)
+        .horizon_slots(20)
+        .seed(4)
+        .with_traces(traces)
+        .build()
+        .unwrap_err();
+    match err {
+        MobilityError::NoActiveNodes { examined, example } => {
+            assert_eq!(examined, 1);
+            let example = example.expect("a dropped node is known");
+            assert!(example.contains("late"), "{example}");
+            assert!(example.contains("do not cover"), "{example}");
+        }
+        other => panic!("unexpected error: {other:?}"),
+    }
+}
+
+#[test]
 fn amplification_of_external_traces_is_rejected() {
     // Replicas only apply to the synthetic generator; silently ignoring
     // the knob would run an experiment at 1/R of the requested scale.
@@ -240,6 +270,16 @@ fn inactivity_diagnosis_names_concrete_causes() {
         .contains("do not cover"));
 }
 
+/// Timestamps near zero (where windows get covered) and at both `i64`
+/// extremes (where slot times and record gaps overflow `i64`).
+fn timestamp() -> impl Strategy<Value = i64> {
+    (0u8..3, 0i64..2_000).prop_map(|(band, offset)| match band {
+        0 => offset,
+        1 => i64::MAX - offset,
+        _ => i64::MIN + offset,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -273,10 +313,13 @@ proptest! {
     }
 
     /// Regularization never panics and never invents positions outside
-    /// the record hull, whatever the (sorted) timestamps are.
+    /// the record hull, whatever the (sorted) timestamps are — including
+    /// timestamps and window starts at the `i64` extremes, where slot
+    /// times and record gaps do not fit `i64`.
     #[test]
     fn regularize_never_panics(
-        stamps in proptest::collection::vec(0i64..2_000, 0..12),
+        stamps in proptest::collection::vec(timestamp(), 0..12),
+        start_timestamp in timestamp(),
         num_slots in 0usize..8,
     ) {
         let records: Vec<TraceRecord> = stamps
@@ -286,7 +329,7 @@ proptest! {
             .collect();
         let trace = NodeTrace::new("n", records);
         let grid = SlotGrid {
-            start_timestamp: 0,
+            start_timestamp,
             slot_s: 60,
             num_slots,
             max_gap_s: 300,
