@@ -68,11 +68,6 @@ impl Detection {
         &self.tie_set
     }
 
-    /// Whether the decision is unique.
-    pub fn is_unique(&self) -> bool {
-        self.tie_set.len() == 1
-    }
-
     /// Probability that a uniform random guess over the tie set names
     /// `index`.
     pub fn prob_of(&self, index: usize) -> f64 {
@@ -115,7 +110,6 @@ mod tests {
         assert_eq!(d.prob_of(0), 0.5);
         assert_eq!(d.prob_of(1), 0.0);
         assert_eq!(d.prob_of(2), 0.5);
-        assert!(!d.is_unique());
     }
 
     #[test]

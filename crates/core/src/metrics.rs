@@ -44,28 +44,6 @@ pub fn tracking_accuracy_series(
         .collect()
 }
 
-/// Per-slot tracking accuracy when the *same* final decision is used for
-/// every slot (an offline eavesdropper that detects once at the horizon
-/// and then replays the trajectory).
-pub fn tracking_accuracy_series_fixed(
-    observed: &[Trajectory],
-    user_index: usize,
-    detection: &Detection,
-) -> Vec<f64> {
-    let user = &observed[user_index];
-    let horizon = user.len();
-    (0..horizon)
-        .map(|t| {
-            let tie = detection.tie_set();
-            let hits = tie
-                .iter()
-                .filter(|&&u| observed[u].cell(t) == user.cell(t))
-                .count();
-            hits as f64 / tie.len() as f64
-        })
-        .collect()
-}
-
 /// Per-slot detection accuracy: the probability that the decision at slot
 /// `t` names the user's trajectory exactly.
 pub fn detection_accuracy_series(user_index: usize, detections: &[Detection]) -> Vec<f64> {
@@ -257,12 +235,6 @@ mod tests {
         let detection = detection_accuracy_series(0, &detections);
         assert_eq!(detection, vec![0.0, 0.0, 0.0]);
         assert!(tracking[0] > detection[0]);
-    }
-
-    #[test]
-    fn fixed_detection_replays_one_decision() {
-        let acc = tracking_accuracy_series_fixed(&obs(), 0, &Detection::new(vec![1]));
-        assert_eq!(acc, vec![1.0, 0.0, 1.0]);
     }
 
     #[test]
