@@ -105,10 +105,33 @@ pub fn loglik_cmp(a: f64, b: f64) -> std::cmp::Ordering {
     }
 }
 
+/// Derives the seed of stream `index` from a base seed: SplitMix64 over
+/// `base ^ index·φ` (φ the 64-bit golden-ratio constant).
+///
+/// Every seeded fan-out in the workspace uses it (fleet users and their
+/// chaff lanes, Monte Carlo runs, replicated trace nodes), so sibling
+/// streams never correlate the way `base + index` seeds would.
+#[inline]
+pub fn derive_seed(base: u64, index: u64) -> u64 {
+    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cmp::Ordering;
+
+    #[test]
+    fn derive_seed_outputs_are_pinned() {
+        // Every seeded golden in the workspace hangs off these values.
+        assert_eq!(derive_seed(0, 0), 0); // SplitMix64's fixed point
+        assert_eq!(derive_seed(1, 0), 0x5692_161d_100b_05e5);
+        assert_eq!(derive_seed(42, 7), 0x53ad_348a_f3dd_af4b);
+        assert_eq!(derive_seed(u64::MAX, u64::MAX), 0xe4d9_7177_1b65_2c20);
+    }
 
     #[test]
     fn loglik_cmp_tolerates_drift() {

@@ -44,29 +44,6 @@ pub fn ct_series(chain: &MarkovChain, user: &Trajectory, chaff: &Trajectory) -> 
         .collect())
 }
 
-/// The running sums `γ_t = Σ_{s ≤ t} c_s` (Sec. IV-D).
-///
-/// `γ_t > 0` means the user's prefix is currently more likely than the
-/// chaff's, i.e. the ML detector would pick the user.
-///
-/// # Errors
-///
-/// Same conditions as [`ct_series`].
-pub fn gamma_series(
-    chain: &MarkovChain,
-    user: &Trajectory,
-    chaff: &Trajectory,
-) -> Result<Vec<f64>> {
-    let mut acc = 0.0;
-    Ok(ct_series(chain, user, chaff)?
-        .into_iter()
-        .map(|c| {
-            acc = sum_with_infinities(acc, c);
-            acc
-        })
-        .collect())
-}
-
 /// `a − b` with the convention that `(−inf) − (−inf) = 0` (both steps
 /// impossible: neither trajectory gains likelihood over the other).
 fn diff_with_infinities(a: f64, b: f64) -> f64 {
@@ -74,16 +51,6 @@ fn diff_with_infinities(a: f64, b: f64) -> f64 {
         0.0
     } else {
         a - b
-    }
-}
-
-/// `a + b` with the convention that `inf + (−inf) = 0` cannot occur because
-/// the operands come from [`diff_with_infinities`]; saturates otherwise.
-fn sum_with_infinities(a: f64, b: f64) -> f64 {
-    if a.is_infinite() && b.is_infinite() && a.signum() != b.signum() {
-        0.0
-    } else {
-        a + b
     }
 }
 
@@ -127,25 +94,11 @@ mod tests {
     }
 
     #[test]
-    fn gamma_is_cumulative_sum() {
-        let c = chain();
-        let user = Trajectory::from_indices([0, 1, 0]);
-        let chaff = Trajectory::from_indices([1, 0, 1]);
-        let cts = ct_series(&c, &user, &chaff).unwrap();
-        let gammas = gamma_series(&c, &user, &chaff).unwrap();
-        let mut acc = 0.0;
-        for (ct, g) in cts.iter().zip(&gammas) {
-            acc += ct;
-            assert!((acc - g).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn identical_trajectories_have_zero_gap() {
         let c = chain();
         let x = Trajectory::from_indices([0, 1, 1, 0]);
-        for g in gamma_series(&c, &x, &x).unwrap() {
-            assert_eq!(g, 0.0);
+        for ct in ct_series(&c, &x, &x).unwrap() {
+            assert_eq!(ct, 0.0);
         }
     }
 

@@ -310,12 +310,6 @@ pub fn most_likely_trajectory_dijkstra(
     })
 }
 
-/// Negative log-likelihood ("path cost", the paper's `K(p_x)`) of a
-/// trajectory under `chain`; `+inf` if any step is impossible.
-pub fn path_cost(chain: &MarkovChain, trajectory: &Trajectory) -> f64 {
-    -chain.log_likelihood(trajectory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,7 +392,7 @@ mod tests {
     fn cost_equals_negative_log_likelihood() {
         let chain = toy_chain();
         let sp = most_likely_trajectory(&chain, 10, None).unwrap();
-        assert!((sp.cost - path_cost(&chain, &sp.trajectory)).abs() < 1e-9);
+        assert!((sp.cost + chain.log_likelihood(&sp.trajectory)).abs() < 1e-9);
     }
 
     #[test]

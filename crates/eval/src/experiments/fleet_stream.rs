@@ -77,11 +77,6 @@ impl StreamPoint {
     pub fn mean_detection(&self) -> f64 {
         mean(&self.detection_curve)
     }
-
-    /// Fraction of the batch grid the streaming engine keeps resident.
-    pub fn memory_ratio(&self) -> f64 {
-        self.state_bytes as f64 / self.batch_grid_bytes as f64
-    }
 }
 
 fn mean(values: &[f64]) -> f64 {
@@ -223,7 +218,7 @@ mod tests {
             );
             // The streaming engine never holds the batch grid.
             assert!(
-                point.memory_ratio() < 1.0,
+                point.state_bytes < point.batch_grid_bytes,
                 "B = {}: state {} vs grid {}",
                 point.budget,
                 point.state_bytes,

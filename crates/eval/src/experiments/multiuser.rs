@@ -8,88 +8,51 @@
 //! model — statistically identical to the IM strategy — and the measured
 //! accuracy of tracking a designated user should match eq. (11).
 //!
-//! The sweep runs on the fleet engine
-//! ([`chaff_sim::fleet::FleetSimulation`]) with the batched detection
-//! core ([`BatchPrefixDetector`]), which keeps populations up to
-//! `N = 10,000` tractable. Users are exchangeable, so each fleet run
-//! averages the tracking accuracy over *every* user as its designated
-//! target — `N` correlated-but-distinct samples per run — and the Monte
-//! Carlo budget shrinks as the population grows.
+//! Each fleet run is a zero-budget [`fleet_chaff::measure`] call (the
+//! fleet engine plus the batched detection core), which keeps
+//! populations up to `N = 10,000` tractable. Users are exchangeable, so
+//! each fleet run averages the tracking accuracy over *every* user as
+//! its designated target — `N` correlated-but-distinct samples per run —
+//! and the Monte Carlo budget shrinks as the population grows.
 
-use super::{build_model, SyntheticConfig};
+use super::{build_model, fleet_chaff, SyntheticConfig};
 use crate::montecarlo;
 use crate::report::{Figure, Series};
-use chaff_core::detector::{BatchPrefixDetector, DetectInput};
-use chaff_core::metrics::{time_average, tracking_accuracy_series_columnar};
+use chaff_core::derive_seed;
 use chaff_core::theory::im_tracking_accuracy;
 use chaff_markov::models::ModelKind;
 use chaff_markov::MarkovChain;
-use chaff_sim::fleet::{FleetConfig, FleetSimulation};
 
 /// Population sizes swept: the paper-scale regime plus the fleet-scale
 /// extension.
 pub const POPULATIONS: [usize; 8] = [2, 5, 10, 20, 50, 100, 1_000, 10_000];
 
-/// One fleet run: mean (over all designated users) time-average tracking
-/// accuracy. Crate-visible so the `fleet_chaff` experiment can assert
-/// its `B = 0` rows reproduce these numbers bit-for-bit.
-pub(crate) fn fleet_run_accuracy(
-    chain: &MarkovChain,
-    n: usize,
-    horizon: usize,
-    seed: u64,
-    shards: Option<usize>,
-) -> f64 {
-    let mut config = FleetConfig::new(n, horizon).with_seed(seed);
-    if let Some(shards) = shards {
-        config = config.with_shards(shards);
-    }
-    let detector = match shards {
-        Some(s) => BatchPrefixDetector::with_shards(s),
-        None => BatchPrefixDetector::new(),
-    };
-    let outcome = FleetSimulation::new(chain, config)
-        .run_natural()
-        .expect("valid fleet config");
-    let detections = detector
-        .detect_prefixes(DetectInput::new(chain, &outcome.observed))
-        .expect("uniform fleet observations");
-    let total: f64 = outcome
-        .user_observed_indices
-        .iter()
-        .map(|&u| {
-            time_average(&tracking_accuracy_series_columnar(
-                &outcome.observed,
-                u,
-                &detections,
-            ))
-        })
-        .sum();
-    total / n as f64
-}
-
 /// Simulated tracking accuracy for one population size, spreading the
 /// Monte Carlo budget across runs (small fleets) or users (large fleets).
-fn population_accuracy(chain: &MarkovChain, n: usize, config: &SyntheticConfig, salt: u64) -> f64 {
+/// Each fleet run is one zero-budget [`fleet_chaff::measure`] call.
+fn population_accuracy(
+    chain: &MarkovChain,
+    n: usize,
+    config: &SyntheticConfig,
+    salt: u64,
+) -> crate::Result<f64> {
+    let fleet_run = |seed, shards| {
+        fleet_chaff::measure(chain, n, 0, config.horizon, seed, shards)
+            .map(|point| point.tracking_accuracy)
+    };
     // Keep roughly `runs` designated-user samples regardless of N.
     let runs = config.runs.div_ceil(n).max(1);
     let base = config.seed ^ salt;
     if runs == 1 {
         // One big fleet: let the engine parallelize internally.
-        fleet_run_accuracy(
-            chain,
-            n,
-            config.horizon,
-            montecarlo::run_seed(base, 0),
-            None,
-        )
+        fleet_run(derive_seed(base, 0), None)
     } else {
         // Many small fleets: parallelize over runs, keep each fleet
         // single-sharded so threads do not multiply.
-        let accuracies = montecarlo::run_parallel(runs, base, |_, seed| {
-            fleet_run_accuracy(chain, n, config.horizon, seed, Some(1))
-        });
-        accuracies.iter().sum::<f64>() / accuracies.len().max(1) as f64
+        let accuracies = montecarlo::run_parallel(runs, base, |_, seed| fleet_run(seed, Some(1)))
+            .into_iter()
+            .collect::<crate::Result<Vec<f64>>>()?;
+        Ok(accuracies.iter().sum::<f64>() / accuracies.len().max(1) as f64)
     }
 }
 
@@ -104,7 +67,7 @@ pub fn run(config: &SyntheticConfig, kind: ModelKind) -> crate::Result<Figure> {
     let chain = build_model(kind, config)?;
     let mut simulated = Vec::with_capacity(POPULATIONS.len());
     for (i, &n) in POPULATIONS.iter().enumerate() {
-        simulated.push(population_accuracy(&chain, n, config, 0xAA00 + i as u64));
+        simulated.push(population_accuracy(&chain, n, config, 0xAA00 + i as u64)?);
     }
     let mut figure = Figure::new(
         format!("multiuser_{}", kind.letter()),
@@ -156,8 +119,11 @@ mod tests {
     fn fleet_accuracy_is_deterministic_in_the_seed() {
         let config = SyntheticConfig::quick();
         let chain = build_model(ModelKind::NonSkewed, &config).unwrap();
-        let a = fleet_run_accuracy(&chain, 200, 20, 99, None);
-        let b = fleet_run_accuracy(&chain, 200, 20, 99, Some(3));
-        assert_eq!(a, b, "shard count must not affect results");
+        let a = fleet_chaff::measure(&chain, 200, 0, 20, 99, None).unwrap();
+        let b = fleet_chaff::measure(&chain, 200, 0, 20, 99, Some(3)).unwrap();
+        assert_eq!(
+            a.tracking_accuracy, b.tracking_accuracy,
+            "shard count must not affect results"
+        );
     }
 }

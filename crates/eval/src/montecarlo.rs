@@ -7,16 +7,7 @@
 //! experiment seed and its run index, so results are reproducible
 //! regardless of thread interleaving.
 
-/// Derives the per-run seed from an experiment seed.
-///
-/// SplitMix64 over `base ^ run` — cheap, and avoids the correlated streams
-/// that `base + run` would feed to the run's own PRNG.
-pub fn run_seed(base: u64, run: u64) -> u64 {
-    let mut z = base ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use chaff_core::derive_seed;
 
 /// Runs `f(run_index, seed)` for `runs` independent runs in parallel and
 /// returns the results in run order.
@@ -31,7 +22,7 @@ where
     let threads = pool.threads().min(runs.max(1));
     if threads <= 1 || runs <= 1 {
         return (0..runs)
-            .map(|i| f(i, run_seed(base_seed, i as u64)))
+            .map(|i| f(i, derive_seed(base_seed, i as u64)))
             .collect();
     }
     let mut results: Vec<Option<T>> = (0..runs).map(|_| None).collect();
@@ -43,7 +34,7 @@ where
                 let offset = worker * chunk;
                 for (j, slot) in slice.iter_mut().enumerate() {
                     let i = offset + j;
-                    *slot = Some(f(i, run_seed(base_seed, i as u64)));
+                    *slot = Some(f(i, derive_seed(base_seed, i as u64)));
                 }
             });
         }
@@ -87,7 +78,7 @@ mod tests {
     fn parallel_mean_matches_serial_mean() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let serial: Vec<f64> = (0..64)
-            .map(|i| StdRng::seed_from_u64(run_seed(5, i)).random::<f64>())
+            .map(|i| StdRng::seed_from_u64(derive_seed(5, i)).random::<f64>())
             .collect();
         let parallel = run_parallel(64, 5, |_, seed| StdRng::seed_from_u64(seed).random::<f64>());
         assert_eq!(serial, parallel);

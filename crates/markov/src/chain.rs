@@ -100,26 +100,6 @@ impl MarkovChain {
         out
     }
 
-    /// Samples a trajectory of `len` slots starting from a fixed cell.
-    pub fn sample_trajectory_from<R: Rng + ?Sized>(
-        &self,
-        start: CellId,
-        len: usize,
-        rng: &mut R,
-    ) -> Trajectory {
-        let mut out = Trajectory::with_capacity(len);
-        if len == 0 {
-            return out;
-        }
-        out.push(start);
-        let mut current = start;
-        for _ in 1..len {
-            current = self.step(current, rng);
-            out.push(current);
-        }
-        out
-    }
-
     /// Samples the next cell from `current`: one uniform draw, inverted
     /// through the row's cached prefix sums
     /// ([`TransitionMatrix::successor_quantile`]).
@@ -201,9 +181,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(c.sample_trajectory(0, &mut rng).len(), 0);
         assert_eq!(c.sample_trajectory(17, &mut rng).len(), 17);
-        let from = c.sample_trajectory_from(CellId::new(1), 5, &mut rng);
-        assert_eq!(from.cell(0), CellId::new(1));
-        assert_eq!(from.len(), 5);
     }
 
     #[test]
@@ -261,9 +238,10 @@ mod tests {
         let m = TransitionMatrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
         let c = MarkovChain::with_initial(m, StateDistribution::uniform(2).unwrap()).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let x = c.sample_trajectory_from(CellId::new(0), 10, &mut rng);
+        let x = c.sample_trajectory(10, &mut rng);
+        let start = x.cell(0).index();
         for (t, cell) in x.iter().enumerate() {
-            assert_eq!(cell.index(), t % 2);
+            assert_eq!(cell.index(), (start + t) % 2);
         }
     }
 }

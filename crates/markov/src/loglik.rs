@@ -6,12 +6,10 @@
 //! fleet. [`LogLikelihoodTable`] pays the `ln` cost once per model (dense
 //! table for small state spaces, sparse per-row tables above
 //! [`DENSE_STATE_LIMIT`]) and then scores arbitrarily many trajectories
-//! with pure lookups. [`LogLikelihoodTable::step_log_likelihoods_batch`]
-//! emits the increments *slot-major* (`out[t * n + i]`), which is exactly
-//! the access order of a per-slot cumulative-score update. The fleet
-//! detectors in `chaff-core` advance their scores through [`sweep_slot`],
-//! which scores every mobility class of a slot in one pass over the
-//! services.
+//! with pure lookups. [`LogLikelihoodTable::add_step_batch`] advances a
+//! block of running scores by one slot under one table; the fleet
+//! detectors in `chaff-core` advance theirs through [`sweep_slot`], which
+//! scores every mobility class of a slot in one pass over the services.
 
 use crate::{CellId, MarkovChain, MarkovError, Result, Trajectory};
 use std::borrow::Borrow;
@@ -64,9 +62,14 @@ enum TableStorage {
 /// let chain = MarkovChain::new(m)?;
 /// let table = chain.log_likelihood_table();
 /// let x = Trajectory::from_indices([0, 0, 1]);
-/// let steps = table.step_log_likelihoods_batch(&[x.clone()])?;
-/// let total: f64 = steps.iter().sum();
-/// assert!((total - chain.log_likelihood(&x)).abs() < 1e-12);
+/// let mut total = 0.0;
+/// let mut prev = None;
+/// for cell in x.iter() {
+///     total += table.step(prev, cell);
+///     prev = Some(cell);
+/// }
+/// assert_eq!(total, table.log_likelihood(&x));
+/// assert_eq!(total, chain.log_likelihood(&x));
 /// # Ok(())
 /// # }
 /// ```
@@ -195,55 +198,6 @@ impl LogLikelihoodTable {
         accs: &mut [f64],
     ) -> Result<()> {
         sweep_slot(std::slice::from_ref(self), prev, row, accs, None).map(drop)
-    }
-
-    /// Scores many trajectories at once, returning the per-slot increments
-    /// *slot-major*: element `t * trajectories.len() + i` is trajectory
-    /// `i`'s increment at slot `t` (cf.
-    /// [`MarkovChain::step_log_likelihoods`], which is per-trajectory).
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::LengthMismatch`] for ragged batches,
-    /// [`MarkovError::CellOutOfRange`] for cells outside the state space.
-    pub fn step_log_likelihoods_batch(&self, trajectories: &[Trajectory]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.step_log_likelihoods_batch_into(trajectories, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`step_log_likelihoods_batch`](Self::step_log_likelihoods_batch)
-    /// writing into a caller-provided buffer (cleared first), so fleet
-    /// drivers can reuse one allocation across rounds. On error the
-    /// buffer's contents are unspecified (but valid).
-    ///
-    /// # Errors
-    ///
-    /// See [`step_log_likelihoods_batch`](Self::step_log_likelihoods_batch).
-    pub fn step_log_likelihoods_batch_into(
-        &self,
-        trajectories: &[Trajectory],
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        out.clear();
-        let n = trajectories.len();
-        let horizon = trajectories.first().map_or(0, Trajectory::len);
-        out.resize(n * horizon, 0.0);
-        for (i, x) in trajectories.iter().enumerate() {
-            if x.len() != horizon {
-                return Err(MarkovError::LengthMismatch {
-                    expected: horizon,
-                    found: x.len(),
-                });
-            }
-            validate_cells(x.as_slice(), self.n)?;
-            let mut prev: Option<CellId> = None;
-            for (t, cell) in x.iter().enumerate() {
-                out[t * n + i] = self.step(prev, cell);
-                prev = Some(cell);
-            }
-        }
-        Ok(())
     }
 
     /// Full-trajectory log-likelihood via the table (matches
@@ -621,58 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_layout_is_slot_major_and_matches_per_trajectory_steps() {
-        let c = chain();
-        let table = c.log_likelihood_table();
-        let mut rng = StdRng::seed_from_u64(11);
-        let xs: Vec<Trajectory> = (0..5).map(|_| c.sample_trajectory(13, &mut rng)).collect();
-        let batch = table.step_log_likelihoods_batch(&xs).unwrap();
-        assert_eq!(batch.len(), 5 * 13);
-        for (i, x) in xs.iter().enumerate() {
-            let single = c.step_log_likelihoods(x);
-            for (t, &inc) in single.iter().enumerate() {
-                assert_eq!(batch[t * xs.len() + i], inc, "trajectory {i}, slot {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_of_empty_or_no_trajectories_is_empty() {
-        let table = chain().log_likelihood_table();
-        assert!(table.step_log_likelihoods_batch(&[]).unwrap().is_empty());
-        assert!(table
-            .step_log_likelihoods_batch(&[Trajectory::new()])
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn batch_rejects_ragged_input_with_typed_error() {
-        let table = chain().log_likelihood_table();
-        let result = table.step_log_likelihoods_batch(&[
-            Trajectory::from_indices([0, 1]),
-            Trajectory::from_indices([0]),
-        ]);
-        assert_eq!(
-            result.unwrap_err(),
-            MarkovError::LengthMismatch {
-                expected: 2,
-                found: 1
-            }
-        );
-    }
-
-    #[test]
-    fn batch_rejects_out_of_range_cells_with_typed_error() {
-        let table = chain().log_likelihood_table();
-        let result = table.step_log_likelihoods_batch(&[Trajectory::from_indices([0, 9])]);
-        assert_eq!(
-            result.unwrap_err(),
-            MarkovError::CellOutOfRange { cell: 9, states: 3 }
-        );
-    }
-
-    #[test]
     fn add_step_batch_matches_scalar_steps_bit_for_bit() {
         let c = chain();
         let mut rng = StdRng::seed_from_u64(14);
@@ -781,10 +683,15 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(13);
-        let xs: Vec<Trajectory> = (0..4).map(|_| c.sample_trajectory(9, &mut rng)).collect();
-        assert_eq!(
-            dense.step_log_likelihoods_batch(&xs),
-            sparse.step_log_likelihoods_batch(&xs)
-        );
+        for _ in 0..4 {
+            let x = c.sample_trajectory(9, &mut rng);
+            let mut prev = None;
+            for cell in x.iter() {
+                let a = dense.step(prev, cell);
+                let b = sparse.step(prev, cell);
+                assert_eq!(a.to_bits(), b.to_bits(), "{prev:?} -> {cell:?}");
+                prev = Some(cell);
+            }
+        }
     }
 }

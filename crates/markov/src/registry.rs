@@ -160,38 +160,18 @@ impl MobilityRegistry {
     /// [`MarkovError::ClassOutOfRange`] when an assignment entry names a
     /// class that does not exist.
     pub fn with_assignment(chains: Vec<MarkovChain>, assignment: Vec<usize>) -> Result<Self> {
-        Self::new(chains)?.assigned(assignment)
-    }
-
-    /// [`with_epochs`](Self::with_epochs) plus an explicit user→class
-    /// assignment pattern (see
-    /// [`with_assignment`](Self::with_assignment)).
-    ///
-    /// # Errors
-    ///
-    /// The union of [`with_epochs`](Self::with_epochs)'s and
-    /// [`with_assignment`](Self::with_assignment)'s errors.
-    pub fn with_epochs_and_assignment(
-        per_epoch: Vec<Vec<MarkovChain>>,
-        schedule: EpochSchedule,
-        assignment: Vec<usize>,
-    ) -> Result<Self> {
-        Self::with_epochs(per_epoch, schedule)?.assigned(assignment)
-    }
-
-    /// Installs a validated assignment pattern.
-    fn assigned(mut self, assignment: Vec<usize>) -> Result<Self> {
+        let mut registry = Self::new(chains)?;
         if assignment.is_empty() {
             return Err(MarkovError::Empty);
         }
-        if let Some(&bad) = assignment.iter().find(|&&c| c >= self.num_classes()) {
+        if let Some(&bad) = assignment.iter().find(|&&c| c >= registry.num_classes()) {
             return Err(MarkovError::ClassOutOfRange {
                 class: bad,
-                classes: self.num_classes(),
+                classes: registry.num_classes(),
             });
         }
-        self.assignment = Some(assignment);
-        Ok(self)
+        registry.assignment = Some(assignment);
+        Ok(registry)
     }
 
     /// A single-class stationary registry (the homogeneous fleet as a
@@ -286,15 +266,6 @@ impl MobilityRegistry {
     /// Panics if `class >= num_classes()`.
     pub fn table(&self, class: usize) -> &LogLikelihoodTable {
         &self.tables[0][class]
-    }
-
-    /// The precomputed table of class `class` in epoch `epoch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class >= num_classes()` or `epoch >= num_epochs()`.
-    pub fn table_at(&self, class: usize, epoch: usize) -> &LogLikelihoodTable {
-        &self.tables[epoch][class]
     }
 
     /// All epoch-0 per-class tables in class order — the stationary
@@ -466,7 +437,7 @@ mod tests {
                 let x = registry
                     .chain_at(class, epoch)
                     .sample_trajectory(9, &mut rng);
-                let a = registry.table_at(class, epoch).log_likelihood(&x);
+                let a = registry.tables_at(epoch)[class].log_likelihood(&x);
                 let b = registry.chain_at(class, epoch).log_likelihood(&x);
                 assert_eq!(a.to_bits(), b.to_bits(), "epoch {epoch} class {class}");
             }
@@ -514,10 +485,7 @@ mod tests {
         ));
         // Epochs must agree on the class count.
         assert!(matches!(
-            MobilityRegistry::with_epochs(
-                vec![vec![a.clone(), b.clone()], vec![a.clone()]],
-                two.clone()
-            ),
+            MobilityRegistry::with_epochs(vec![vec![a.clone(), b], vec![a.clone()]], two.clone()),
             Err(MarkovError::LengthMismatch {
                 expected: 2,
                 found: 1
@@ -525,7 +493,7 @@ mod tests {
         ));
         // All chains must share the cell space.
         assert!(matches!(
-            MobilityRegistry::with_epochs(vec![vec![a.clone()], vec![wide]], two.clone()),
+            MobilityRegistry::with_epochs(vec![vec![a], vec![wide]], two),
             Err(MarkovError::DimensionMismatch {
                 expected: 5,
                 found: 6
@@ -539,18 +507,6 @@ mod tests {
         assert!(matches!(
             MobilityRegistry::with_epochs(vec![Vec::new()], EpochSchedule::stationary()),
             Err(MarkovError::Empty)
-        ));
-        // Assignments validate against the class count, epochs included.
-        assert!(matches!(
-            MobilityRegistry::with_epochs_and_assignment(
-                vec![vec![a.clone()], vec![b]],
-                two,
-                vec![0, 1]
-            ),
-            Err(MarkovError::ClassOutOfRange {
-                class: 1,
-                classes: 1
-            })
         ));
     }
 }

@@ -112,16 +112,6 @@ impl Trajectory {
             .count()
     }
 
-    /// Per-slot co-location indicators against `other`, over the shorter of
-    /// the two lengths.
-    pub fn coincidence_indicators(&self, other: &Trajectory) -> Vec<bool> {
-        self.cells
-            .iter()
-            .zip(&other.cells)
-            .map(|(a, b)| a == b)
-            .collect()
-    }
-
     /// Fraction of slots occupied in each cell: the empirical occupancy
     /// distribution (used as the empirical steady state for traces).
     ///
@@ -202,7 +192,6 @@ mod tests {
         let a = Trajectory::from_indices([0, 1, 2, 3]);
         let b = Trajectory::from_indices([0, 9, 2, 9]);
         assert_eq!(a.coincidences(&b), 2);
-        assert_eq!(a.coincidence_indicators(&b), vec![true, false, true, false]);
     }
 
     #[test]

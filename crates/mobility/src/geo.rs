@@ -140,18 +140,6 @@ impl BoundingBox {
             lon: p.lon.clamp(self.min_lon, self.max_lon),
         }
     }
-
-    /// Box height in meters (south-north extent).
-    pub fn height_m(&self) -> f64 {
-        GeoPoint::new(self.min_lat, self.min_lon)
-            .distance_m(&GeoPoint::new(self.max_lat, self.min_lon))
-    }
-
-    /// Box width in meters at the mid-latitude.
-    pub fn width_m(&self) -> f64 {
-        let mid = 0.5 * (self.min_lat + self.max_lat);
-        GeoPoint::new(mid, self.min_lon).distance_m(&GeoPoint::new(mid, self.max_lon))
-    }
 }
 
 #[cfg(test)]
@@ -203,10 +191,6 @@ mod tests {
         let sf = BoundingBox::san_francisco();
         assert!(sf.contains(&GeoPoint::new(37.7749, -122.4194)));
         assert!(!sf.contains(&GeoPoint::new(40.7, -74.0))); // NYC
-
-        // The box spans tens of kilometers.
-        assert!(sf.width_m() > 30_000.0 && sf.width_m() < 60_000.0);
-        assert!(sf.height_m() > 30_000.0 && sf.height_m() < 60_000.0);
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //!   trajectories, including the mergeable integer-count accumulator the
 //!   sharded engine reduces over and its epoch-indexed variant (one
 //!   count set per epoch of an `EpochSchedule`);
-//! * [`commuter`] — a deterministic day/night commuter fleet, the
-//!   canonical non-stationary workload for epoch-aware estimation;
 //! * [`stream`] — streaming trace sources ([`stream::TraceStream`]):
 //!   per-node record batches from the synthetic generator (bit-for-bit
 //!   the eager stream), replica-amplified fleets for 10⁴–10⁵-node
@@ -61,7 +59,6 @@
 
 mod error;
 
-pub mod commuter;
 pub mod crawdad;
 pub mod empirical;
 pub mod geo;

@@ -33,24 +33,6 @@ impl NodeTrace {
             records,
         }
     }
-
-    /// Time span covered, in seconds (0 for fewer than two records).
-    pub fn duration_s(&self) -> i64 {
-        match (self.records.first(), self.records.last()) {
-            (Some(a), Some(b)) => b.timestamp - a.timestamp,
-            _ => 0,
-        }
-    }
-
-    /// The largest gap between consecutive updates, in seconds
-    /// (0 for fewer than two records).
-    pub fn max_gap_s(&self) -> i64 {
-        self.records
-            .windows(2)
-            .map(|w| w[1].timestamp - w[0].timestamp)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -70,15 +52,5 @@ mod tests {
         let t = NodeTrace::new("n1", vec![rec(30), rec(10), rec(20)]);
         let times: Vec<i64> = t.records.iter().map(|r| r.timestamp).collect();
         assert_eq!(times, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn duration_and_max_gap() {
-        let t = NodeTrace::new("n1", vec![rec(0), rec(60), rec(400)]);
-        assert_eq!(t.duration_s(), 400);
-        assert_eq!(t.max_gap_s(), 340);
-        let empty = NodeTrace::new("n2", vec![]);
-        assert_eq!(empty.duration_s(), 0);
-        assert_eq!(empty.max_gap_s(), 0);
     }
 }

@@ -29,19 +29,10 @@ use crate::geo::BoundingBox;
 use crate::record::NodeTrace;
 use crate::taxi::{self, TaxiFleetConfig};
 use crate::{MobilityError, Result};
+use chaff_core::derive_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
-
-/// SplitMix64 over `base ^ index` — the per-replica seed derivation,
-/// mirroring the fleet engine's per-user streams so replica streams never
-/// correlate with each other or with the tower draw.
-pub fn replica_seed(base: u64, replica: u64) -> u64 {
-    let mut z = base ^ replica.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A source of node traces, delivered in batches.
 ///
@@ -173,7 +164,7 @@ impl TraceStream for TaxiTraceStream {
 /// The amplification knob: `replicas` statistical copies of one
 /// [`TaxiFleetConfig`], concatenated. Replica `r` draws its own hotspot
 /// layout and taxis from an independent SplitMix64 stream
-/// ([`replica_seed`]`(base_seed, r)`), and its node ids carry an `@r<r>`
+/// ([`derive_seed`]`(base_seed, r)`), and its node ids carry an `@r<r>`
 /// suffix so the amplified fleet's identifiers stay unique.
 #[derive(Debug)]
 pub struct ReplicatedTaxiStream {
@@ -235,7 +226,7 @@ impl TraceStream for ReplicatedTaxiStream {
                 self.next_replica += 1;
                 let stream = TaxiTraceStream::new(
                     self.config.clone(),
-                    replica_seed(self.base_seed, r as u64),
+                    derive_seed(self.base_seed, r as u64),
                 )?;
                 self.current = Some((r, stream));
             }
@@ -300,11 +291,6 @@ impl CrawdadDirStream {
     pub fn with_window_start(mut self, start_timestamp: i64) -> Self {
         self.window_start = Some(start_timestamp);
         self
-    }
-
-    /// Number of node files discovered.
-    pub fn num_files(&self) -> usize {
-        self.files.len()
     }
 }
 
@@ -404,7 +390,7 @@ mod tests {
         assert_eq!(ids.len(), 27, "replica ids must be unique");
         // Replica r is exactly the fleet generated under its derived seed.
         let replica1 =
-            generate_fleet(&config, &mut StdRng::seed_from_u64(replica_seed(77, 1))).unwrap();
+            generate_fleet(&config, &mut StdRng::seed_from_u64(derive_seed(77, 1))).unwrap();
         for (a, b) in all[9..18].iter().zip(&replica1) {
             assert_eq!(a.node_id, format!("{}@r001", b.node_id));
             assert_eq!(a.records, b.records);
@@ -437,11 +423,11 @@ mod tests {
         std::fs::write(dir.join("new_c.txt"), "51.5 -0.1 0 10\n").unwrap();
 
         let mut stream = CrawdadDirStream::new(&dir).unwrap();
-        assert_eq!(stream.num_files(), 3);
         assert_eq!(stream.window_start(), None);
         let first = stream.next_batch(2).unwrap();
         assert_eq!(first.len(), 2);
         assert_eq!(first[0].node_id, "new_a");
+        assert_eq!(stream.next_batch(2).unwrap().len(), 1);
 
         // Strict bbox rejects the London glitch, naming the node.
         let mut strict = CrawdadDirStream::new(&dir)
@@ -459,7 +445,7 @@ mod tests {
 
     #[test]
     fn replica_seeds_are_scrambled() {
-        let seeds: Vec<u64> = (0..8).map(|r| replica_seed(123, r)).collect();
+        let seeds: Vec<u64> = (0..8).map(|r| derive_seed(123, r)).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();

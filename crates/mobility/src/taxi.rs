@@ -398,7 +398,12 @@ mod tests {
         config.inactivity_prob = 0.5;
         config.inactivity_duration_s = 600;
         let fleet = generate_fleet(&config, &mut StdRng::seed_from_u64(75)).unwrap();
-        let max_gap = fleet.iter().map(NodeTrace::max_gap_s).max().unwrap();
+        let max_gap = fleet
+            .iter()
+            .flat_map(|trace| trace.records.windows(2))
+            .map(|w| w[1].timestamp.abs_diff(w[0].timestamp))
+            .max()
+            .unwrap();
         assert!(max_gap > 300, "max gap = {max_gap}");
     }
 

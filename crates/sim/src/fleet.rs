@@ -843,15 +843,9 @@ impl<'a> FleetSimulation<'a> {
     }
 }
 
-/// Derives user `u`'s RNG seed from the fleet seed — SplitMix64 over
-/// `base ^ u`, matching the Monte Carlo seed derivation in `chaff-eval`
-/// so streams never correlate across users.
-pub fn user_seed(base: u64, user: u64) -> u64 {
-    let mut z = base ^ user.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Derives user `u`'s RNG seed from the fleet seed (`user_seed(base, u)`),
+/// the workspace's one seed derivation.
+pub use chaff_core::derive_seed as user_seed;
 
 /// Derives the RNG seed for chaff `chaff` of user `user`: a second
 /// SplitMix64 scramble over the user's seed under a chaff-lane salt, so
