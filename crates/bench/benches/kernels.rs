@@ -6,9 +6,10 @@
 //! `slot_mixture` on three dense 10-cell classes, sweep plus tie pass),
 //! the one-table add-only sweep (dense and CSR storage), the
 //! running-max + tie-collection argmax, and the CSR row walk behind each
-//! sparse lookup. A last group times the simulation side's successor
-//! draw (one inverse-CDF lookup per step of a walk) on a short dense row
-//! and on a long sparse chain. Widths cover
+//! sparse lookup. Two last groups time the simulation side: the
+//! successor draw (one inverse-CDF lookup per step of a walk) on a short
+//! dense row and on a long sparse chain, and the IM/CML/MO chaff steps
+//! on the same two chains. Widths cover
 //! the paper-scale fleet rung (`N = 10⁴`) and the million-user rung
 //! (`N = 10⁶`). Part of the CI `BENCH_fleet` baseline: the `kernels/*`
 //! records are gated by `ci/compare_bench.py` on `mean_ns` / `p99_ns` /
@@ -18,6 +19,7 @@ use chaff_bench::{fixture_chain, record_bench_metadata};
 use chaff_core::detector::kernel::{
     advance_slot_mixture, advance_slot_single, collect_ties, row_max,
 };
+use chaff_core::strategy::{cml_step, im_step, mo_step};
 use chaff_markov::models::ModelKind;
 use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, TransitionMatrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -199,6 +201,64 @@ fn bench_successor_draw(c: &mut Criterion) {
     group.finish();
 }
 
+/// One online chaff strategy's step behind every simulated chaff move:
+/// a `WALK_STEPS`-step walk of `im_step`, `cml_step` and `mo_step` on the
+/// dense 10-cell chain, and of `mo_step` on the 1,024-cell sparse ring
+/// walk, whose CSR rows keep `log_prob`'s binary search (a dense row
+/// reads its entry at the destination's offset). CML and MO follow a
+/// user walk drawn before timing; each iteration launches the chaff at
+/// the walk's first slot and steps it through the rest.
+fn bench_chaff_step(c: &mut Criterion) {
+    let dense = fixture_chain(ModelKind::NonSkewed, CELLS, 79);
+    let sparse = sparse_ring_walk(1_024);
+    let user_walk = |chain: &MarkovChain| {
+        let mut rng = StdRng::seed_from_u64(80);
+        let mut cell = chain.initial().sample(&mut rng);
+        (0..WALK_STEPS)
+            .map(|_| {
+                cell = chain.step(cell, &mut rng);
+                cell
+            })
+            .collect::<Vec<CellId>>()
+    };
+    let mut group = c.benchmark_group("kernels/chaff_step");
+    let mut rng = StdRng::seed_from_u64(81);
+    group.bench_function("im_dense_10", |b| {
+        b.iter(|| {
+            let mut cell = im_step(&dense, None, &mut rng);
+            for _ in 1..WALK_STEPS {
+                cell = im_step(&dense, Some(black_box(cell)), &mut rng);
+            }
+            cell
+        })
+    });
+    let walk = user_walk(&dense);
+    group.bench_function("cml_dense_10", |b| {
+        b.iter(|| {
+            let mut chaff = cml_step(&dense, None, walk[0], &[]);
+            for &user in &walk[1..] {
+                chaff = cml_step(&dense, Some(black_box(chaff)), user, &[]);
+            }
+            chaff
+        })
+    });
+    for (name, chain) in [("mo_dense_10", &dense), ("mo_sparse_1024", &sparse)] {
+        let walk = user_walk(chain);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut gamma = 0.0;
+                let mut chaff = mo_step(chain, None, &mut gamma, walk[0], &[]);
+                for pair in walk.windows(2) {
+                    let prev = Some((black_box(chaff), pair[0]));
+                    chaff = mo_step(chain, prev, &mut gamma, pair[1], &[]);
+                }
+                chaff
+            })
+        });
+    }
+    group.finish();
+}
+
 /// A ring walk over `cells` cells that moves at most two cells either
 /// way: five nonzero entries per row.
 fn sparse_ring_walk(cells: usize) -> MarkovChain {
@@ -238,5 +298,6 @@ criterion_group! {
         bench_argmax,
         bench_csr_row_walk,
         bench_successor_draw,
+        bench_chaff_step,
 }
 criterion_main!(kernels);

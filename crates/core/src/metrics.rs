@@ -11,6 +11,7 @@
 //! to the paper's "random guess among ties" without Monte Carlo noise.
 
 use crate::detector::Detection;
+use crate::{CoreError, Result};
 use chaff_markov::{CellGrid, Trajectory};
 
 /// Per-slot tracking accuracy: element `t` is the probability that the
@@ -171,17 +172,23 @@ pub fn time_average(series: &[f64]) -> f64 {
 /// Element-wise mean of several equal-length series — the Monte Carlo
 /// average used to produce the accuracy-vs-time curves of Figs. 5, 7.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the series have different lengths.
-pub fn mean_series(series: &[Vec<f64>]) -> Vec<f64> {
+/// [`CoreError::LengthMismatch`] if a series' length differs from the
+/// first's.
+pub fn mean_series(series: &[Vec<f64>]) -> Result<Vec<f64>> {
     let Some(first) = series.first() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let len = first.len();
     let mut out = vec![0.0; len];
     for s in series {
-        assert_eq!(s.len(), len, "all series must have equal length");
+        if s.len() != len {
+            return Err(CoreError::LengthMismatch {
+                expected: len,
+                found: s.len(),
+            });
+        }
         for (o, v) in out.iter_mut().zip(s) {
             *o += v;
         }
@@ -190,7 +197,7 @@ pub fn mean_series(series: &[Vec<f64>]) -> Vec<f64> {
     for o in &mut out {
         *o /= n;
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -285,14 +292,19 @@ mod tests {
 
     #[test]
     fn mean_series_averages_elementwise() {
-        let m = mean_series(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let m = mean_series(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         assert_eq!(m, vec![0.5, 0.5]);
-        assert!(mean_series(&[]).is_empty());
+        assert!(mean_series(&[]).unwrap().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "equal length")]
     fn mean_series_rejects_ragged_input() {
-        mean_series(&[vec![1.0], vec![1.0, 2.0]]);
+        assert_eq!(
+            mean_series(&[vec![1.0], vec![1.0, 2.0]]),
+            Err(CoreError::LengthMismatch {
+                expected: 1,
+                found: 2
+            })
+        );
     }
 }

@@ -57,7 +57,8 @@ fn one_run(chain: &MarkovChain, horizon: usize, seed: u64) -> Vec<Vec<f64>> {
 ///
 /// # Errors
 ///
-/// Propagates model-construction errors.
+/// Propagates model-construction errors and a per-run series length
+/// mismatch from `mean_series`.
 pub fn run(config: &SyntheticConfig, kind: ModelKind) -> crate::Result<Figure> {
     let chain = build_model(kind, config)?;
     let per_run = montecarlo::run_parallel(config.runs, config.seed, |_, seed| {
@@ -71,7 +72,7 @@ pub fn run(config: &SyntheticConfig, kind: ModelKind) -> crate::Result<Figure> {
     );
     for (s, (_, _, label)) in grid().into_iter().enumerate() {
         let series: Vec<Vec<f64>> = per_run.iter().map(|run| run[s].clone()).collect();
-        figure.push(Series::from_values(label, mean_series(&series)));
+        figure.push(Series::from_values(label, mean_series(&series)?));
     }
     Ok(figure)
 }

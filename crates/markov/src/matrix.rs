@@ -301,8 +301,10 @@ impl TransitionMatrix {
 
     /// Natural-log transition probability; `-inf` when the probability is 0.
     ///
-    /// Read from the log table cached at construction (a binary search of
-    /// the row's support), never recomputed.
+    /// Read from the log table cached at construction, never recomputed:
+    /// on a full row (every destination positive) the support is `0..n`
+    /// in order, so the entry sits at `to`'s own offset in O(1); on any
+    /// other row it is found by a binary search of the row's support.
     ///
     /// # Panics
     ///
@@ -311,6 +313,10 @@ impl TransitionMatrix {
     pub fn log_prob(&self, from: CellId, to: CellId) -> f64 {
         let range = self.rows.range(from.index());
         let lo = range.start;
+        if range.len() == self.n {
+            let logs = &self.rows.log_probs[range];
+            return logs.get(to.index()).copied().unwrap_or(f64::NEG_INFINITY);
+        }
         match self.rows.support[range].binary_search(&(to.index() as u32)) {
             Ok(k) => self.rows.log_probs[lo + k],
             Err(_) => f64::NEG_INFINITY,

@@ -71,20 +71,25 @@ type BandJob<'s> = (
 );
 
 /// The chaff lanes of one band, one flat vector per strategy in user
-/// then lane order, each holding only what its strategy's step reads.
-/// A lane's chain is its user's chain at the slot (lanes advance once
-/// per slot from slot 0, in step with the user), and slot 0 is the
-/// launch slot, so neither a chain source nor a "launched" flag is
-/// stored.
+/// order, each holding only what its strategy's step reads. A lane's
+/// chain is its user's chain at the slot (lanes advance once per slot
+/// from slot 0, in step with the user), and slot 0 is the launch slot,
+/// so neither a chain source nor a "launched" flag is stored.
+///
+/// CML and MO draw nothing and the fleet passes them no avoid list, so
+/// every lane of a user starts from the same state and steps on the
+/// same inputs: all of its lanes walk one trajectory. Those two
+/// strategies keep one state per user with a nonzero budget, step it
+/// once and copy its column into the user's other lanes.
 #[derive(Default)]
 struct Lanes {
     /// IM: each walk's own `chaff_seed` stream and its cell (40 B a
-    /// lane).
+    /// lane), in user then lane order.
     im: Vec<(StdRng, CellId)>,
-    /// CML: each chaff's cell (4 B a lane; CML draws nothing).
+    /// CML: the chaff cell of each user with chaffs (4 B a user).
     cml: Vec<CellId>,
-    /// MO: each chaff's and its user's previous cells and its gap `γ`
-    /// (16 B a lane; MO draws nothing).
+    /// MO: the previous chaff and user cells and the gap `γ` of each
+    /// user with chaffs (16 B a user).
     mo: Vec<MoLane>,
 }
 
@@ -97,14 +102,18 @@ struct MoLane {
 
 impl Lanes {
     /// The lanes of `users`, whose budgets and strategies are given:
-    /// each vector sized exactly, and only IM lanes seeded.
+    /// each vector sized exactly (one IM entry per lane, one CML or MO
+    /// entry per user with chaffs), and only IM lanes seeded.
     fn build(
         users: impl Iterator<Item = (usize, usize, FleetChaffStrategy)> + Clone,
         seed: u64,
     ) -> Self {
         let mut counts = [0usize; 3];
         for (_, budget, strategy) in users.clone() {
-            counts[strategy as usize] += budget;
+            counts[strategy as usize] += match strategy {
+                FleetChaffStrategy::Im => budget,
+                FleetChaffStrategy::Cml | FleetChaffStrategy::Mo => usize::from(budget > 0),
+            };
         }
         let origin = CellId::new(0);
         let mut im = Vec::with_capacity(counts[FleetChaffStrategy::Im as usize]);
@@ -515,23 +524,22 @@ impl<'a> TileShape<'a> {
                         *cell
                     })
                 }
+                // CML and MO step one lane and copy it (see `Lanes`).
                 Some(FleetChaffStrategy::Cml) => {
-                    let lanes_of_user = take_front(&mut cml, lanes);
-                    self.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
-                        let lane = &mut lanes_of_user[c];
+                    let lane = &mut take_front(&mut cml, 1)[0];
+                    self.walk_user(user, now, rng, columns, 1, |_, chain, t, cell| {
                         *lane = cml_step(chain, (t > 0).then_some(*lane), cell, &[]);
                         *lane
-                    })
+                    }) + self.copy_first_lane(columns)
                 }
                 Some(FleetChaffStrategy::Mo) => {
-                    let lanes_of_user = take_front(&mut mo, lanes);
-                    self.walk_user(user, now, rng, columns, lanes, |c, chain, t, cell| {
-                        let lane = &mut lanes_of_user[c];
+                    let lane = &mut take_front(&mut mo, 1)[0];
+                    self.walk_user(user, now, rng, columns, 1, |_, chain, t, cell| {
                         let prev = (t > 0).then_some((lane.chaff, lane.user));
                         let next = mo_step(chain, prev, &mut lane.gamma, cell, &[]);
                         (lane.chaff, lane.user) = (next, cell);
                         next
-                    })
+                    }) + self.copy_first_lane(columns)
                 }
             };
             if let Some(rows) = &mut user_rows {
@@ -540,6 +548,25 @@ impl<'a> TileShape<'a> {
             }
         }
         (moves, planned)
+    }
+
+    /// Copies the tile's slots of a user's first chaff column into its
+    /// other chaff columns (`columns` as in
+    /// [`walk_user`](Self::walk_user)). Each copied cell is counted
+    /// against its own column's previous slot, as `walk_user` counts.
+    /// Returns the count.
+    fn copy_first_lane(self, columns: &mut [CellId]) -> usize {
+        let stride = self.stride;
+        let (first, copies) = columns[stride..].split_at_mut(stride);
+        let first = &first[..self.len];
+        let inner = first.windows(2).filter(|w| w[0] != w[1]).count();
+        let counted = usize::from(self.slot0 > 0);
+        let mut moves = 0usize;
+        for column in copies.chunks_exact_mut(stride) {
+            moves += inner + (usize::from(column[stride - 1] != first[0]) & counted);
+            column[..self.len].copy_from_slice(first);
+        }
+        moves
     }
 
     /// Advances `user` and its `lanes` chaff lanes through the tile.
