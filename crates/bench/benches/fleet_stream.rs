@@ -1,8 +1,8 @@
 //! Streaming-engine benchmarks: per-slot step latency at scale.
 //!
 //! The batch benches measure whole-run throughput; an online observer
-//! cares about the latency of *one slot* — draw/ingest, chaff, ring
-//! push, incremental detection — and especially its tail, since one
+//! cares about the latency of *one slot* — draw/ingest, chaff, gather,
+//! incremental detection — and especially its tail, since one
 //! slow slot stalls the live window. Each `iter` sample here is a
 //! single [`StreamingFleetEngine::step`], so the criterion shim's
 //! `p50_ns`/`p95_ns`/`p99_ns` fields are exactly the per-slot latency
@@ -14,10 +14,10 @@
 //! budget can consume, so the routine never hits the end-of-horizon
 //! path mid-measurement; streaming state is horizon-independent, so
 //! the oversized horizon costs nothing. Each bench function builds its
-//! engine **once** and pre-warms it past the slot-ring depth before
+//! engine **once** and pre-warms it past its launch slot before
 //! handing it to the measurement loop, so every measured sample is a
 //! steady-state step — construction, first-touch faulting and the
-//! ring's initial buffer growth never contaminate the percentiles.
+//! chaff launch never contaminate the percentiles.
 
 use chaff_bench::{fixture_chain, record_bench_metadata};
 use chaff_markov::models::ModelKind;
@@ -100,18 +100,16 @@ fn bench_step_capacity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Steps the shared engine past its slot-ring depth outside measurement:
-/// the ring recycles buffers only once full, so the first `ring_depth`
-/// steps allocate where every later step does not. After this, the
-/// measured routine is pure steady-state — no construction, no buffer
-/// growth — and `p99_ns` is the per-slot tail, not a setup artifact.
+/// Steps the shared engine past its launch slot outside measurement:
+/// the first step launches the chaffs and first touches every buffer.
+/// After this, the measured routine is pure steady-state — no
+/// construction, no first-touch faults — and `p99_ns` is the per-slot
+/// tail, not a setup artifact.
 fn prewarm(engine: &mut StreamingFleetEngine) {
-    for _ in 0..=engine.ring_depth() {
-        engine
-            .step()
-            .expect("pre-warm step")
-            .expect("horizon covers pre-warm");
-    }
+    engine
+        .step()
+        .expect("pre-warm step")
+        .expect("horizon covers pre-warm");
 }
 
 /// Stamps pool size and lane width into the baseline before any record.

@@ -113,8 +113,8 @@ pub struct BatchPrefixDetector {
 }
 
 impl BatchPrefixDetector {
-    /// Creates a detector that sizes its shard count from
-    /// `std::thread::available_parallelism`.
+    /// Creates a detector that sizes its shard count from the worker
+    /// pool ([`crate::pool::global`]).
     pub fn new() -> Self {
         BatchPrefixDetector { shards: None }
     }
@@ -131,11 +131,8 @@ impl BatchPrefixDetector {
     /// The requested shard count (the lane partition clamps it to the
     /// population).
     fn shards(&self) -> usize {
-        self.shards.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        self.shards
+            .unwrap_or_else(|| crate::pool::global().threads())
     }
 
     /// Detects once per slot using observation prefixes — the unified

@@ -191,7 +191,7 @@ pub struct StreamingPrefixDetector {
 impl StreamingPrefixDetector {
     /// Creates a detector for `population` concurrent services scored
     /// against `tables` (one per mobility-model class), sizing its shard
-    /// count from `std::thread::available_parallelism`.
+    /// count from the worker pool ([`pool::global`]).
     ///
     /// # Errors
     ///
@@ -203,10 +203,7 @@ impl StreamingPrefixDetector {
     /// [`CoreError::PopulationTooLarge`](crate::CoreError::PopulationTooLarge)
     /// past [`MAX_POPULATION`](super::MAX_POPULATION).
     pub fn new(tables: Vec<LogLikelihoodTable>, population: usize) -> Result<Self> {
-        let shards = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::with_shards(tables, population, shards)
+        Self::with_shards(tables, population, pool::global().threads())
     }
 
     /// [`new`](Self::new) with a pinned shard count (clamped to at least

@@ -1,6 +1,6 @@
 //! The constrained maximum-likelihood (CML) chaff strategy (Sec. V-C1).
 
-use super::{replay_controller, validate_user, ChaffStrategy, OnlineChaffController};
+use super::{first_max, replay_controller, validate_user, ChaffStrategy, OnlineChaffController};
 use crate::Result;
 use chaff_markov::{CellId, MarkovChain, Trajectory};
 use rand::RngCore;
@@ -102,19 +102,9 @@ pub fn cml_step(
             // t = 1: most probable steady-state cell other than the
             // user's.
             let pi = chain.initial();
-            let mut best: Option<(CellId, f64)> = None;
-            for j in 0..pi.num_states() {
-                let cell = CellId::new(j);
-                if cell == user_now || avoid.contains(&cell) {
-                    continue;
-                }
-                let p = pi.prob(cell);
-                match best {
-                    Some((_, bp)) if bp >= p => {}
-                    _ => best = Some((cell, p)),
-                }
-            }
-            best.map(|(c, _)| c).unwrap_or(user_now)
+            let cells = (0..pi.num_states()).map(CellId::new);
+            let allowed = cells.filter(|&cell| cell != user_now && !avoid.contains(&cell));
+            first_max(allowed.map(|cell| (cell, pi.prob(cell)))).unwrap_or(user_now)
         }
         Some(prev) => pick_constrained_argmax(chain, prev, user_now, avoid),
     }
@@ -162,17 +152,9 @@ fn pick_constrained_argmax_scan(
     user_now: CellId,
     avoid: &[CellId],
 ) -> CellId {
-    let mut best: Option<(CellId, f64)> = None;
-    for (cell, p) in chain.matrix().successors(prev) {
-        if cell == user_now || avoid.contains(&cell) {
-            continue;
-        }
-        match best {
-            Some((_, bp)) if bp >= p => {}
-            _ => best = Some((cell, p)),
-        }
-    }
-    if let Some((cell, _)) = best {
+    let successors = chain.matrix().successors(prev);
+    let allowed = successors.filter(|&(cell, _)| cell != user_now && !avoid.contains(&cell));
+    if let Some(cell) = first_max(allowed) {
         return cell;
     }
     match chain.matrix().argmax_successor(prev, None) {

@@ -1,6 +1,6 @@
 //! The myopic online (MO) chaff strategy — Algorithm 2 (Sec. IV-D).
 
-use super::{replay_controller, validate_user, ChaffStrategy, OnlineChaffController};
+use super::{first_max, replay_controller, validate_user, ChaffStrategy, OnlineChaffController};
 use crate::{loglik_cmp, Result};
 use chaff_markov::{CellId, MarkovChain, StateDistribution, Trajectory, TransitionMatrix};
 use rand::RngCore;
@@ -254,19 +254,10 @@ fn add_gap(gamma: f64, user_inc: f64, chaff_inc: f64) -> f64 {
 /// `avoid`. Retries without `avoid` when it eliminates every candidate.
 fn argmax_dist(pi: &StateDistribution, exclude: &[CellId], avoid: &[CellId]) -> Option<CellId> {
     let pick = |use_avoid: bool| -> Option<CellId> {
-        let mut best: Option<(CellId, f64)> = None;
-        for j in 0..pi.num_states() {
-            let cell = CellId::new(j);
-            if exclude.contains(&cell) || (use_avoid && avoid.contains(&cell)) {
-                continue;
-            }
-            let p = pi.prob(cell);
-            match best {
-                Some((_, bp)) if bp >= p => {}
-                _ => best = Some((cell, p)),
-            }
-        }
-        best.map(|(c, _)| c)
+        let cells = (0..pi.num_states()).map(CellId::new);
+        let allowed =
+            cells.filter(|cell| !(exclude.contains(cell) || (use_avoid && avoid.contains(cell))));
+        first_max(allowed.map(|cell| (cell, pi.prob(cell))))
     };
     pick(true).or_else(|| pick(false))
 }
@@ -280,17 +271,10 @@ fn argmax_row(
     avoid: &[CellId],
 ) -> Option<CellId> {
     let pick = |use_avoid: bool| -> Option<CellId> {
-        let mut best: Option<(CellId, f64)> = None;
-        for (cell, p) in matrix.successors(prev) {
-            if exclude.contains(&cell) || (use_avoid && avoid.contains(&cell)) {
-                continue;
-            }
-            match best {
-                Some((_, bp)) if bp >= p => {}
-                _ => best = Some((cell, p)),
-            }
-        }
-        best.map(|(c, _)| c)
+        let allowed = matrix
+            .successors(prev)
+            .filter(|(cell, _)| !(exclude.contains(cell) || (use_avoid && avoid.contains(cell))));
+        first_max(allowed)
     };
     pick(true).or_else(|| pick(false))
 }

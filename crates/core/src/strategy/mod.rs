@@ -190,6 +190,19 @@ pub(crate) fn replay_controller<C: OnlineChaffController>(
     out
 }
 
+/// The key of the first largest value (ties break towards the earliest
+/// item); `None` when `items` is empty.
+fn first_max<K>(items: impl IntoIterator<Item = (K, f64)>) -> Option<K> {
+    let mut best: Option<(K, f64)> = None;
+    for (key, p) in items {
+        match best {
+            Some((_, bp)) if bp >= p => {}
+            _ => best = Some((key, p)),
+        }
+    }
+    best.map(|(key, _)| key)
+}
+
 /// Validates a user trajectory against the model's state space.
 pub(crate) fn validate_user(chain: &MarkovChain, user: &Trajectory) -> Result<()> {
     if user.is_empty() {

@@ -13,7 +13,7 @@
 //!   chaffed population `N · (1 + B)`;
 //! * the engine's **resident state** next to what the batch engine's
 //!   full `services × horizon` observation grid would hold: the
-//!   `O(width · ring + N)` vs `O(N · T)` bound the streaming design
+//!   `O(width + N)` vs `O(N · T)` bound the streaming design
 //!   exists for.
 //!
 //! Step latency is not measured here: fleetbench's `online_stream`
@@ -59,7 +59,8 @@ pub struct StreamPoint {
     pub tracking_curve: Vec<f64>,
     /// Per-slot detection accuracy, one entry per slot.
     pub detection_curve: Vec<f64>,
-    /// Engine-resident bytes after the run (ring + detector + lanes).
+    /// Engine-resident bytes after the run (observed row + detector +
+    /// lanes).
     pub state_bytes: usize,
     /// What the batch engine's full columnar observation grid would
     /// hold for the same population (4 bytes per cell).
@@ -192,7 +193,7 @@ mod tests {
     use super::*;
 
     /// The acceptance rung: N = 100,000 streamed end to end with a
-    /// horizon far past the ring depth, undefended and with B = 2 IM
+    /// 24-slot horizon, undefended and with B = 2 IM
     /// chaffs. Each live curve's mean matches eq. (11) at its own
     /// population, chaff dilutes identification, and the resident
     /// state stays a small fraction of the batch grid.

@@ -1,6 +1,7 @@
 //! Probability distributions over cells: validation, sampling, total
 //! variation and collision probability.
 
+use crate::matrix::first_max;
 use crate::{CellId, MarkovError, Result};
 use rand::Rng;
 
@@ -180,17 +181,9 @@ impl StateDistribution {
     ///
     /// Panics if the exclusion removes the only cell of a one-cell space.
     pub fn argmax(&self, exclude: Option<CellId>) -> CellId {
-        let mut best: Option<(usize, f64)> = None;
-        for (j, &p) in self.probs.iter().enumerate() {
-            if Some(CellId::new(j)) == exclude {
-                continue;
-            }
-            match best {
-                Some((_, bp)) if bp >= p => {}
-                _ => best = Some((j, p)),
-            }
-        }
-        CellId::new(best.expect("non-empty distribution after exclusion").0)
+        let kept = self.probs.iter().copied().enumerate();
+        let kept = kept.filter(|&(j, _)| Some(CellId::new(j)) != exclude);
+        CellId::new(first_max(kept).expect("non-empty distribution after exclusion"))
     }
 
     /// Largest mass (the paper's `π_max`).

@@ -112,18 +112,20 @@ impl RowTables {
 /// towards the lowest position, exactly like the per-call argmax scans.
 /// [`NO_ENTRY`] when nothing is left.
 fn argmax_position(values: impl Iterator<Item = f64>, skip: u32) -> u32 {
-    let mut best: Option<(u32, f64)> = None;
-    for (k, p) in values.enumerate() {
-        let k = k as u32;
-        if k == skip {
-            continue;
-        }
+    first_max((0u32..).zip(values).filter(|&(k, _)| k != skip)).unwrap_or(NO_ENTRY)
+}
+
+/// The key of the first largest value (ties break towards the earliest
+/// item); `None` when `items` is empty.
+pub(crate) fn first_max<K>(items: impl IntoIterator<Item = (K, f64)>) -> Option<K> {
+    let mut best: Option<(K, f64)> = None;
+    for (key, p) in items {
         match best {
             Some((_, bp)) if bp >= p => {}
-            _ => best = Some((k, p)),
+            _ => best = Some((key, p)),
         }
     }
-    best.map_or(NO_ENTRY, |(k, _)| k)
+    best.map(|(key, _)| key)
 }
 
 /// A successor cell with its cached transition log-probability; see

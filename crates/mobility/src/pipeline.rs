@@ -482,11 +482,7 @@ impl TraceDatasetBuilder {
 
     fn effective_shards(&self) -> usize {
         self.shards
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
+            .unwrap_or_else(|| chaff_core::pool::global().threads())
             .max(1)
     }
 }

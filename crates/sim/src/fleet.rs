@@ -116,7 +116,7 @@
 //!    its inverse; each observed row is gathered through it over
 //!    destination bands on the pool. The permutation is a bijection, so
 //!    every output cell is written exactly once. The streaming engine
-//!    gathers straight into its ring's recycled row and has each band
+//!    gathers in place into its one observed row and has each band
 //!    count the cells of the positions holding a real user: an integer
 //!    count of the same cells the users' services were placed in.
 //!
@@ -213,11 +213,9 @@ impl FleetConfig {
     }
 
     pub(crate) fn effective_shards(&self) -> usize {
-        let requested = self.shards.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+        let requested = self
+            .shards
+            .unwrap_or_else(|| chaff_core::pool::global().threads());
         requested.clamp(1, self.num_users.max(1))
     }
 }

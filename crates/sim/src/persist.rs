@@ -11,8 +11,8 @@
 //! * [`StreamingFleetEngine::run_to_store`] — drive a fresh streaming
 //!   engine to its horizon, appending every slot as it is produced. The
 //!   `N × T` grid never exists in memory on this path: the writer holds
-//!   at most one partial page per section, the engine one ring of
-//!   recent rows.
+//!   at most one partial page per section, the engine its latest
+//!   observed row.
 //!
 //! [`FleetOutcome::restore`] is the inverse of both: the streaming
 //! engine and the batch run step the same fleet stepper, so a store
@@ -121,7 +121,7 @@ impl StreamingFleetEngine<'_> {
     /// store file at `path` as it is produced, then seals the store.
     /// Returns the per-slot detection steps.
     ///
-    /// Memory stays horizon-independent: the engine's ring plus at most
+    /// Memory stays horizon-independent: the engine's one row plus at most
     /// one partial page per store section. The resulting file restores
     /// ([`FleetOutcome::restore`]) to exactly the outcome of
     /// [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed)
@@ -153,11 +153,8 @@ impl StreamingFleetEngine<'_> {
         let mut writer = FleetStoreWriter::create(path, meta).map_err(SimError::Store)?;
         let mut steps = Vec::with_capacity(self.horizon());
         while let Some(step) = self.step()? {
-            let observed = self
-                .observed_row(step.slot)
-                .expect("the slot just stepped is always ring-buffered");
             writer
-                .append_slot(observed, self.last_user_row())
+                .append_slot(&self.row, self.last_user_row())
                 .map_err(SimError::Store)?;
             steps.push(step);
         }

@@ -16,7 +16,7 @@
 //!    knob. With a capacity, the fleet is cut into at least one band per
 //!    2¹⁶ services, and the step places each band's row while the pool
 //!    still draws the later bands. The gather
-//!    writes straight into the ring's recycled row (no copy), and each
+//!    writes in place into the engine's one observed row, and each
 //!    of its bands counts, in the same pool job, the cells its positions
 //!    holding a real user were placed in (`user_hist`, through
 //!    `is_user`); there is no separate count pass.
@@ -39,11 +39,11 @@
 //!
 //! The engine never materializes the `N × T` grid. It holds the
 //! detector's running scores (`O(N · classes)`), a handful of row
-//! scratch buffers, per-user RNG and chaff-lane state
-//! (`O(N)`), and a bounded ring of the most recent observed rows
-//! (`O(width · ring_depth)`, [`ring_depth`](StreamingFleetEngine::ring_depth)
-//! rows deep) for consumers that want a trailing window — `O(width ·
-//! ring_depth + N)` total, independent of the horizon.
+//! scratch buffers, per-user RNG and chaff-lane state (`O(N)`), and
+//! the latest observed row (`O(width)`,
+//! [`observed_row`](StreamingFleetEngine::observed_row)): the online
+//! eavesdropper scores running prefixes, so no older row is read —
+//! `O(width + N)` total, independent of the horizon.
 //!
 //! Errors on ingest ([`SimError::StreamFault`]) are detected *before*
 //! any engine state advances, so a broken or truncated stream leaves a
@@ -54,10 +54,6 @@ use crate::stepper::{FleetStepper, UserTally};
 use crate::{Result, SimError};
 use chaff_core::detector::{Detection, StreamingPrefixDetector};
 use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry};
-use std::collections::VecDeque;
-
-/// Default depth of the trailing observed-row ring.
-pub const DEFAULT_RING_DEPTH: usize = 8;
 
 /// Everything one streamed slot produces: the slot's detection and the
 /// incremental accuracy samples. The per-slot means over a full run
@@ -77,49 +73,6 @@ pub struct SlotStep {
     /// This slot's mean-over-users detection accuracy contribution: the
     /// tie-set mass on real user services, averaged over users.
     pub detection_accuracy: f64,
-}
-
-/// Bounded ring of the most recent observed slot rows (post-shuffle).
-/// Buffers are recycled, so steady-state allocation is exactly
-/// `depth × num_services` cells.
-struct SlotRing {
-    depth: usize,
-    /// Absolute slot index of `rows.front()`.
-    first_slot: usize,
-    rows: VecDeque<Vec<CellId>>,
-}
-
-impl SlotRing {
-    /// An empty ring whose first pushed row is slot `first_slot`.
-    fn new(depth: usize, first_slot: usize) -> Self {
-        SlotRing {
-            depth: depth.max(1),
-            first_slot,
-            rows: VecDeque::new(),
-        }
-    }
-
-    /// The buffer the next row is gathered into: the oldest row's once
-    /// the ring is full (that row leaves the ring), a fresh one before.
-    fn recycled(&mut self, width: usize) -> Vec<CellId> {
-        if self.rows.len() == self.depth {
-            if let Some(oldest) = self.rows.pop_front() {
-                self.first_slot += 1;
-                return oldest;
-            }
-        }
-        vec![CellId::new(0); width]
-    }
-
-    /// Appends the next slot's row and returns it.
-    fn push(&mut self, row: Vec<CellId>) -> &[CellId] {
-        self.rows.push_back(row);
-        &self.rows[self.rows.len() - 1]
-    }
-
-    fn bytes(&self) -> usize {
-        self.rows.iter().map(|r| r.capacity() * 4).sum()
-    }
 }
 
 /// The streaming fleet engine. Construct with
@@ -161,7 +114,9 @@ pub struct StreamingFleetEngine<'a> {
     /// `is_user[observed index]`: does this column carry a real user?
     is_user: Vec<bool>,
     detector: StreamingPrefixDetector,
-    ring: SlotRing,
+    /// The latest slot's observed (post-shuffle) row, which the stepper
+    /// gathers into in place every slot.
+    pub(crate) row: Vec<CellId>,
     /// Per gather band, how many users' real services were placed in
     /// each cell this slot (`bands × cells`).
     user_hist: Vec<usize>,
@@ -251,19 +206,10 @@ impl<'a> StreamingFleetEngine<'a> {
             stepper,
             is_user,
             detector,
-            ring: SlotRing::new(DEFAULT_RING_DEPTH, 0),
+            row: vec![CellId::new(0); num_services],
             user_hist: vec![0; bands * model.num_states()],
             tie_hist: vec![0; model.num_states()],
         })
-    }
-
-    /// Sets the depth of the trailing observed-row ring (clamped to at
-    /// least one row). On an engine that has already stepped, the rows
-    /// buffered so far are dropped and the new ring starts at the next
-    /// slot.
-    pub fn with_ring_depth(mut self, depth: usize) -> Self {
-        self.ring = SlotRing::new(depth, self.stepper.slot());
-        self
     }
 
     /// Enables the detector's running per-column accuracy feedback even
@@ -311,27 +257,17 @@ impl<'a> StreamingFleetEngine<'a> {
         self.stepper.slot()
     }
 
-    /// Depth of the trailing observed-row ring.
+    /// How many observed rows the engine keeps: always 1, the latest
+    /// slot's. The online eavesdropper scores running prefixes, so no
+    /// step reads an older row.
     pub fn ring_depth(&self) -> usize {
-        self.ring.depth
+        1
     }
 
-    /// Absolute slot indices currently buffered in the ring (the last
-    /// `ring_depth` completed slots).
-    pub fn buffered_slots(&self) -> std::ops::Range<usize> {
-        self.ring.first_slot..self.ring.first_slot + self.ring.rows.len()
-    }
-
-    /// The observed (post-shuffle) row of an absolute slot index, if it
-    /// is still buffered in the ring.
+    /// The observed (post-shuffle) row of `slot`: `Some` only for the
+    /// latest completed slot, `slots_run() − 1`.
     pub fn observed_row(&self, slot: usize) -> Option<&[CellId]> {
-        if !self.buffered_slots().contains(&slot) {
-            return None;
-        }
-        self.ring
-            .rows
-            .get(slot - self.ring.first_slot)
-            .map(Vec::as_slice)
+        (self.slots_run().checked_sub(1) == Some(slot)).then_some(self.row.as_slice())
     }
 
     /// The ground-truth user cells of the most recent slot (empty before
@@ -357,16 +293,16 @@ impl<'a> StreamingFleetEngine<'a> {
         self.stepper.stats()
     }
 
-    /// Bytes of horizon-independent engine state: the observed-row ring,
-    /// the detector's running scores, the permutation/layout tables and
-    /// the count tables. Per-user RNG and chaff-lane state is *not*
-    /// included (it is `O(N)` but heap-layout dependent); the reported
-    /// figure is the engine's `O(width · ring_depth + N)` columnar
-    /// footprint, the quantity the memory-bound tests pin down.
+    /// Bytes of horizon-independent engine state: the observed row, the
+    /// detector's running scores, the permutation/layout tables and the
+    /// count tables. Per-user RNG and chaff-lane state is *not* included
+    /// (it is `O(N)` but heap-layout dependent); the reported figure is
+    /// the engine's `O(width + N)` columnar footprint, the quantity the
+    /// memory-bound tests pin down.
     pub fn state_bytes(&self) -> usize {
         let tables =
             self.is_user.capacity() + (self.user_hist.capacity() + self.tie_hist.capacity()) * 8;
-        self.ring.bytes() + self.detector.state_bytes() + self.stepper.state_bytes() + tables
+        self.row.capacity() * 4 + self.detector.state_bytes() + self.stepper.state_bytes() + tables
     }
 
     /// Advances one slot, drawing every user's move from its mobility
@@ -434,21 +370,20 @@ impl<'a> StreamingFleetEngine<'a> {
     /// One slot: the stepper's one-slot tile (draw+chaff, placement and
     /// anonymizing gather, which also counts the cells the users' real
     /// services were placed in), drawing user cells when `draw`, else
-    /// reading the ingested user row, gathered straight into the ring;
-    /// then online detection and accuracy by cell counts.
+    /// reading the ingested user row, gathered in place into the
+    /// engine's row; then online detection and accuracy by cell counts.
     fn advance_slot(&mut self, draw: bool) -> Result<Option<SlotStep>> {
         let slot = self.stepper.slot();
         let n = self.stepper.num_users();
         let states = self.tie_hist.len();
-        let mut row = self.ring.recycled(self.stepper.num_services());
         let tally = UserTally {
             is_user: &self.is_user,
             hists: &mut self.user_hist,
             states,
         };
         self.stepper
-            .step_into(1, draw, &mut row, None, Some(tally))?;
-        let row = self.ring.push(row);
+            .step_into(1, draw, &mut self.row, None, Some(tally))?;
+        let row = &self.row;
         // Detection phase: the shared per-slot kernel. Cells come from a
         // validated model or a pre-validated ingest row, so this cannot
         // fail — but a typed propagation beats an unwrap if an invariant
@@ -512,41 +447,26 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_only_the_trailing_window() {
-        let c = chain(2);
-        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 0);
-        let mut engine = StreamingFleetEngine::new(&c, FleetConfig::new(5, 10), &policy)
-            .unwrap()
-            .with_ring_depth(3);
-        for _ in 0..10 {
-            engine.step().unwrap();
-        }
-        assert_eq!(engine.buffered_slots(), 7..10);
-        assert!(engine.observed_row(6).is_none());
-        assert!(engine.observed_row(7).is_some());
-        assert!(engine.observed_row(9).is_some());
-        assert!(engine.observed_row(10).is_none());
-    }
+    fn only_the_latest_observed_row_is_kept() {
+        use crate::fleet::FleetSimulation;
 
-    #[test]
-    fn late_ring_depth_keeps_absolute_slot_labels() {
         let c = chain(2);
         let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 1);
         let config = FleetConfig::new(5, 10).with_seed(4);
-        let mut twin = StreamingFleetEngine::new(&c, config.clone(), &policy).unwrap();
+        let batch = FleetSimulation::new(&c, config.clone())
+            .run_chaffed(&policy)
+            .unwrap();
         let mut engine = StreamingFleetEngine::new(&c, config, &policy).unwrap();
-        for _ in 0..5 {
-            engine.step().unwrap();
-        }
-        let mut engine = engine.with_ring_depth(3);
-        assert_eq!(engine.buffered_slots(), 5..5);
-        engine.step().unwrap();
-        for _ in 0..6 {
-            twin.step().unwrap();
-        }
-        assert_eq!(engine.buffered_slots(), 5..6);
         assert!(engine.observed_row(0).is_none());
-        assert_eq!(engine.observed_row(5), twin.observed_row(5));
+        let mut after_first = None;
+        while let Some(step) = engine.step().unwrap() {
+            let t = step.slot;
+            assert_eq!(engine.observed_row(t), Some(batch.observed.row(t)));
+            assert!(t == 0 || engine.observed_row(t - 1).is_none());
+            assert!(engine.observed_row(t + 1).is_none());
+            after_first.get_or_insert(engine.state_bytes());
+        }
+        assert_eq!(after_first, Some(engine.state_bytes()));
     }
 
     #[test]

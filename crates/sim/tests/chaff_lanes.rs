@@ -95,11 +95,12 @@ impl Model {
             Model::Chain(c) => StreamingFleetEngine::new(c, config, policy),
             Model::DayNight(r) => StreamingFleetEngine::with_registry(r, config, policy),
         };
-        let mut engine = engine.expect("streaming engine").with_ring_depth(horizon);
-        while engine.step().expect("streamed slot").is_some() {}
-        (0..horizon)
-            .map(|t| engine.observed_row(t).expect("buffered row").to_vec())
-            .collect()
+        let mut engine = engine.expect("streaming engine");
+        let mut rows = Vec::with_capacity(horizon);
+        while let Some(step) = engine.step().expect("streamed slot") {
+            rows.push(engine.observed_row(step.slot).expect("latest row").to_vec());
+        }
+        rows
     }
 }
 

@@ -101,9 +101,7 @@ fn engine<'a>(
     config: FleetConfig,
     policy: &FleetChaffPolicy,
 ) -> StreamingFleetEngine<'a> {
-    StreamingFleetEngine::with_registry(registry, config, policy)
-        .expect("engine")
-        .with_ring_depth(HORIZON)
+    StreamingFleetEngine::with_registry(registry, config, policy).expect("engine")
 }
 
 /// Streams `engine` to its horizon, drawing user cells, or ingesting
@@ -111,6 +109,7 @@ fn engine<'a>(
 fn stream(mut engine: StreamingFleetEngine<'_>, ingest: Option<&TrajectoryArena>) -> Run {
     let mut detections = Vec::with_capacity(HORIZON);
     let mut accuracy_bits = Vec::with_capacity(HORIZON);
+    let mut rows = Vec::with_capacity(HORIZON);
     for t in 0..HORIZON {
         let step = match ingest {
             Some(cells) => {
@@ -125,14 +124,13 @@ fn stream(mut engine: StreamingFleetEngine<'_>, ingest: Option<&TrajectoryArena>
             step.tracking_accuracy.to_bits(),
             step.detection_accuracy.to_bits(),
         ));
+        rows.push(engine.observed_row(t).expect("latest row").to_vec());
         detections.push(step.detection);
     }
     Run {
         detections,
         accuracy_bits,
-        rows: (0..HORIZON)
-            .map(|t| engine.observed_row(t).expect("ring").to_vec())
-            .collect(),
+        rows,
         stats: engine.stats(),
     }
 }

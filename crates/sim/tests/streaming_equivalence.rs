@@ -8,8 +8,8 @@
 //! {1, 2, 7}, budgets {0, 2} and multi-class registries, on both the
 //! model-drawn ([`StreamingFleetEngine::step`]) and ingested
 //! ([`StreamingFleetEngine::step_ingested`]) paths. Alongside: a pinned
-//! `N = 10⁴` golden checksum, the `O(width · ring_depth + N)` memory
-//! bound at `N = 10⁵` with a horizon far beyond the ring, and the
+//! `N = 10⁴` golden checksum, the `O(width + N)` memory bound at
+//! `N = 10⁵` with a horizon of 96 slots, and the
 //! error-path contract (typed mid-stream faults that never poison the
 //! engine, truncated streams that yield clean partial prefixes).
 
@@ -41,17 +41,16 @@ fn assert_stream_equals_batch(
             "{context}: detection diverged at slot {}",
             step.slot
         );
+        assert_eq!(
+            engine.observed_row(step.slot).expect("latest row"),
+            batch.observed.row(step.slot),
+            "{context}: observed row diverged at slot {}",
+            step.slot
+        );
         tracking.push(step.tracking_accuracy);
         detection_acc.push(step.detection_accuracy);
     }
     assert_eq!(engine.slots_run(), horizon, "{context}");
-    for t in 0..horizon {
-        assert_eq!(
-            engine.observed_row(t).expect("ring covers the horizon"),
-            batch.observed.row(t),
-            "{context}: observed row diverged at slot {t}"
-        );
-    }
     assert_eq!(
         engine.user_observed_indices(),
         &batch.user_observed_indices[..],
@@ -129,8 +128,7 @@ proptest! {
                 let (batch, detections) =
                     batch_pipeline(&registry, config.clone(), &policy, shards);
                 let engine = StreamingFleetEngine::with_registry(&registry, config, &policy)
-                    .expect("engine")
-                    .with_ring_depth(horizon);
+                    .expect("engine");
                 assert_stream_equals_batch(
                     engine,
                     &batch,
@@ -160,17 +158,14 @@ proptest! {
         let config = FleetConfig::new(num_users, horizon).with_seed(fleet_seed);
         let (batch, detections) = batch_pipeline(&registry, config.clone(), &policy, 2);
         let mut engine = StreamingFleetEngine::with_registry(&registry, config, &policy)
-            .expect("engine")
-            .with_ring_depth(horizon);
+            .expect("engine");
         for (t, expected) in detections.iter().enumerate() {
             let row: Vec<CellId> =
                 (0..num_users).map(|u| batch.user_cells.row(u)[t]).collect();
             let step = engine.step_ingested(&row).expect("ingest").expect("within horizon");
             prop_assert_eq!(&step.detection, expected, "slot {}", t);
-        }
-        for t in 0..horizon {
             prop_assert_eq!(
-                engine.observed_row(t).expect("ring"),
+                engine.observed_row(t).expect("latest row"),
                 batch.observed.row(t),
                 "slot {}",
                 t
@@ -199,7 +194,7 @@ proptest! {
         let config = FleetConfig::new(num_users, horizon)
             .with_seed(fleet_seed)
             .with_capacity(capacity);
-        assert_capacity_run_streams_bit_for_bit(&registry, config, &policy, horizon);
+        assert_capacity_run_streams_bit_for_bit(&registry, config, &policy);
     }
 
     /// Error-path contract: a bad row mid-stream fails typed — naming
@@ -271,30 +266,28 @@ proptest! {
         let policy = FleetChaffPolicy::uniform(strategy_from(1), 2);
         let config = FleetConfig::new(num_users, horizon).with_seed(fleet_seed);
         let mut full = StreamingFleetEngine::with_registry(&registry, config.clone(), &policy)
-            .expect("engine")
-            .with_ring_depth(horizon);
+            .expect("engine");
         let mut truncated = StreamingFleetEngine::with_registry(&registry, config, &policy)
-            .expect("engine")
-            .with_ring_depth(horizon);
+            .expect("engine");
         let mut full_steps = Vec::new();
+        let mut full_rows = Vec::new();
         while let Some(step) = full.step().expect("full run") {
+            full_rows.push(full.observed_row(step.slot).expect("latest row").to_vec());
             full_steps.push(step);
         }
         for (t, expected) in full_steps.iter().take(cut).enumerate() {
             let step = truncated.step().expect("truncated run").expect("slot");
             prop_assert_eq!(&step.detection, &expected.detection, "slot {}", t);
-        }
-        // The stream "dies" here; what remains is a serviceable partial.
-        prop_assert_eq!(truncated.slots_run(), cut);
-        prop_assert_eq!(truncated.stats().user_slots, num_users * cut);
-        for t in 0..cut {
             prop_assert_eq!(
-                truncated.observed_row(t).expect("ring"),
-                full.observed_row(t).expect("ring"),
+                truncated.observed_row(t).expect("latest row"),
+                &full_rows[t][..],
                 "slot {}",
                 t
             );
         }
+        // The stream "dies" here; what remains is a serviceable partial.
+        prop_assert_eq!(truncated.slots_run(), cut);
+        prop_assert_eq!(truncated.stats().user_slots, num_users * cut);
     }
 }
 
@@ -305,12 +298,9 @@ fn assert_capacity_run_streams_bit_for_bit(
     registry: &MobilityRegistry,
     config: FleetConfig,
     policy: &FleetChaffPolicy,
-    horizon: usize,
 ) -> chaff_sim::fleet::FleetStats {
     let (batch, detections) = batch_pipeline(registry, config.clone(), policy, 2);
-    let engine = StreamingFleetEngine::with_registry(registry, config, policy)
-        .expect("engine")
-        .with_ring_depth(horizon);
+    let engine = StreamingFleetEngine::with_registry(registry, config, policy).expect("engine");
     assert_stream_equals_batch(
         engine,
         &batch,
@@ -328,7 +318,7 @@ fn tight_capacity_spills_and_streams_bit_for_bit() {
     let registry = mixed_registry(17, 8, 2);
     let policy = FleetChaffPolicy::uniform(strategy_from(2), 2);
     let config = FleetConfig::new(6, 8).with_seed(29).with_capacity(3);
-    let stats = assert_capacity_run_streams_bit_for_bit(&registry, config, &policy, 8);
+    let stats = assert_capacity_run_streams_bit_for_bit(&registry, config, &policy);
     assert!(stats.spills > 0, "tight capacity never spilled: {stats:?}");
 }
 
@@ -358,10 +348,10 @@ fn stream_run(
     let mut engine =
         StreamingFleetEngine::with_registry(registry, config.with_shards(shards), policy)
             .expect("engine")
-            .with_ring_depth(horizon)
             .with_feedback();
     let mut detections = Vec::with_capacity(horizon);
     let mut accuracy_bits = Vec::with_capacity(horizon);
+    let mut rows = Vec::with_capacity(horizon);
     for t in 0..horizon {
         let step = match ingest {
             Some(cells) => {
@@ -376,14 +366,13 @@ fn stream_run(
             step.tracking_accuracy.to_bits(),
             step.detection_accuracy.to_bits(),
         ));
+        rows.push(engine.observed_row(t).expect("latest row").to_vec());
         detections.push(step.detection);
     }
     StreamRun {
         detections,
         accuracy_bits,
-        rows: (0..horizon)
-            .map(|t| engine.observed_row(t).expect("ring").to_vec())
-            .collect(),
+        rows,
         stats: engine.stats(),
         feedback_bits: engine
             .user_feedback()
@@ -514,9 +503,8 @@ fn ten_thousand_user_golden_stream_matches_batch_and_its_pinned_checksum() {
     let policy = FleetChaffPolicy::uniform(strategy_from(1), 1);
     let config = FleetConfig::new(10_000, 12).with_seed(42).with_shards(7);
     let (batch, detections) = batch_pipeline(&registry, config.clone(), &policy, 7);
-    let mut engine = StreamingFleetEngine::with_registry(&registry, config, &policy)
-        .expect("engine")
-        .with_ring_depth(12);
+    let mut engine =
+        StreamingFleetEngine::with_registry(&registry, config, &policy).expect("engine");
     let mut streamed = Vec::with_capacity(12);
     while let Some(step) = engine.step().expect("slot") {
         streamed.push(step.detection);
@@ -535,30 +523,26 @@ fn ten_thousand_user_golden_stream_matches_batch_and_its_pinned_checksum() {
 /// must keep reproducing it bit for bit.
 const GOLDEN_CHECKSUM: u64 = 10_860_112_576_840_803_285;
 
-/// The acceptance-scale memory bound: at `N = 10⁵` with a horizon far
-/// beyond the ring depth, engine state is `O(width · ring_depth + N)` —
-/// constant across slots and far below the `O(N · T)` batch grid.
+/// The acceptance-scale memory bound: at `N = 10⁵` over 96 slots,
+/// engine state is `O(width + N)` — constant across slots and far
+/// below the `O(N · T)` batch grid.
 #[test]
 fn hundred_thousand_user_stream_memory_is_horizon_independent() {
     let n = 100_000;
-    let horizon = 96; // T = 12 × ring_depth: the grid would be 38.4 MB.
+    let horizon = 96; // The grid would be 38.4 MB.
     let chain = nonskewed_chain(7, 10);
     let policy = FleetChaffPolicy::uniform(strategy_from(0), 0);
     let mut engine =
         StreamingFleetEngine::new(&chain, FleetConfig::new(n, horizon).with_seed(9), &policy)
             .expect("engine");
-    assert_eq!(engine.ring_depth(), 8);
-    // Steady state is reached once the ring is full.
-    for _ in 0..engine.ring_depth() {
-        engine.step().expect("slot").expect("slot");
-    }
-    let after_ring_full = engine.state_bytes();
+    engine.step().expect("slot").expect("slot");
+    let after_first = engine.state_bytes();
     while engine.step().expect("slot").is_some() {}
     assert_eq!(engine.slots_run(), horizon);
     let after_all = engine.state_bytes();
     assert_eq!(
-        after_ring_full, after_all,
-        "state grew with the horizon: {after_ring_full} -> {after_all}"
+        after_first, after_all,
+        "state grew with the horizon: {after_first} -> {after_all}"
     );
     // Far below the batch grid (N × T × 4 bytes), and linear in N.
     let grid_bytes = n * horizon * 4;
