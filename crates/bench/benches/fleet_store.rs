@@ -1,10 +1,13 @@
 //! Persistent fleet-store benchmarks: checkpoint write, whole-grid
 //! load, paged stream-detection and the page checksum.
 //!
-//! Three groups cover the store's hot paths at the `N = 5 × 10⁴` rung:
+//! Four groups cover the store's hot paths at the `N = 5 × 10⁴` rung:
 //!
 //! * `fleet_store/write` — serialize a finished fleet outcome into a
 //!   fresh store file ([`FleetOutcome::checkpoint`]).
+//! * `fleet_store/encode` — the same checkpoint into an in-memory
+//!   buffer ([`FleetOutcome::checkpoint_to`]): encoding and
+//!   checksums without file I/O, so `write` minus `encode` is the I/O.
 //! * `fleet_store/load` — reopen the file and rebuild the full
 //!   observation grid and user arenas ([`FleetStoreReader::load`]).
 //! * `fleet_store/stream_detect` — reopen the file and run the unified
@@ -12,7 +15,7 @@
 //!   entry over the paged [`SlotStream`](chaff_store::SlotStream),
 //!   never materializing the grid.
 //!
-//! A fourth, `fleet_store/crc32`, times the CRC32 on its own, so the
+//! A fifth, `fleet_store/crc32`, times the CRC32 on its own, so the
 //! gate tracks checksum throughput apart from I/O. It has two inputs: a
 //! 64 KiB buffer, which takes the interleaved-lane kernel alone, and one
 //! 1 MiB page, which the checksum also splits across the worker pool.
@@ -32,9 +35,10 @@ use chaff_sim::fleet::{FleetConfig, FleetOutcome, FleetSimulation};
 use chaff_store::crc32::crc32;
 use chaff_store::format::TARGET_PAGE_PAYLOAD;
 use chaff_store::FleetStoreReader;
+use chaff_temp::TempPath;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::io::Cursor;
 use std::time::Duration;
 
 /// Fleet size of the bench rung.
@@ -42,10 +46,6 @@ const USERS: usize = 50_000;
 
 /// Persisted slots per store file.
 const HORIZON: usize = 12;
-
-fn store_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("chaff_bench_{}_{name}.store", std::process::id()))
-}
 
 /// One natural fleet outcome shared by every group in this binary.
 fn fixture_outcome() -> FleetOutcome {
@@ -58,19 +58,34 @@ fn fixture_outcome() -> FleetOutcome {
 /// Checkpoint write: outcome → store file (overwritten every iter).
 fn bench_write(c: &mut Criterion) {
     let outcome = fixture_outcome();
-    let path = store_path("write");
+    let path = TempPath::new("bench_write.store");
     let mut group = c.benchmark_group("fleet_store/write");
     group.bench_with_input(BenchmarkId::from_parameter(USERS), &USERS, |b, _| {
         b.iter(|| outcome.checkpoint(black_box(&path)).unwrap())
     });
     group.finish();
-    std::fs::remove_file(&path).ok();
+}
+
+/// Checkpoint encode: outcome → store bytes in memory, no file I/O. The
+/// buffer is reused, so after the first iteration no page is faulted in.
+fn bench_encode(c: &mut Criterion) {
+    let outcome = fixture_outcome();
+    let mut bytes = Vec::new();
+    let mut group = c.benchmark_group("fleet_store/encode");
+    group.bench_with_input(BenchmarkId::from_parameter(USERS), &USERS, |b, _| {
+        b.iter(|| {
+            bytes.clear();
+            outcome.checkpoint_to(Cursor::new(&mut bytes)).unwrap();
+            black_box(bytes.len())
+        })
+    });
+    group.finish();
 }
 
 /// Whole-grid restore: open + rebuild grid and arenas.
 fn bench_load(c: &mut Criterion) {
     let outcome = fixture_outcome();
-    let path = store_path("load");
+    let path = TempPath::new("bench_load.store");
     outcome.checkpoint(&path).expect("checkpoint");
     let mut group = c.benchmark_group("fleet_store/load");
     group.bench_with_input(BenchmarkId::from_parameter(USERS), &USERS, |b, _| {
@@ -80,14 +95,13 @@ fn bench_load(c: &mut Criterion) {
         })
     });
     group.finish();
-    std::fs::remove_file(&path).ok();
 }
 
 /// Paged detection straight off the file: one store page resident.
 fn bench_stream_detect(c: &mut Criterion) {
     let chain = fixture_chain(ModelKind::NonSkewed, 10, 71);
     let outcome = fixture_outcome();
-    let path = store_path("stream");
+    let path = TempPath::new("bench_stream.store");
     outcome.checkpoint(&path).expect("checkpoint");
     let detector = BatchPrefixDetector::new();
     let mut group = c.benchmark_group("fleet_store/stream_detect");
@@ -103,7 +117,6 @@ fn bench_stream_detect(c: &mut Criterion) {
         })
     });
     group.finish();
-    std::fs::remove_file(&path).ok();
 }
 
 /// Page checksum in isolation: CRC32 of a 64 KiB buffer (below the pool
@@ -148,6 +161,7 @@ criterion_group! {
     targets =
         bench_metadata,
         bench_write,
+        bench_encode,
         bench_load,
         bench_stream_detect,
 }

@@ -22,6 +22,7 @@
 
 use super::{build_model, SyntheticConfig};
 use crate::report::{Figure, Series, Table};
+use chaff_core::metrics::time_average;
 use chaff_core::theory::im_tracking_accuracy;
 use chaff_markov::models::ModelKind;
 use chaff_markov::MarkovChain;
@@ -71,20 +72,13 @@ impl StreamPoint {
     /// Mean of the live tracking curve (the batch engine's
     /// time-averaged metric, reconstructed online).
     pub fn mean_tracking(&self) -> f64 {
-        mean(&self.tracking_curve)
+        time_average(&self.tracking_curve)
     }
 
     /// Mean of the live detection curve.
     pub fn mean_detection(&self) -> f64 {
-        mean(&self.detection_curve)
+        time_average(&self.detection_curve)
     }
-}
-
-fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// Streams one `(N, B)` cell to the horizon.

@@ -349,9 +349,8 @@ mod tests {
 
     #[test]
     fn figures_write_to_disk() {
-        let dir = std::env::temp_dir().join(format!("report_test_{}", std::process::id()));
+        let dir = chaff_temp::TempPath::new("report_test");
         let path = sample_figure().write_csv(&dir).unwrap();
         assert!(path.exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn loads_directory_of_files() {
-        let dir = std::env::temp_dir().join(format!("crawdad_test_{}", std::process::id()));
+        let dir = chaff_temp::TempPath::new("crawdad_test");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("new_a.txt"), SAMPLE).unwrap();
         std::fs::write(dir.join("new_b.txt"), SAMPLE).unwrap();
@@ -258,6 +258,5 @@ mod tests {
         assert_eq!(traces[0].node_id, "new_a");
         let files = node_files(&dir).unwrap();
         assert_eq!(files.len(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

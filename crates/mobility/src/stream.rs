@@ -415,7 +415,7 @@ mod tests {
 
     #[test]
     fn crawdad_stream_reads_batches_and_validates_bbox() {
-        let dir = std::env::temp_dir().join(format!("crawdad_stream_{}", std::process::id()));
+        let dir = chaff_temp::TempPath::new("crawdad_stream");
         std::fs::create_dir_all(&dir).unwrap();
         let sf = "37.751 -122.395 0 100\n37.752 -122.396 0 40\n";
         std::fs::write(dir.join("new_a.txt"), sf).unwrap();
@@ -440,7 +440,6 @@ mod tests {
             MobilityError::OutOfBbox { node, .. } => assert_eq!(node, "new_c"),
             other => panic!("unexpected error: {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -293,7 +293,7 @@ fn crawdad_stream_feeds_build_from_stream() {
     // format, then ingest the directory through the engine and compare
     // with the oracle over the same files.
     let (towers, fleet) = external_fixture(999, 8);
-    let dir = std::env::temp_dir().join(format!("crawdad_ingest_{}", std::process::id()));
+    let dir = chaff_temp::TempPath::new("crawdad_ingest");
     std::fs::create_dir_all(&dir).unwrap();
     for trace in &fleet {
         std::fs::write(
@@ -320,7 +320,6 @@ fn crawdad_stream_feeds_build_from_stream() {
     let want = oracle(&towers, &reparsed, 20, None);
     assert!(!want.trajectories.is_empty(), "some node survives");
     assert_matches_oracle(&got, &want, "crawdad directory");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

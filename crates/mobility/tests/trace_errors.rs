@@ -9,12 +9,12 @@ use chaff_mobility::record::{NodeTrace, TraceRecord};
 use chaff_mobility::stream::{CrawdadDirStream, TraceStream, VecTraceStream};
 use chaff_mobility::taxi::TaxiFleetConfig;
 use chaff_mobility::{crawdad, MobilityError};
+use chaff_temp::TempPath;
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::path::PathBuf;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("trace_errors_{tag}_{}", std::process::id()));
+fn tmp_dir(tag: &str) -> TempPath {
+    let dir = TempPath::new(&format!("trace_errors_{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -48,7 +48,6 @@ fn malformed_directory_file_names_the_node_through_the_stream() {
         }
         other => panic!("unexpected error: {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -84,7 +83,6 @@ fn out_of_bbox_record_names_node_and_record_index() {
         }
         other => panic!("unexpected error: {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

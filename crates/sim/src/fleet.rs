@@ -640,20 +640,8 @@ impl FleetChaffPolicy {
     }
 }
 
-/// Aggregate fleet counters (per-service ledgers would dwarf the
-/// trajectories at fleet scale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetStats {
-    /// Total service migrations (cell changes) across the fleet.
-    pub migrations: usize,
-    /// Placements diverted by capacity spills.
-    pub spills: usize,
-    /// Simulated user-slots (`num_users × horizon`), the throughput
-    /// denominator.
-    pub user_slots: usize,
-    /// Chaff services launched across the fleet (0 on undefended runs).
-    pub chaff_services: usize,
-}
+/// Aggregate fleet counters; the store persists them as they are.
+pub use chaff_store::StoreStats as FleetStats;
 
 /// Everything a fleet run produces.
 ///

@@ -23,44 +23,42 @@
 //! (surfaced here as [`SimError::Store`]) — resume logic can therefore
 //! distinguish "checkpoint usable" from "regenerate" with one `open`.
 
-use crate::fleet::{FleetOutcome, FleetStats};
+use crate::fleet::FleetOutcome;
 use crate::streaming::{SlotStep, StreamingFleetEngine};
 use crate::{Result, SimError};
 use chaff_markov::{CellId, TrajectoryArena};
-use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreMeta, StoreStats};
+use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreMeta};
+use std::io::{Seek, Write};
 use std::path::Path;
-
-impl From<FleetStats> for StoreStats {
-    fn from(s: FleetStats) -> Self {
-        StoreStats {
-            migrations: s.migrations,
-            spills: s.spills,
-            user_slots: s.user_slots,
-            chaff_services: s.chaff_services,
-        }
-    }
-}
-
-impl From<StoreStats> for FleetStats {
-    fn from(s: StoreStats) -> Self {
-        FleetStats {
-            migrations: s.migrations,
-            spills: s.spills,
-            user_slots: s.user_slots,
-            chaff_services: s.chaff_services,
-        }
-    }
-}
 
 impl FleetOutcome {
     /// Persists this outcome as a complete store file at `path`
-    /// (created or truncated).
+    /// (created or truncated, and synced to disk).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Store`] on any store-layer failure (I/O,
     /// layout validation).
     pub fn checkpoint(&self, path: impl AsRef<Path>) -> Result<()> {
+        self.write_store(|meta| FleetStoreWriter::create(path, meta))
+            .map(drop)
+    }
+
+    /// [`checkpoint`](FleetOutcome::checkpoint) into any sink, such as a
+    /// `Cursor<Vec<u8>>`, byte for byte; returns the sink.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Store`] on any store-layer failure.
+    pub fn checkpoint_to<W: Write + Seek>(&self, sink: W) -> Result<W> {
+        self.write_store(|meta| FleetStoreWriter::new(sink, meta))
+    }
+
+    /// Starts a store with `start` and appends every slot to it.
+    fn write_store<W: Write + Seek>(
+        &self,
+        start: impl FnOnce(StoreMeta) -> chaff_store::Result<FleetStoreWriter<W>>,
+    ) -> Result<W> {
         let num_services = self.observed.num_trajectories();
         let num_users = self.user_cells.num_trajectories();
         let horizon = self.observed.horizon();
@@ -74,7 +72,7 @@ impl FleetOutcome {
             shard_starts: vec![0, num_services],
             user_observed_indices: self.user_observed_indices.clone(),
         };
-        let mut writer = FleetStoreWriter::create(path, meta).map_err(SimError::Store)?;
+        let mut writer = start(meta).map_err(SimError::Store)?;
         // One transpose tile of user rows at a time keeps the scratch at
         // `O(16 · users)` however long the horizon.
         const TILE: usize = TrajectoryArena::TRANSPOSE_TILE;
@@ -93,7 +91,7 @@ impl FleetOutcome {
                     .map_err(SimError::Store)?;
             }
         }
-        writer.finish(self.stats.into()).map_err(SimError::Store)
+        writer.finish(self.stats).map_err(SimError::Store)
     }
 
     /// Restores a fleet outcome from a store file, bit-for-bit equal to
@@ -111,7 +109,7 @@ impl FleetOutcome {
             observed: fleet.observed,
             user_observed_indices: fleet.user_observed_indices,
             user_cells: fleet.user_cells,
-            stats: fleet.stats.into(),
+            stats: fleet.stats,
         })
     }
 }
@@ -158,9 +156,7 @@ impl StreamingFleetEngine<'_> {
                 .map_err(SimError::Store)?;
             steps.push(step);
         }
-        writer
-            .finish(self.stats().into())
-            .map_err(SimError::Store)?;
+        writer.finish(self.stats()).map_err(SimError::Store)?;
         Ok(steps)
     }
 }
@@ -168,13 +164,9 @@ impl StreamingFleetEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{FleetChaffPolicy, FleetConfig, FleetSimulation};
+    use crate::fleet::{FleetChaffPolicy, FleetConfig, FleetSimulation, FleetStats};
     use crate::test_support::{mixed_registry, strategy_from};
-    use std::path::PathBuf;
-
-    fn temp_path(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("chaff_persist_{}_{name}", std::process::id()))
-    }
+    use chaff_temp::TempPath;
 
     fn outcome_eq(a: &FleetOutcome, b: &FleetOutcome) {
         assert_eq!(a.observed, b.observed);
@@ -191,11 +183,10 @@ mod tests {
         let outcome = FleetSimulation::with_registry(&registry, config)
             .run_chaffed(&policy)
             .unwrap();
-        let path = temp_path("roundtrip");
+        let path = TempPath::new("roundtrip");
         outcome.checkpoint(&path).unwrap();
         let restored = FleetOutcome::restore(&path).unwrap();
         outcome_eq(&outcome, &restored);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -225,10 +216,9 @@ mod tests {
                     chaff_services: users,
                 },
             };
-            let path = temp_path(&format!("tile_edge_{horizon}"));
+            let path = TempPath::new(&format!("tile_edge_{horizon}"));
             outcome.checkpoint(&path).unwrap();
             outcome_eq(&outcome, &FleetOutcome::restore(&path).unwrap());
-            std::fs::remove_file(&path).unwrap();
         }
     }
 
@@ -241,12 +231,11 @@ mod tests {
             .run_chaffed(&policy)
             .unwrap();
         let mut engine = StreamingFleetEngine::with_registry(&registry, config, &policy).unwrap();
-        let path = temp_path("streamed");
+        let path = TempPath::new("streamed");
         let steps = engine.run_to_store(&path).unwrap();
         assert_eq!(steps.len(), 11);
         let restored = FleetOutcome::restore(&path).unwrap();
         outcome_eq(&batch, &restored);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -256,13 +245,13 @@ mod tests {
         let config = FleetConfig::new(4, 5).with_seed(1);
         let mut engine = StreamingFleetEngine::with_registry(&registry, config, &policy).unwrap();
         engine.step().unwrap();
-        let err = engine.run_to_store(temp_path("used")).unwrap_err();
+        let err = engine.run_to_store(TempPath::new("used")).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }));
     }
 
     #[test]
     fn restoring_a_missing_or_truncated_file_is_a_typed_store_error() {
-        let path = temp_path("missing");
+        let path = TempPath::new("missing");
         let err = FleetOutcome::restore(&path).unwrap_err();
         assert!(matches!(err, SimError::Store(_)));
         assert!(err.to_string().contains("fleet store"));
@@ -273,6 +262,5 @@ mod tests {
             err,
             SimError::Store(chaff_store::StoreError::BadMagic { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 }

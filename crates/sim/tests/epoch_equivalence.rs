@@ -180,7 +180,7 @@ fn paged_detection_honors_the_reduction_to_stationary() {
     let reference = detector
         .detect_prefixes(DetectInput::new(&stationary, &outcome.observed))
         .expect("in-memory detection");
-    let path = std::env::temp_dir().join(format!("epoch_equivalence_{}.store", std::process::id()));
+    let path = chaff_temp::TempPath::new("epoch_equivalence.store");
     outcome.checkpoint(&path).expect("checkpoint");
     for twin in [&single, &duplicated] {
         let mut reader = chaff_store::FleetStoreReader::open(&path).expect("open store");
@@ -192,5 +192,4 @@ fn paged_detection_honors_the_reduction_to_stationary() {
         };
         assert_eq!(paged, reference, "paged surface diverged");
     }
-    std::fs::remove_file(&path).expect("cleanup");
 }

@@ -22,8 +22,7 @@ use chaff_sim::fleet::{
 };
 use chaff_sim::streaming::StreamingFleetEngine;
 use chaff_sim::test_support::{mixed_registry, nonskewed_chain};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use chaff_temp::TempPath;
 
 use FleetChaffStrategy::{Cml, Im, Mo};
 
@@ -257,15 +256,6 @@ fn batch_fleet_outcomes_match_their_pinned_digests() {
     );
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "chaff_fleet_goldens_{}_{}_{name}.store",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 #[test]
 fn streamed_stores_restore_to_the_pinned_batch_digests() {
     let models = Models::new();
@@ -281,11 +271,10 @@ fn streamed_stores_restore_to_the_pinned_batch_digests() {
             .clone()
             .unwrap_or_else(|| FleetChaffPolicy::uniform(Im, 0));
         let mut engine = models.engine(case.model, case.config(2), &policy);
-        let path = temp_path(&case.name.replace('/', "_"));
+        let path = TempPath::new(&format!("{}.store", case.name.replace('/', "_")));
         let steps = engine.run_to_store(&path).expect("streamed store");
         assert_eq!(steps.len(), case.horizon, "{}", case.name);
         let restored = FleetOutcome::restore(&path).expect("sealed store");
-        std::fs::remove_file(&path).expect("remove store");
         assert_eq!(digest(&restored), case.golden, "{}", case.name);
     }
 }

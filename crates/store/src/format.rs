@@ -117,34 +117,33 @@ impl Header {
     /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`],
     /// [`StoreError::WrongCellWidth`] or [`StoreError::HeaderChecksum`].
     pub fn decode(bytes: &[u8; HEADER_LEN]) -> Result<Self> {
-        if bytes[0..8] != MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(&bytes[0..8]);
+        let found = field(bytes, 0);
+        if found != MAGIC {
             return Err(StoreError::BadMagic { found });
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        let version = u32::from_le_bytes(field(bytes, 8));
         if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 expected: FORMAT_VERSION,
             });
         }
-        let cell_width = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
+        let cell_width = u32::from_le_bytes(field(bytes, 12));
         if cell_width != CELL_WIDTH {
             return Err(StoreError::WrongCellWidth {
                 found: cell_width,
                 expected: CELL_WIDTH,
             });
         }
-        let stored = u32::from_le_bytes(bytes[HEADER_LEN - 4..].try_into().expect("4 bytes"));
+        let stored = u32::from_le_bytes(field(bytes, HEADER_LEN - 4));
         let computed = crc32(&bytes[..HEADER_LEN - 4]);
         if stored != computed {
             return Err(StoreError::HeaderChecksum { stored, computed });
         }
         Ok(Header {
-            num_services: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
-            num_users: u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")),
-            horizon: u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes")),
+            num_services: u64::from_le_bytes(field(bytes, 16)),
+            num_users: u64::from_le_bytes(field(bytes, 24)),
+            horizon: u64::from_le_bytes(field(bytes, 32)),
         })
     }
 }
@@ -186,17 +185,17 @@ impl PageEntry {
     ///
     /// [`StoreError::FooterCorrupt`] on an unknown section code.
     pub fn decode(bytes: &[u8; PAGE_ENTRY_LEN], index: usize) -> Result<Self> {
-        let code = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
+        let code = u32::from_le_bytes(field(bytes, 0));
         let section = Section::from_code(code).ok_or_else(|| StoreError::FooterCorrupt {
             reason: format!("page {index} names unknown section {code}"),
         })?;
         Ok(PageEntry {
             section,
-            first_row: u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes")),
-            num_rows: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")),
-            offset: u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")),
-            len: u64::from_le_bytes(bytes[28..36].try_into().expect("8 bytes")),
-            crc: u32::from_le_bytes(bytes[36..40].try_into().expect("4 bytes")),
+            first_row: u64::from_le_bytes(field(bytes, 4)),
+            num_rows: u64::from_le_bytes(field(bytes, 12)),
+            offset: u64::from_le_bytes(field(bytes, 20)),
+            len: u64::from_le_bytes(field(bytes, 28)),
+            crc: u32::from_le_bytes(field(bytes, 36)),
         })
     }
 }
@@ -229,9 +228,9 @@ pub fn decode_footer_tail(bytes: &[u8; FOOTER_TAIL_LEN]) -> Result<(usize, u32, 
             context: "missing end-of-store magic (interrupted write?)",
         });
     }
-    let num_entries = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-    let index_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let index_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+    let num_entries = u64::from_le_bytes(field(bytes, 0));
+    let index_crc = u32::from_le_bytes(field(bytes, 8));
+    let index_len = u64::from_le_bytes(field(bytes, 12));
     let expected_len = num_entries
         .checked_mul(PAGE_ENTRY_LEN as u64)
         .filter(|&l| l == index_len)
@@ -245,6 +244,16 @@ pub fn decode_footer_tail(bytes: &[u8; FOOTER_TAIL_LEN]) -> Result<(usize, u32, 
         .ok_or_else(|| StoreError::FooterCorrupt {
             reason: format!("index length {index_len} exceeds the address space"),
         })
+}
+
+/// The `N` bytes at `at` of a fixed-size record. Every field lies inside
+/// its record, so the zero fallback never decodes.
+fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    bytes
+        .get(at..)
+        .and_then(|b| b.first_chunk())
+        .copied()
+        .unwrap_or([0; N])
 }
 
 /// The next page-aligned offset at or after `pos`.

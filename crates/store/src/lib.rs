@@ -1,4 +1,4 @@
-//! `chaff-store` — the persistent paged fleet store (ISSUE 8).
+//! `chaff-store` — the persistent paged fleet store.
 //!
 //! Every experiment used to regenerate its fleet from scratch, capping
 //! runs below the paper's "millions of users served by edge clouds"
@@ -21,9 +21,21 @@
 //!   the unified `chaff_core` detection entry page by page, enabling
 //!   `N = 10⁷` detection in bounded RSS.
 //!
+//! One code path serves files and memory: the writer runs over any
+//! `Write + Seek` sink ([`FleetStoreWriter::new`]) and the reader over
+//! any `Read + Seek` source ([`FleetStoreReader::new`]), such as a
+//! `Cursor<Vec<u8>>`. [`FleetStoreWriter::create`] and
+//! [`FleetStoreReader::open`] are their `File` forms, and only a store
+//! made by `create` is synced, by `finish` before it returns.
+//!
 //! See the [format module](mod@format) for the byte layout, [`error`] for
 //! the corruption taxonomy, and the workspace ARCHITECTURE.md for the
 //! design rationale and versioning policy.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod crc32;
 pub mod error;
@@ -40,16 +52,14 @@ pub use writer::FleetStoreWriter;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chaff_core::detector::SlotRowSource;
     use chaff_markov::CellId;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use chaff_temp::TempPath;
+    use std::io::Cursor;
 
-    /// A temp path unique per call: tests run on parallel threads of one
-    /// process, so the pid alone would let one test delete another's file.
-    fn temp_path(name: &str) -> PathBuf {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let call = NEXT.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("chaff_store_{}_{call}_{name}", std::process::id()))
+    /// An in-memory writer: the store's bytes land in a `Vec`.
+    fn memory_writer(meta: StoreMeta) -> FleetStoreWriter<Cursor<Vec<u8>>> {
+        FleetStoreWriter::new(Cursor::new(Vec::new()), meta).unwrap()
     }
 
     fn tiny_meta() -> StoreMeta {
@@ -64,8 +74,7 @@ mod tests {
 
     #[test]
     fn write_load_round_trips_bit_for_bit() {
-        let path = temp_path("roundtrip");
-        let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
+        let mut writer = memory_writer(tiny_meta());
         for t in 0..4usize {
             let observed: Vec<CellId> = (0..3).map(|i| CellId::new(t * 3 + i)).collect();
             let user = [CellId::new(t)];
@@ -77,12 +86,12 @@ mod tests {
             user_slots: 4,
             chaff_services: 2,
         };
-        writer.finish(stats).unwrap();
+        let store = writer.finish(stats).unwrap();
 
-        let mut reader = FleetStoreReader::open(&path).unwrap();
-        assert_eq!(reader.num_services(), 3);
-        assert_eq!(reader.num_users(), 1);
-        assert_eq!(reader.horizon(), 4);
+        let mut reader = FleetStoreReader::new(store).unwrap();
+        assert_eq!(reader.meta().num_services, 3);
+        assert_eq!(reader.meta().num_users, 1);
+        assert_eq!(reader.meta().horizon, 4);
         let fleet = reader.load().unwrap();
         assert_eq!(fleet.stats, stats);
         assert_eq!(fleet.shard_starts, vec![0, 2, 3]);
@@ -100,19 +109,17 @@ mod tests {
                 CellId::new(3)
             ]
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn stream_slots_yields_the_written_rows_in_order() {
-        let path = temp_path("stream");
-        let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
+        let mut writer = memory_writer(tiny_meta());
         for t in 0..4usize {
             let observed: Vec<CellId> = (0..3).map(|i| CellId::new(t + i)).collect();
             writer.append_slot(&observed, &[CellId::new(t)]).unwrap();
         }
-        writer.finish(StoreStats::default()).unwrap();
-        let mut reader = FleetStoreReader::open(&path).unwrap();
+        let store = writer.finish(StoreStats::default()).unwrap();
+        let mut reader = FleetStoreReader::new(store).unwrap();
         let mut stream = reader.stream_slots();
         assert_eq!(stream.num_trajectories(), 3);
         assert_eq!(stream.horizon(), 4);
@@ -121,14 +128,11 @@ mod tests {
             assert_eq!(stream.next_row().unwrap().unwrap(), &expected[..]);
         }
         assert!(stream.next_row().unwrap().is_none());
-        assert_eq!(stream.rows_emitted(), 4);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn writer_rejects_wrong_arity_and_stays_usable() {
-        let path = temp_path("arity");
-        let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
+        let mut writer = memory_writer(tiny_meta());
         let err = writer
             .append_slot(&[CellId::new(0)], &[CellId::new(0)])
             .unwrap_err();
@@ -161,13 +165,11 @@ mod tests {
             Err(StoreError::Layout { .. })
         ));
         writer.finish(StoreStats::default()).unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn finishing_early_is_an_incomplete_error() {
-        let path = temp_path("incomplete");
-        let writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
+        let writer = memory_writer(tiny_meta());
         assert!(matches!(
             writer.finish(StoreStats::default()),
             Err(StoreError::Incomplete {
@@ -175,13 +177,12 @@ mod tests {
                 found: 0
             })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn unfinished_files_do_not_open() {
-        let path = temp_path("unfinished");
-        let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
+        let mut bytes = Vec::new();
+        let mut writer = FleetStoreWriter::new(Cursor::new(&mut bytes), tiny_meta()).unwrap();
         for t in 0..4usize {
             writer
                 .append_slot(&[CellId::new(t); 3], &[CellId::new(t)])
@@ -190,10 +191,9 @@ mod tests {
         // Dropped without finish(): no footer, so open() must refuse.
         drop(writer);
         assert!(matches!(
-            FleetStoreReader::open(&path),
+            FleetStoreReader::new(Cursor::new(bytes)),
             Err(StoreError::Truncated { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         let mut meta = tiny_meta();
         meta.user_observed_indices = vec![9];
         assert!(matches!(
-            FleetStoreWriter::create(temp_path("badmeta"), meta),
+            FleetStoreWriter::create(TempPath::new("badmeta"), meta),
             Err(StoreError::Layout { .. })
         ));
     }
@@ -219,8 +219,7 @@ mod tests {
             shard_starts: vec![0, n / 2, n],
             user_observed_indices: vec![7, 11],
         };
-        let path = temp_path("multipage");
-        let mut writer = FleetStoreWriter::create(&path, meta).unwrap();
+        let mut writer = memory_writer(meta);
         let row = |t: usize| -> Vec<CellId> {
             (0..n)
                 .map(|i| CellId::new((i * 7 + t * 13) % 1000))
@@ -231,8 +230,8 @@ mod tests {
                 .append_slot(&row(t), &[CellId::new(t), CellId::new(t + 1)])
                 .unwrap();
         }
-        writer.finish(StoreStats::default()).unwrap();
-        let mut reader = FleetStoreReader::open(&path).unwrap();
+        let store = writer.finish(StoreStats::default()).unwrap();
+        let mut reader = FleetStoreReader::new(store).unwrap();
         let fleet = reader.load().unwrap();
         for t in 0..horizon {
             assert_eq!(fleet.observed.row(t), &row(t)[..], "slot {t}");
@@ -242,7 +241,6 @@ mod tests {
             assert_eq!(stream.next_row().unwrap().unwrap(), &row(t)[..], "slot {t}");
         }
         assert!(stream.next_row().unwrap().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -254,14 +252,11 @@ mod tests {
             shard_starts: vec![0, 5],
             user_observed_indices: vec![0, 1],
         };
-        let path = temp_path("empty");
-        let writer = FleetStoreWriter::create(&path, meta).unwrap();
-        writer.finish(StoreStats::default()).unwrap();
-        let mut reader = FleetStoreReader::open(&path).unwrap();
+        let store = memory_writer(meta).finish(StoreStats::default()).unwrap();
+        let mut reader = FleetStoreReader::new(store).unwrap();
         let fleet = reader.load().unwrap();
         assert_eq!(fleet.observed.horizon(), 0);
         assert_eq!(fleet.observed.num_trajectories(), 5);
         assert!(reader.stream_slots().next_row().unwrap().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -71,18 +71,20 @@ impl StoreMeta {
     }
 }
 
-/// Aggregate fleet statistics persisted at
-/// [`finish`](crate::FleetStoreWriter::finish) (the on-disk mirror of
-/// `chaff_sim`'s `FleetStats`).
+/// Aggregate fleet counters (per-service ledgers would dwarf the
+/// trajectories at fleet scale): what a fleet run counts, re-exported as
+/// `chaff_sim::fleet::FleetStats`, and what a store persists at
+/// [`finish`](crate::FleetStoreWriter::finish).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Total service migrations across the run.
+    /// Total service migrations (cell changes) across the fleet.
     pub migrations: usize,
-    /// Capacity spills (placements diverted off the planned cell).
+    /// Placements diverted by capacity spills.
     pub spills: usize,
-    /// User-slots simulated.
+    /// Simulated user-slots (`num_users × horizon`), the throughput
+    /// denominator.
     pub user_slots: usize,
-    /// Chaff services across the fleet.
+    /// Chaff services launched across the fleet (0 on undefended runs).
     pub chaff_services: usize,
 }
 

@@ -34,10 +34,11 @@ pub struct StoredFleet {
     pub stats: StoreStats,
 }
 
-/// Opens and reads store files; see the crate docs for the format.
+/// Reads a store from a file or any other `Read + Seek` source; see the
+/// crate docs for the format.
 #[derive(Debug)]
-pub struct FleetStoreReader {
-    file: File,
+pub struct FleetStoreReader<R = File> {
+    source: R,
     pages: Vec<PageEntry>,
     /// Indices into `pages` for each data section, sorted by
     /// `first_row` (the order rows must be replayed in).
@@ -47,10 +48,21 @@ pub struct FleetStoreReader {
     stats: StoreStats,
 }
 
-impl FleetStoreReader {
-    /// Opens `path`, validating header, footer index and the offsets
-    /// section (the data pages themselves are checksummed lazily as
-    /// they are read).
+impl FleetStoreReader<File> {
+    /// Opens the store file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`new`](FleetStoreReader::new).
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        Self::new(File::open(path)?)
+    }
+}
+
+impl<R: Read + Seek> FleetStoreReader<R> {
+    /// Reads the store that fills `source`, validating header, footer
+    /// index and the offsets section (the data pages themselves are
+    /// checksummed lazily as they are read).
     ///
     /// # Errors
     ///
@@ -61,21 +73,21 @@ impl FleetStoreReader {
     /// damaged indices ([`FooterCorrupt`](StoreError::FooterCorrupt))
     /// and damaged offset pages
     /// ([`PageChecksum`](StoreError::PageChecksum) naming the page).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
+    pub fn new(mut source: R) -> Result<Self> {
+        let file_len = source.seek(SeekFrom::End(0))?;
         if file_len < (HEADER_LEN + FOOTER_TAIL_LEN) as u64 {
             return Err(StoreError::Truncated {
                 context: "file shorter than header + footer",
             });
         }
+        source.rewind()?;
         let mut header_bytes = [0u8; HEADER_LEN];
-        file.read_exact(&mut header_bytes)?;
+        source.read_exact(&mut header_bytes)?;
         let header = Header::decode(&header_bytes)?;
 
         let mut tail = [0u8; FOOTER_TAIL_LEN];
-        file.seek(SeekFrom::Start(file_len - FOOTER_TAIL_LEN as u64))?;
-        file.read_exact(&mut tail)?;
+        source.seek(SeekFrom::Start(file_len - FOOTER_TAIL_LEN as u64))?;
+        source.read_exact(&mut tail)?;
         let (num_entries, index_crc, index_len) = decode_footer_tail(&tail)?;
         let index_start = file_len
             .checked_sub((FOOTER_TAIL_LEN + index_len) as u64)
@@ -84,8 +96,8 @@ impl FleetStoreReader {
                 context: "footer index extends before the header",
             })?;
         let mut index_bytes = vec![0u8; index_len];
-        file.seek(SeekFrom::Start(index_start))?;
-        file.read_exact(&mut index_bytes)?;
+        source.seek(SeekFrom::Start(index_start))?;
+        source.read_exact(&mut index_bytes)?;
         let computed = crc32(&index_bytes);
         if computed != index_crc {
             return Err(StoreError::FooterCorrupt {
@@ -95,8 +107,11 @@ impl FleetStoreReader {
             });
         }
         let mut pages = Vec::with_capacity(num_entries);
-        for (i, chunk) in index_bytes.chunks_exact(PAGE_ENTRY_LEN).enumerate() {
-            let entry = PageEntry::decode(chunk.try_into().expect("exact chunk"), i)?;
+        let mut rest = &index_bytes[..];
+        while let Some((chunk, tail)) = rest.split_first_chunk::<PAGE_ENTRY_LEN>() {
+            rest = tail;
+            let i = pages.len();
+            let entry = PageEntry::decode(chunk, i)?;
             let end =
                 entry
                     .offset
@@ -126,7 +141,7 @@ impl FleetStoreReader {
         )?;
 
         let (shard_starts, user_observed_indices, stats) =
-            read_offsets(&mut file, &pages, &header)?;
+            read_offsets(&mut source, &pages, &header)?;
         let meta = StoreMeta {
             num_services: header.num_services as usize,
             num_users: header.num_users as usize,
@@ -136,7 +151,7 @@ impl FleetStoreReader {
         };
         meta.validate()?;
         Ok(FleetStoreReader {
-            file,
+            source,
             pages,
             observed_order,
             users_order,
@@ -155,21 +170,6 @@ impl FleetStoreReader {
         self.stats
     }
 
-    /// Observed trajectories per slot.
-    pub fn num_services(&self) -> usize {
-        self.meta.num_services
-    }
-
-    /// Ground-truth users.
-    pub fn num_users(&self) -> usize {
-        self.meta.num_users
-    }
-
-    /// Slots in the store.
-    pub fn horizon(&self) -> usize {
-        self.meta.horizon
-    }
-
     /// Restores the whole fleet into memory, bit-for-bit equal to the
     /// arenas that were streamed in.
     ///
@@ -185,25 +185,18 @@ impl FleetStoreReader {
             self.meta.horizon,
         );
         let mut observed = CellGrid::new(num_services);
-        let mut buf = Vec::new();
-        let mut cells = Vec::new();
-        for &page_no in &self.observed_order {
-            let entry = self.pages[page_no];
-            read_page(&mut self.file, &entry, page_no, &mut buf)?;
-            decode_cells(&buf, &mut cells);
-            for row in cells
-                .chunks_exact(num_services.max(1))
-                .take(entry.num_rows as usize)
-            {
-                observed.push_row(row).map_err(|e| StoreError::Layout {
-                    reason: format!("observed row rejected: {e}"),
-                })?;
-            }
+        let mut rows = self.stream_slots();
+        while let Some(row) = rows.next_row()? {
+            observed.push_row(row).map_err(|e| StoreError::Layout {
+                reason: format!("observed row rejected: {e}"),
+            })?;
         }
+        // The user pages reuse the stream's buffers.
+        let (mut buf, mut cells) = (rows.buf, rows.cells);
         let mut user_cells = TrajectoryArena::new(num_users, horizon);
         for &page_no in &self.users_order {
             let entry = self.pages[page_no];
-            read_page(&mut self.file, &entry, page_no, &mut buf)?;
+            read_page(&mut self.source, &entry, page_no, &mut buf)?;
             decode_cells(&buf, &mut cells);
             // `ordered_coverage` pinned each page inside the horizon with
             // exactly `num_rows × num_users` cells.
@@ -224,9 +217,9 @@ impl FleetStoreReader {
     /// (`max(row_bytes, TARGET_PAGE_PAYLOAD)` bytes) is resident at a
     /// time, so an `N = 10⁷` population streams through detection
     /// without ever materializing the grid.
-    pub fn stream_slots(&mut self) -> SlotStream<'_> {
+    pub fn stream_slots(&mut self) -> SlotStream<'_, R> {
         SlotStream {
-            file: &mut self.file,
+            source: &mut self.source,
             pages: &self.pages,
             order: &self.observed_order,
             next_page: 0,
@@ -242,14 +235,14 @@ impl FleetStoreReader {
 }
 
 /// Chunked-read iterator over observed slot rows (see
-/// [`FleetStoreReader::stream_slots`]). Also a
-/// [`chaff_core::detector::SlotRowSource`], so it plugs straight into
+/// [`FleetStoreReader::stream_slots`]). Its shape comes from its
+/// [`chaff_core::detector::SlotRowSource`] impl, which plugs it into
 /// the unified
 /// [`detect_prefixes`](chaff_core::detector::BatchPrefixDetector::detect_prefixes)
 /// entry as [`DetectObservations::Paged`](chaff_core::detector::DetectObservations).
 #[derive(Debug)]
-pub struct SlotStream<'a> {
-    file: &'a mut File,
+pub struct SlotStream<'a, R = File> {
+    source: &'a mut R,
     pages: &'a [PageEntry],
     order: &'a [usize],
     next_page: usize,
@@ -262,22 +255,7 @@ pub struct SlotStream<'a> {
     row_cursor: usize,
 }
 
-impl SlotStream<'_> {
-    /// Observed trajectories per row.
-    pub fn num_trajectories(&self) -> usize {
-        self.num_services
-    }
-
-    /// Total rows the stream will yield.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Rows yielded so far.
-    pub fn rows_emitted(&self) -> usize {
-        self.emitted
-    }
-
+impl<R: Read + Seek> SlotStream<'_, R> {
     /// The next slot row, or `None` after the last slot. Each page is
     /// checksum-verified as it is paged in.
     ///
@@ -293,7 +271,7 @@ impl SlotStream<'_> {
             }
             let page_no = self.order[self.next_page];
             let entry = self.pages[page_no];
-            read_page(self.file, &entry, page_no, &mut self.buf)?;
+            read_page(self.source, &entry, page_no, &mut self.buf)?;
             decode_cells(&self.buf, &mut self.cells);
             self.rows_in_buf = entry.num_rows as usize;
             self.row_cursor = 0;
@@ -306,7 +284,7 @@ impl SlotStream<'_> {
     }
 }
 
-impl chaff_core::detector::SlotRowSource for SlotStream<'_> {
+impl<R: Read + Seek> chaff_core::detector::SlotRowSource for SlotStream<'_, R> {
     fn num_trajectories(&self) -> usize {
         self.num_services
     }
@@ -325,10 +303,15 @@ impl chaff_core::detector::SlotRowSource for SlotStream<'_> {
 }
 
 /// Seeks to and reads one page payload, verifying its checksum.
-fn read_page(file: &mut File, entry: &PageEntry, page: usize, buf: &mut Vec<u8>) -> Result<()> {
+fn read_page(
+    source: &mut (impl Read + Seek),
+    entry: &PageEntry,
+    page: usize,
+    buf: &mut Vec<u8>,
+) -> Result<()> {
     buf.resize(entry.len as usize, 0);
-    file.seek(SeekFrom::Start(entry.offset))?;
-    file.read_exact(buf).map_err(|e| {
+    source.seek(SeekFrom::Start(entry.offset))?;
+    source.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             StoreError::Truncated {
                 context: "page payload ends before its recorded length",
@@ -354,18 +337,20 @@ fn read_page(file: &mut File, entry: &PageEntry, page: usize, buf: &mut Vec<u8>)
 fn decode_cells(bytes: &[u8], out: &mut Vec<CellId>) {
     out.clear();
     out.reserve(bytes.len() / 4);
-    out.extend(
-        bytes
-            .chunks_exact(4)
-            .map(|c| CellId::new(u32::from_le_bytes(c.try_into().expect("4-byte chunk")) as usize)),
-    );
+    out.extend(bytes.chunks_exact(4).map(|c| {
+        // Every `chunks_exact(4)` chunk holds 4 bytes: the 0 never decodes.
+        let cell = c.first_chunk().map_or(0, |b| u32::from_le_bytes(*b));
+        CellId::new(cell as usize)
+    }));
 }
 
 /// Validates that `section`'s pages tile `0..horizon` without gaps or
 /// overlap, that each page holds at least one row (the writer never
 /// emits an empty data page, and the slot stream advances a row per
-/// call) and that each page's length matches its row count; returns the
-/// page indices in row order.
+/// call), that each page's length matches its row count and that the
+/// payloads lie in row order in the file, as the writer appends them
+/// (so two equal-length pages swapped in the index cannot serve their
+/// rows out of order); returns the page indices in row order.
 fn ordered_coverage(
     pages: &[PageEntry],
     section: Section,
@@ -377,8 +362,15 @@ fn ordered_coverage(
         .collect();
     order.sort_by_key(|&i| pages[i].first_row);
     let mut next_row = 0u64;
+    let mut min_offset = 0u64;
     for &i in &order {
         let e = &pages[i];
+        if e.offset < min_offset {
+            return Err(StoreError::FooterCorrupt {
+                reason: format!("page {i} lies before the previous page's payload ({section:?})"),
+            });
+        }
+        min_offset = e.offset.saturating_add(e.len);
         if e.first_row != next_row {
             return Err(StoreError::Layout {
                 reason: format!(
@@ -417,7 +409,7 @@ fn ordered_coverage(
 
 /// Reads and parses the offsets section.
 fn read_offsets(
-    file: &mut File,
+    source: &mut (impl Read + Seek),
     pages: &[PageEntry],
     header: &Header,
 ) -> Result<(Vec<usize>, Vec<usize>, StoreStats)> {
@@ -428,17 +420,17 @@ fn read_offsets(
     let mut blob = Vec::new();
     let mut buf = Vec::new();
     for &page_no in &order {
-        read_page(file, &pages[page_no], page_no, &mut buf)?;
+        read_page(source, &pages[page_no], page_no, &mut buf)?;
         blob.extend_from_slice(&buf);
     }
-    let mut cursor = 0usize;
-    let shard_starts = take_table(&blob, &mut cursor)?;
-    let user_observed_indices = take_table(&blob, &mut cursor)?;
+    let mut rest = &blob[..];
+    let shard_starts = take_table(&mut rest)?;
+    let user_observed_indices = take_table(&mut rest)?;
     let stats = StoreStats {
-        migrations: take_u64(&blob, &mut cursor)? as usize,
-        spills: take_u64(&blob, &mut cursor)? as usize,
-        user_slots: take_u64(&blob, &mut cursor)? as usize,
-        chaff_services: take_u64(&blob, &mut cursor)? as usize,
+        migrations: take_u64(&mut rest)? as usize,
+        spills: take_u64(&mut rest)? as usize,
+        user_slots: take_u64(&mut rest)? as usize,
+        chaff_services: take_u64(&mut rest)? as usize,
     };
     if shard_starts.last() != Some(&(header.num_services as usize)) {
         return Err(StoreError::Layout {
@@ -448,28 +440,25 @@ fn read_offsets(
     Ok((shard_starts, user_observed_indices, stats))
 }
 
-/// Reads one little-endian `u64` out of the offsets blob.
-fn take_u64(blob: &[u8], cursor: &mut usize) -> Result<u64> {
-    let end = *cursor + 8;
-    if end > blob.len() {
-        return Err(StoreError::Layout {
+/// Reads one little-endian `u64` off the front of the offsets blob.
+fn take_u64(rest: &mut &[u8]) -> Result<u64> {
+    let (field, tail) = rest
+        .split_first_chunk::<8>()
+        .ok_or_else(|| StoreError::Layout {
             reason: "offsets section ends mid-field".into(),
-        });
-    }
-    let v = u64::from_le_bytes(blob[*cursor..end].try_into().expect("8 bytes"));
-    *cursor = end;
-    Ok(v)
+        })?;
+    *rest = tail;
+    Ok(u64::from_le_bytes(*field))
 }
 
-/// Reads one length-prefixed `u64` table out of the offsets blob.
-fn take_table(blob: &[u8], cursor: &mut usize) -> Result<Vec<usize>> {
-    let count = take_u64(blob, cursor)?;
-    if count > ((blob.len() - *cursor) / 8) as u64 {
+/// Reads one length-prefixed `u64` table off the front of the offsets
+/// blob.
+fn take_table(rest: &mut &[u8]) -> Result<Vec<usize>> {
+    let count = take_u64(rest)?;
+    if count > (rest.len() / 8) as u64 {
         return Err(StoreError::Layout {
             reason: format!("offsets table claims {count} entries past the section end"),
         });
     }
-    (0..count)
-        .map(|_| Ok(take_u64(blob, cursor)? as usize))
-        .collect()
+    (0..count).map(|_| Ok(take_u64(rest)? as usize)).collect()
 }

@@ -7,11 +7,13 @@
 
 use crate::crc32::crc32;
 use crate::error::{Result, StoreError};
-use crate::format::{align_up, encode_footer, Header, PageEntry, Section, TARGET_PAGE_PAYLOAD};
+use crate::format::{
+    align_up, encode_footer, Header, PageEntry, Section, PAGE_ALIGN, TARGET_PAGE_PAYLOAD,
+};
 use crate::meta::{StoreMeta, StoreStats};
 use chaff_markov::CellId;
 use std::fs::File;
-use std::io::Write;
+use std::io::{Seek, Write};
 use std::path::Path;
 
 /// One section's in-flight page: whole rows batched until the payload
@@ -50,10 +52,22 @@ impl PageBuffer {
     fn is_full(&self) -> bool {
         self.num_rows as usize >= self.rows_per_page
     }
+
+    /// Writes the buffered rows, if any, as one page.
+    fn flush(&mut self, sink: &mut (impl Write + Seek), index: &mut Vec<PageEntry>) -> Result<()> {
+        if self.num_rows > 0 {
+            let (section, first_row, num_rows) = (self.section, self.first_row, self.num_rows);
+            write_page(sink, index, section, first_row, num_rows, &self.bytes)?;
+            self.first_row += self.num_rows;
+            self.num_rows = 0;
+            self.bytes.clear();
+        }
+        Ok(())
+    }
 }
 
-/// Streams a fleet to disk slot by slot; see the
-/// [format module](crate::format) for the byte layout.
+/// Streams a fleet slot by slot into a file or any other `Write + Seek`
+/// sink; see the [format module](crate::format) for the byte layout.
 ///
 /// The writer is *transactional at the file level*: the footer that
 /// makes the file a complete store is only written by
@@ -63,9 +77,10 @@ impl PageBuffer {
 /// [`StoreError::Truncated`] rather than silently loading a partial
 /// fleet.
 #[derive(Debug)]
-pub struct FleetStoreWriter {
-    file: File,
-    pos: u64,
+pub struct FleetStoreWriter<W = File> {
+    sink: W,
+    /// Run by `finish`: `File::sync_all` for `create`, else a no-op.
+    sync: fn(&mut W) -> std::io::Result<()>,
     meta: StoreMeta,
     index: Vec<PageEntry>,
     observed: PageBuffer,
@@ -73,9 +88,9 @@ pub struct FleetStoreWriter {
     rows_written: usize,
 }
 
-impl FleetStoreWriter {
+impl FleetStoreWriter<File> {
     /// Creates (truncating) the store file at `path` and writes the
-    /// fixed header.
+    /// fixed header; [`finish`](FleetStoreWriter::finish) syncs it.
     ///
     /// # Errors
     ///
@@ -84,27 +99,42 @@ impl FleetStoreWriter {
     /// on file-system failures.
     pub fn create(path: impl AsRef<Path>, meta: StoreMeta) -> Result<Self> {
         meta.validate()?;
-        let mut file = File::create(path)?;
+        let writer = Self::new(File::create(path)?, meta)?;
+        Ok(FleetStoreWriter {
+            sync: |file| file.sync_all(),
+            ..writer
+        })
+    }
+}
+
+impl<W: Write + Seek> FleetStoreWriter<W> {
+    /// Starts a store at the beginning of `sink` and writes the fixed
+    /// header. The sink should be empty: bytes past the sealed store
+    /// would hide its footer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Layout`] when `meta` is internally
+    /// inconsistent (see [`StoreMeta::validate`]) and [`StoreError::Io`]
+    /// when the sink fails.
+    pub fn new(mut sink: W, meta: StoreMeta) -> Result<Self> {
+        meta.validate()?;
         let header = Header {
             num_services: meta.num_services as u64,
             num_users: meta.num_users as u64,
             horizon: meta.horizon as u64,
         };
-        file.write_all(&header.encode())?;
+        sink.rewind()?;
+        sink.write_all(&header.encode())?;
         Ok(FleetStoreWriter {
-            file,
-            pos: crate::format::HEADER_LEN as u64,
+            sink,
+            sync: |_| Ok(()),
             observed: PageBuffer::new(Section::Observed, meta.num_services),
             users: PageBuffer::new(Section::Users, meta.num_users),
             meta,
             index: Vec::new(),
             rows_written: 0,
         })
-    }
-
-    /// The metadata this store was created with.
-    pub fn meta(&self) -> &StoreMeta {
-        &self.meta
     }
 
     /// Slots appended so far.
@@ -149,112 +179,69 @@ impl FleetStoreWriter {
         self.observed.push_row(observed_row);
         self.users.push_row(user_row);
         self.rows_written += 1;
-        if self.observed.is_full() {
-            flush_page(
-                &mut self.file,
-                &mut self.pos,
-                &mut self.index,
-                &mut self.observed,
-            )?;
-        }
-        if self.users.is_full() {
-            flush_page(
-                &mut self.file,
-                &mut self.pos,
-                &mut self.index,
-                &mut self.users,
-            )?;
+        for buffer in [&mut self.observed, &mut self.users] {
+            if buffer.is_full() {
+                buffer.flush(&mut self.sink, &mut self.index)?;
+            }
         }
         Ok(())
     }
 
     /// Seals the store: flushes partial pages, writes the offsets
     /// section (shard starts, user indices, `stats`) and the footer
-    /// index, then syncs the file. Only after this returns is the file
-    /// a complete store.
+    /// index, then syncs a file sink to disk. Only after this returns is
+    /// the store complete. Returns the sink.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Incomplete`] when fewer slots than the
     /// declared horizon were appended, and [`StoreError::Io`] on write
     /// failures.
-    pub fn finish(mut self, stats: StoreStats) -> Result<()> {
+    pub fn finish(mut self, stats: StoreStats) -> Result<W> {
         if self.rows_written != self.meta.horizon {
             return Err(StoreError::Incomplete {
                 expected: self.meta.horizon,
                 found: self.rows_written,
             });
         }
-        flush_page(
-            &mut self.file,
-            &mut self.pos,
-            &mut self.index,
-            &mut self.observed,
-        )?;
-        flush_page(
-            &mut self.file,
-            &mut self.pos,
-            &mut self.index,
-            &mut self.users,
-        )?;
+        self.observed.flush(&mut self.sink, &mut self.index)?;
+        self.users.flush(&mut self.sink, &mut self.index)?;
         let blob = encode_offsets(&self.meta, stats);
         for (chunk_index, chunk) in blob.chunks(TARGET_PAGE_PAYLOAD).enumerate() {
-            write_aligned(&mut self.file, &mut self.pos)?;
-            self.index.push(PageEntry {
-                section: Section::Offsets,
-                first_row: chunk_index as u64,
-                num_rows: 0,
-                offset: self.pos,
-                len: chunk.len() as u64,
-                crc: crc32(chunk),
-            });
-            self.file.write_all(chunk)?;
-            self.pos += chunk.len() as u64;
+            let (sink, index) = (&mut self.sink, &mut self.index);
+            write_page(sink, index, Section::Offsets, chunk_index as u64, 0, chunk)?;
         }
-        self.file.write_all(&encode_footer(&self.index))?;
-        self.file.sync_all()?;
-        Ok(())
+        self.sink.write_all(&encode_footer(&self.index))?;
+        self.sink.flush()?;
+        (self.sync)(&mut self.sink)?;
+        Ok(self.sink)
     }
 }
 
-/// Pads the file to the next page boundary with zeros.
-fn write_aligned(file: &mut File, pos: &mut u64) -> Result<()> {
-    let target = align_up(*pos);
-    const ZEROS: [u8; 4096] = [0; 4096];
-    let mut gap = (target - *pos) as usize;
-    while gap > 0 {
-        let n = gap.min(ZEROS.len());
-        file.write_all(&ZEROS[..n])?;
-        gap -= n;
-    }
-    *pos = target;
-    Ok(())
-}
-
-/// Flushes `buffer` (if non-empty) as one aligned, checksummed page.
-fn flush_page(
-    file: &mut File,
-    pos: &mut u64,
+/// Pads `sink` with zeros to the next page boundary, writes `bytes`
+/// there as one page and indexes it with its checksum.
+fn write_page(
+    sink: &mut (impl Write + Seek),
     index: &mut Vec<PageEntry>,
-    buffer: &mut PageBuffer,
+    section: Section,
+    first_row: u64,
+    num_rows: u64,
+    bytes: &[u8],
 ) -> Result<()> {
-    if buffer.num_rows == 0 {
-        return Ok(());
-    }
-    write_aligned(file, pos)?;
+    const ZEROS: [u8; PAGE_ALIGN as usize] = [0; PAGE_ALIGN as usize];
+    let pos = sink.stream_position()?;
+    let offset = align_up(pos);
+    // The gap to the next boundary is shorter than one page.
+    sink.write_all(&ZEROS[..(offset - pos) as usize])?;
     index.push(PageEntry {
-        section: buffer.section,
-        first_row: buffer.first_row,
-        num_rows: buffer.num_rows,
-        offset: *pos,
-        len: buffer.bytes.len() as u64,
-        crc: crc32(&buffer.bytes),
+        section,
+        first_row,
+        num_rows,
+        offset,
+        len: bytes.len() as u64,
+        crc: crc32(bytes),
     });
-    file.write_all(&buffer.bytes)?;
-    *pos += buffer.bytes.len() as u64;
-    buffer.first_row += buffer.num_rows;
-    buffer.num_rows = 0;
-    buffer.bytes.clear();
+    sink.write_all(bytes)?;
     Ok(())
 }
 

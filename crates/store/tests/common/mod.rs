@@ -1,18 +1,13 @@
 //! Helpers shared by the store's integration batteries.
 
 use chaff_store::format::{decode_footer_tail, PageEntry, FOOTER_TAIL_LEN, PAGE_ENTRY_LEN};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use chaff_store::{FleetStoreWriter, StoreMeta};
+use std::io::Cursor;
 
-/// A temp path unique per call: tests run on parallel threads of one
-/// process, so the pid alone would let one test delete another's file.
-pub fn temp_path(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let call = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "chaff_store_test_{}_{call}_{tag}",
-        std::process::id()
-    ))
+/// An in-memory store writer: the batteries build and damage stores as
+/// byte vectors, so no test touches the file system.
+pub fn memory_writer(meta: StoreMeta) -> FleetStoreWriter<Cursor<Vec<u8>>> {
+    FleetStoreWriter::new(Cursor::new(Vec::new()), meta).expect("valid meta")
 }
 
 /// Decodes a valid store's footer index: the byte offset where the index

@@ -17,8 +17,9 @@ mod common;
 use chaff_markov::CellId;
 use chaff_store::crc32::crc32;
 use chaff_store::format::{encode_footer, PageEntry, Section};
-use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreError, StoreMeta, StoreStats};
-use common::{footer_index, temp_path};
+use chaff_store::{FleetStoreReader, StoreError, StoreMeta, StoreStats};
+use common::{footer_index, memory_writer};
+use std::io::Cursor;
 use std::path::PathBuf;
 
 fn fixture_dir() -> PathBuf {
@@ -36,8 +37,7 @@ fn canonical_bytes() -> Vec<u8> {
         shard_starts: vec![0, 2, 4],
         user_observed_indices: vec![3, 0],
     };
-    let path = temp_path("canonical");
-    let mut writer = FleetStoreWriter::create(&path, meta).expect("create");
+    let mut writer = memory_writer(meta);
     for t in 0..3usize {
         let observed: Vec<CellId> = (0..4).map(|i| CellId::new((t * 4 + i) % 9)).collect();
         let users = [CellId::new(t % 9), CellId::new((t + 5) % 9)];
@@ -50,10 +50,8 @@ fn canonical_bytes() -> Vec<u8> {
             user_slots: 6,
             chaff_services: 2,
         })
-        .expect("finish");
-    let bytes = std::fs::read(&path).expect("read back");
-    std::fs::remove_file(&path).expect("cleanup");
-    bytes
+        .expect("finish")
+        .into_inner()
 }
 
 /// Every fixture as `(file name, bytes)`, derived from the canonical
@@ -125,9 +123,9 @@ fn fixtures_are_in_sync_with_the_writer() {
 #[test]
 fn valid_fixture_loads_completely() {
     let mut reader = open_fixture("valid.store").expect("valid fixture opens");
-    assert_eq!(reader.num_services(), 4);
-    assert_eq!(reader.num_users(), 2);
-    assert_eq!(reader.horizon(), 3);
+    assert_eq!(reader.meta().num_services, 4);
+    assert_eq!(reader.meta().num_users, 2);
+    assert_eq!(reader.meta().horizon, 3);
     assert_eq!(reader.stats().migrations, 6);
     let fleet = reader.load().expect("valid fixture loads");
     assert_eq!(fleet.observed.row(0)[1], CellId::new(1));
@@ -196,38 +194,29 @@ fn corrupt_footer_index_is_typed() {
     let mut corrupt = bytes.clone();
     let at = corrupt.len() - 28 - 30;
     corrupt[at] ^= 0x01;
-    let path = temp_path("footer_corrupt");
-    std::fs::write(&path, &corrupt).unwrap();
     assert!(matches!(
-        FleetStoreReader::open(&path),
+        FleetStoreReader::new(Cursor::new(corrupt)),
         Err(StoreError::FooterCorrupt { .. }) | Err(StoreError::Truncated { .. })
     ));
-    std::fs::remove_file(&path).unwrap();
 
     // Damage the entry count in the tail itself.
     let mut corrupt = bytes;
     let len = corrupt.len();
     corrupt[len - 28] ^= 0xFF;
-    let path = temp_path("tail_corrupt");
-    std::fs::write(&path, &corrupt).unwrap();
     assert!(matches!(
-        FleetStoreReader::open(&path),
+        FleetStoreReader::new(Cursor::new(corrupt)),
         Err(StoreError::FooterCorrupt { .. })
     ));
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn flipped_header_byte_is_a_header_checksum_error() {
     let mut bytes = canonical_bytes();
     bytes[17] ^= 0x04; // inside num_services
-    let path = temp_path("header_flip");
-    std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        FleetStoreReader::open(&path),
+        FleetStoreReader::new(Cursor::new(bytes)),
         Err(StoreError::HeaderChecksum { .. })
     ));
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// Rewrites `bytes`' footer index through `edit` and re-encodes it with
@@ -261,13 +250,10 @@ fn zero_row_data_page_in_the_index_is_footer_corrupt() {
             },
         );
     });
-    let path = temp_path("zero_row_page");
-    std::fs::write(&path, &crafted).unwrap();
-    match FleetStoreReader::open(&path) {
+    match FleetStoreReader::new(Cursor::new(crafted)) {
         Err(StoreError::FooterCorrupt { reason }) => {
             assert!(reason.contains("no rows"), "{reason}")
         }
         other => panic!("expected FooterCorrupt, got {other:?}"),
     }
-    std::fs::remove_file(&path).unwrap();
 }

@@ -5,8 +5,10 @@ mod common;
 
 use chaff_markov::CellId;
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreMeta, StoreStats};
-use common::temp_path;
+use chaff_temp::TempPath;
+use common::memory_writer;
 use proptest::prelude::*;
+use std::io::Cursor;
 
 /// SplitMix64 — deterministic per-case cell material without touching
 /// the vendored RNG.
@@ -49,7 +51,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole round-trip: every cell, offset table and stat
-    /// survives the disk unchanged, on both read paths.
+    /// survives the store unchanged, on both read paths.
     #[test]
     fn write_then_load_and_stream_are_bit_for_bit(
         seed in 0u64..10_000,
@@ -61,8 +63,7 @@ proptest! {
     ) {
         let num_services = num_users * (1 + budget);
         let meta = meta_for(num_services, num_users, horizon, shards);
-        let path = temp_path(&format!("{seed}_{num_users}_{budget}_{horizon}_{shards}"));
-        let mut writer = FleetStoreWriter::create(&path, meta.clone()).unwrap();
+        let mut writer = memory_writer(meta.clone());
         for t in 0..horizon {
             let observed: Vec<CellId> =
                 (0..num_services).map(|i| cell(seed, t, i, num_cells)).collect();
@@ -76,9 +77,9 @@ proptest! {
             user_slots: num_users * horizon,
             chaff_services: num_services - num_users,
         };
-        writer.finish(stats).unwrap();
+        let store = writer.finish(stats).unwrap();
 
-        let mut reader = FleetStoreReader::open(&path).unwrap();
+        let mut reader = FleetStoreReader::new(store).unwrap();
         prop_assert_eq!(reader.meta(), &meta);
         let fleet = reader.load().unwrap();
         prop_assert_eq!(fleet.stats, stats);
@@ -104,7 +105,6 @@ proptest! {
             prop_assert_eq!(&row[..], fleet.observed.row(t), "slot {}", t);
         }
         prop_assert!(stream.next_row().unwrap().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// Fuzzing the bytes: flipping any single byte of a valid store
@@ -120,23 +120,20 @@ proptest! {
         let num_users = 4;
         let horizon = 6;
         let meta = meta_for(num_services, num_users, horizon, 3);
-        let path = temp_path(&format!("fuzz_{seed}_{flip_at}_{flip_bit}"));
-        let mut writer = FleetStoreWriter::create(&path, meta).unwrap();
+        let mut writer = memory_writer(meta);
         for t in 0..horizon {
             let observed: Vec<CellId> =
                 (0..num_services).map(|i| cell(seed, t, i, 30)).collect();
             let users: Vec<CellId> = (0..num_users).map(|u| cell(!seed, t, u, 30)).collect();
             writer.append_slot(&observed, &users).unwrap();
         }
-        writer.finish(StoreStats::default()).unwrap();
-        let baseline = FleetStoreReader::open(&path).unwrap().load().unwrap();
+        let mut bytes = writer.finish(StoreStats::default()).unwrap().into_inner();
+        let baseline = FleetStoreReader::new(Cursor::new(&bytes)).unwrap().load().unwrap();
 
-        let mut bytes = std::fs::read(&path).unwrap();
         let at = flip_at % bytes.len();
         bytes[at] ^= 1 << flip_bit;
-        std::fs::write(&path, &bytes).unwrap();
 
-        match FleetStoreReader::open(&path) {
+        match FleetStoreReader::new(Cursor::new(bytes)) {
             Err(_) => {} // typed rejection at open: fine
             Ok(mut reader) => match reader.load() {
                 Err(_) => {} // typed rejection at read: fine
@@ -146,6 +143,31 @@ proptest! {
                 ),
             },
         }
-        std::fs::remove_file(&path).unwrap();
     }
+}
+
+/// One store code path: a file writer and an in-memory writer fed the
+/// same meta, rows and stats write the same bytes. Rows of 70k cells
+/// (280 kB) span several pages, so the page padding is compared too.
+#[test]
+fn file_and_memory_writers_produce_identical_bytes() {
+    let meta = meta_for(70_000, 2, 8, 3);
+    let path = TempPath::new("same_bytes.store");
+    let mut file = FleetStoreWriter::create(&path, meta.clone()).unwrap();
+    let mut memory = memory_writer(meta);
+    for t in 0..8 {
+        let observed: Vec<CellId> = (0..70_000).map(|i| cell(7, t, i, 1000)).collect();
+        let users = [cell(8, t, 0, 1000), cell(8, t, 1, 1000)];
+        file.append_slot(&observed, &users).unwrap();
+        memory.append_slot(&observed, &users).unwrap();
+    }
+    let stats = StoreStats {
+        migrations: 3,
+        spills: 2,
+        user_slots: 16,
+        chaff_services: 69_998,
+    };
+    file.finish(stats).unwrap();
+    let bytes = memory.finish(stats).unwrap().into_inner();
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
 }
